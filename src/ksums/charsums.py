@@ -105,7 +105,8 @@ def _kloosterman_gl_closed_form(fp, t, k1):
             inner += term
         total += q ** l * k1 ** (t + 2 - 2 * l) * inner
     value = Fraction(q) ** ((t - 2) * (t + 1) // 2) * total
-    assert value.denominator == 1, (fp, t, k1, value)
+    if value.denominator != 1:
+        raise ConsistencyError("GL closed form must be an integer", t=t, q=q, k1=k1, value=value)
     return int(value)
 
 

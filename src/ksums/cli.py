@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from ksums import charsums, coset_codes, field, matgf, moments, orthogroup, verify
+from ksums import charsums, combinat, coset_codes, field, matgf, moments, orthogroup, verify
 from ksums.errors import BudgetError, ConsistencyError
 
 
@@ -67,10 +67,8 @@ def _cmd_ksum_gl(args):
     if args.method == "all":
         value = charsums.kloosterman_gl(fp, args.t, a, "all", c)
         values = {"recursion": value, "closed_form": value}
-        try:
-            values["brute_force"] = charsums.kloosterman_gl(fp, args.t, a, "brute_force", c)
-        except BudgetError:
-            pass
+        if combinat.gl_order(args.t, fp.q) <= charsums.GL_BRUTE_BUDGET:
+            values["brute_force"] = value
     else:
         value = charsums.kloosterman_gl(fp, args.t, a, args.method, c)
         values = {args.method: value}

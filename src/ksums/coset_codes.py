@@ -15,11 +15,18 @@ vectors (tr(a Tr g_1), ..., tr(a Tr g_N)). Everything about the code is a
 function of the trace multiplicity map beta -> #{w in cell : Tr w = beta},
 which has both a closed form and an enumeration route.
 
-The weight distribution is computed by a DP over (count, partial F_q-sum)
-states. Since nu repetitions of beta contribute nu*beta = (nu mod 2)*beta in
-characteristic 2, each beta's binomial choices split into even/odd
-generating polynomials and the unbounded multinomial sum collapses to
-O(q * N) truncated polynomial updates.
+The weight distribution is a character-sum transform (MacWilliams-Sloane,
+ch. 5). Reading each beta as a bit vector of length b, orthogonality of the
+characters u -> (-1)^(u.beta) gives
+
+    C(x) = 2^(-b) sum_(u in F_2^b) (1+x)^(N-E(u)) (1-x)^E(u),
+
+where E(u) is the number of positions whose beta has u.beta odd. One
+Walsh-Hadamard transform of the multiplicity map yields every E(u); the
+coefficients of x^j follow from the Krawtchouk three-term recurrence, so a
+truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
+MacWilliams route feeds the formula-mode dual weights, which come from
+Kloosterman sums instead of multiplicities, to the same kernel.
 """
 
 import math
@@ -130,8 +137,7 @@ def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
 
 
 def enumerable(f: DoubleCosetFamily) -> bool:
-    size = orthogroup.parabolic_order(f.n, f.fp.q)
-    return size * size <= orthogroup.PRODUCT_BUDGET
+    return orthogroup.enumerable(f.fp, f.n)
 
 
 def family_cell(f: DoubleCosetFamily) -> orthogroup.BruhatCell:
@@ -176,21 +182,9 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def ordered_traces(f: DoubleCosetFamily) -> tuple:
     """Tr g_j for the cell elements in canonical (packed-key) order."""
-    cell = family_cell(f)
-    fp = f.fp
-    n2 = 2 * f.n
-    mask = fp.q - 1
-    shifts = [fp.r * (n2 * n2 - 1 - i * (n2 + 1)) for i in range(n2)]
-    out = []
-    for key in cell.elements:
-        tr = 0
-        for sh in shifts:
-            tr ^= (key >> sh) & mask
-        out.append(tr)
-    return tuple(out)
+    return orthogroup.cell_traces(f.fp, f.n, f.cell_index)
 
 
 def dual_codeword(f: DoubleCosetFamily, a: int) -> tuple:
@@ -244,16 +238,27 @@ def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     return w
 
 
-def _poly_mul(p, s, cap):
-    out = [0] * (min(len(p) + len(s) - 1, cap + 1))
-    for i, pi in enumerate(p):
-        if not pi:
-            continue
-        for j, sj in enumerate(s):
-            if i + j > cap:
-                break
-            if sj:
-                out[i + j] += pi * sj
+def _krawtchouk_sum(weights, length: int, cap: int, denom: int) -> list:
+    """Coefficients j <= cap of sum_w mult_w (1+x)^(length-w) (1-x)^w / denom.
+
+    weights maps w -> mult_w. Each coefficient sequence p_j obeys
+    (j+1) p_(j+1) = (length - 2w) p_j - (length - j + 1) p_(j-1), so a weight
+    costs O(cap); every quotient by denom must be an exact nonnegative int.
+    """
+    acc = [0] * (cap + 1)
+    for w, mult in weights.items():
+        prev, cur = 0, 1
+        acc[0] += mult
+        for j in range(cap):
+            prev, cur = cur, ((length - 2 * w) * cur - (length - j + 1) * prev) // (j + 1)
+            acc[j + 1] += mult * cur
+    out = []
+    for j, total in enumerate(acc):
+        cj, rem = divmod(total, denom)
+        if rem or cj < 0:
+            raise ConsistencyError("transform coefficient must be a nonnegative integer",
+                                   j=j, acc=total, denom=denom)
+        out.append(cj)
     return out
 
 
@@ -278,59 +283,36 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
         if j_max < 0:
             raise ValueError(f"j_max must be >= 0, got {j_max}")
         cap = min(j_max, total)
-    state = {0: [1]}
-    for beta, cnt in sorted(counts.items()):
-        if cnt == 0:
-            continue
-        top = min(cnt, cap)
-        even = [binom(cnt, v) if v % 2 == 0 else 0 for v in range(top + 1)]
-        odd = [binom(cnt, v) if v % 2 == 1 else 0 for v in range(top + 1)]
-        new = {}
-        for s, poly in state.items():
-            for shift, part in ((0, even), (beta, odd)):
-                dest = s ^ shift
-                prod = _poly_mul(poly, part, cap)
-                if dest in new:
-                    acc = new[dest]
-                    if len(acc) < len(prod):
-                        acc.extend([0] * (len(prod) - len(acc)))
-                    for i, v in enumerate(prod):
-                        acc[i] += v
-                else:
-                    new[dest] = prod
-        state = new
-    out = state.get(0, [0])
-    out = list(out) + [0] * (cap + 1 - len(out))
-    return out[:cap + 1]
+    # Walsh-Hadamard transform: spectrum[u] = total - 2 E(u)
+    size = 1 << max(counts, default=0).bit_length()
+    spectrum = [0] * size
+    for beta, cnt in counts.items():
+        spectrum[beta] = cnt
+    half = 1
+    while half < size:
+        for i in range(0, size, 2 * half):
+            for k in range(i, i + half):
+                x, y = spectrum[k], spectrum[k + half]
+                spectrum[k], spectrum[k + half] = x + y, x - y
+        half *= 2
+    weights = Counter((total - s) // 2 for s in spectrum)
+    return _krawtchouk_sum(weights, total, cap, size)
 
 
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
     """Full weight distribution via the transform of the dual enumerator.
 
-    Sums Krawtchouk values over all q parameters a (weight 0 at a = 0); the
-    division by q is exact whether or not a -> c(a) is injective, because a
-    kernel of size 2 double-counts a dual code of half the size.
+    Feeds the formula-mode dual weights (weight 0 at a = 0) to the same
+    Krawtchouk kernel; the division by q is exact whether or not a -> c(a)
+    is injective, because a kernel of size 2 double-counts a dual code of
+    half the size.
     """
-    consts = family_constants(f)
-    n = consts.size
+    n = family_constants(f).size
     if n > FULL_DISTRIBUTION_CAP:
         raise BudgetError(f"length {n} exceeds cap {FULL_DISTRIBUTION_CAP}")
-    fp = f.fp
-    weights = Counter({0: 1})
-    for a in field.units(fp):
-        weights[dual_weight(f, a, "formula")] += 1
-    out = []
-    for j in range(n + 1):
-        acc = 0
-        for w, mult in weights.items():
-            acc += mult * sum((-1) ** i * binom(w, i) * binom(n - w, j - i)
-                              for i in range(min(w, j) + 1))
-        cj, rem = divmod(acc, fp.q)
-        if rem or cj < 0:
-            raise ConsistencyError("transform coefficient must be a nonnegative integer",
-                                   family=f.label, j=j, acc=acc)
-        out.append(cj)
-    return out
+    weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
+    weights[0] += 1
+    return _krawtchouk_sum(weights, n, n, f.fp.q)
 
 
 def dual_weight_distribution(f: DoubleCosetFamily) -> list:

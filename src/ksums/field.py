@@ -16,6 +16,8 @@ exhaustively; a too-large r is rejected loudly, never truncated.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ksums.errors import ConsistencyError
+
 MAX_DEGREE = 8
 
 # x, x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1, x^8+x^4+x^3+x+1
@@ -163,7 +165,8 @@ def trace_table(fp: FieldParams) -> tuple:
         for _ in range(fp.r - 1):
             t = mul(fp, t, t)
             acc ^= t
-        assert acc in (0, 1), (fp, x, acc)
+        if acc not in (0, 1):
+            raise ConsistencyError("trace must land in F_2", field=fp, x=x, trace=acc)
         out.append(acc)
     return tuple(out)
 

@@ -34,7 +34,6 @@ def mat_trace(m: Mat) -> int:
 
 
 def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
-    n = len(a)
     bt = mat_transpose(b)
     out = []
     for row in a:
@@ -46,7 +45,6 @@ def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
                     acc ^= field.mul(fp, x, y)
             new.append(acc)
         out.append(tuple(new))
-    assert len(out) == n
     return tuple(out)
 
 

@@ -40,17 +40,11 @@ def _require(f: DoubleCosetFamily, codim: int, use: str):
             raise ValueError(f"{use} needs q >= 4, got q={q}")
 
 
-@lru_cache(maxsize=None)
-def _weight_coeffs(f: DoubleCosetFamily, j_max: int) -> tuple:
-    counts = coset_codes.trace_multiplicities(f, "formula")
-    return tuple(coset_codes.weight_distribution(counts, j_max=j_max))
-
-
 def _double_sum(f: DoubleCosetFamily, h: int) -> int:
     consts = coset_codes.family_constants(f)
     n_len = consts.size
     jtop = min(n_len, h)
-    coeffs = _weight_coeffs(f, jtop)
+    coeffs = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=jtop)
     total = 0
     for j in range(jtop + 1):
         cj = coeffs[j]

@@ -143,11 +143,15 @@ def _alternating_matrices(fp: FieldParams, n: int):
         yield tuple(tuple(row) for row in m)
 
 
+def enumerable(fp: FieldParams, n: int) -> bool:
+    """True iff |P+(2n,q)|^2 fits PRODUCT_BUDGET, so cells may be materialized."""
+    return parabolic_order(n, fp.q) ** 2 <= PRODUCT_BUDGET
+
+
 def _check_enum_budget(fp: FieldParams, n: int):
-    size = parabolic_order(n, fp.q)
-    if size * size > PRODUCT_BUDGET:
-        raise BudgetError(
-            f"|P+({2*n},{fp.q})|^2 = {size*size} exceeds product budget {PRODUCT_BUDGET}")
+    if not enumerable(fp, n):
+        raise BudgetError(f"|P+({2*n},{fp.q})|^2 = {parabolic_order(n, fp.q) ** 2} "
+                          f"exceeds product budget {PRODUCT_BUDGET}")
 
 
 @lru_cache(maxsize=None)
@@ -277,20 +281,23 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> dict:
-    """Counts of Tr(w) over the materialized cell, as {beta: count}."""
-    cell = bruhat_cell(fp, n, r)
+def cell_traces(fp: FieldParams, n: int, r: int) -> tuple:
+    """Tr w for the cell elements in canonical (packed-key) order."""
     n2 = 2 * n
-    rr = fp.r
     mask = fp.q - 1
-    shifts = [rr * (n2 * n2 - 1 - i * (n2 + 1)) for i in range(n2)]
-    hist = Counter()
-    for key in cell.elements:
+    shifts = [fp.r * (n2 * n2 - 1 - i * (n2 + 1)) for i in range(n2)]
+    out = []
+    for key in bruhat_cell(fp, n, r).elements:
         tr = 0
         for sh in shifts:
             tr ^= (key >> sh) & mask
-        hist[tr] += 1
-    return dict(hist)
+        out.append(tr)
+    return tuple(out)
+
+
+def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> dict:
+    """Counts of Tr(w) over the materialized cell, as {beta: count}."""
+    return dict(Counter(cell_traces(fp, n, r)))
 
 
 def group_order(n: int, q: int) -> int:
@@ -305,7 +312,8 @@ def a_r_order(n: int, r: int, q: int) -> int:
     # q-exponent C(n,2) + r(2n-3r+1)/2 is an integer and >= 0 for 0 <= r <= n
     # (concave in r, zero at r = n), so this stays in exact ints
     exp2 = 2 * combinat.binom(n, 2) + r * (2 * n - 3 * r + 1)
-    assert exp2 % 2 == 0 and exp2 >= 0, (n, r)
+    if exp2 % 2 or exp2 < 0:
+        raise ConsistencyError("A_r exponent must be a nonnegative integer", n=n, r=r)
     return combinat.gl_order(r, q) * combinat.gl_order(n - r, q) * q ** (exp2 // 2)
 
 

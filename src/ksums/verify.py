@@ -107,11 +107,6 @@ def _charsum_checks(rep, fps, h_max):
                      if charsums.moment(fp, m, h, c=c) != charsums.moment(fp, m, h)])
 
 
-def _enumerable(fp, n):
-    size = orthogroup.parabolic_order(n, fp.q)
-    return size * size <= orthogroup.PRODUCT_BUDGET
-
-
 def _group_checks(rep, fps, max_n):
     for fp in fps:
         q = fp.q
@@ -119,7 +114,7 @@ def _group_checks(rep, fps, max_n):
             counts = orthogroup.group_counts(n, q)
             rep.add("group.order_closed_form_vs_cells", {"n": n, "q": q},
                     counts["group_order"], sum(counts["cell_orders"]))
-            if not _enumerable(fp, n):
+            if not orthogroup.enumerable(fp, n):
                 continue
             pkeys = orthogroup.enumerate_parabolic(fp, n)
             rep.add("group.parabolic_order", {"n": n, "q": q},

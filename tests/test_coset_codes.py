@@ -214,6 +214,16 @@ def test_weight_distribution_dc1_plus_2_2():
     assert dist == cc.weight_distribution_macwilliams(f)
 
 
+def test_weight_distribution_long_code_routes_agree():
+    # N = 720 is far beyond the 2^N oracle; the multiplicity and
+    # Kloosterman-weight routes must still agree
+    f = fam("dc2+", 2, GF4)
+    dist = cc.weight_distribution(cc.trace_multiplicities(f))
+    assert len(dist) == 721 and dist == dist[::-1]
+    assert dist == cc.weight_distribution_macwilliams(f)
+    assert cc.weight_distribution(cc.trace_multiplicities(f), j_max=10) == dist[:11]
+
+
 def test_weight_distribution_ordering_independence():
     f = fam("dc1-", 1, GF8)
     vec = list(cc.ordered_traces(f))
@@ -237,7 +247,7 @@ def test_weight_distribution_budget():
 
 @st.composite
 def multiplicity_maps(draw):
-    fp = draw(st.sampled_from([GF2, GF4]))
+    fp = draw(st.sampled_from([GF2, GF4, GF8]))
     counts = {b: draw(st.integers(0, 4)) for b in field.elements(fp)}
     # restore the zero weighted-sum invariant that real trace maps satisfy:
     # bumping the current parity-weighted sum's slot by one cancels it

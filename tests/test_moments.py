@@ -54,6 +54,13 @@ def test_mk_matches_oracle(fp):
             assert moments.mk_recursive(f, h) == charsums.moment(fp, 1, h), (f, h)
 
 
+def test_mk_matches_oracle_q256():
+    fp = binary_field(8)
+    f = fam("dc1+", 2, fp)
+    for h in range(H_MAX + 1):
+        assert moments.mk_recursive(f, h) == charsums.moment(fp, 1, h), h
+
+
 @pytest.mark.parametrize("fp", [GF4, GF8])
 def test_mk2_and_even_match_oracle(fp):
     for label, n in [("dc2+", 2), ("dc2-", 3)]:
