@@ -17,7 +17,7 @@ from ksums import combinat, field, matgf
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
-ENUM_BUDGET = 1 << 24  # max tuples enumerated by one m-dimensional sum
+ENUM_BUDGET = 1 << 24  # max tuples enumerated by one m-dimensional sum or values table
 GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for the brute-force route
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
@@ -27,7 +27,7 @@ def _scaled_char_table(fp, c):
     lam = field.char_table(fp)
     if c == 1:
         return lam
-    return tuple(lam[field.mul(fp, c, y)] for y in field.elements(fp))
+    return tuple(lam[cy] for cy in field.mul_table(fp)[c])
 
 
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
@@ -65,7 +65,14 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
 
 @lru_cache(maxsize=None)
 def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
-    """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None."""
+    """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None.
+
+    The (q-1) sums enumerate (q-1) q^m tuples in all; that total, not each
+    sum alone, must fit ENUM_BUDGET, and it is checked before the first sum.
+    """
+    work = (fp.q - 1) * fp.q ** m
+    if work > ENUM_BUDGET:
+        raise BudgetError(f"(q-1) q^m = {work} exceeds enumeration budget {ENUM_BUDGET}")
     return (None,) + tuple(kloosterman(fp, a, m, c) for a in field.units(fp))
 
 
@@ -144,8 +151,8 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     if method not in GL_METHODS + ("all",):
         raise ValueError(f"unknown method {method!r}")
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
-    eff_a = field.mul(fp, field.mul(fp, c, c), a)
-    k1 = kloosterman(fp, eff_a)
+    mt = field.mul_table(fp)
+    k1 = kloosterman_values(fp)[mt[mt[c][c]][a]]
     if method == "recursion":
         return _kloosterman_gl_recursion(fp, t, k1)
     if method == "closed_form":
@@ -198,15 +205,17 @@ def verify_theta_identities(fp: FieldParams, beta: int, b: int | None = None) ->
     if beta == 0:
         raise ValueError("beta must be nonzero")
     lam = field.char_table(fp)
+    mt = field.mul_table(fp)
     invt = field.inv_table(fp)
+    brow = mt[beta]
     k1 = kloosterman_values(fp)[beta]
     out = {"beta": beta, "k1": k1}
     lhs_a = 0
     for alpha in field.elements(fp):
         if alpha in (0, 1):
             continue
-        d = field.mul(fp, alpha, alpha) ^ alpha
-        lhs_a += lam[field.mul(fp, beta, invt[d])]
+        d = mt[alpha][alpha] ^ alpha
+        lhs_a += lam[brow[invt[d]]]
     out["part_a"] = {"lhs": lhs_a, "rhs": k1 - 1, "ok": lhs_a == k1 - 1}
     if b is not None:
         field.check_element(fp, b)
@@ -215,8 +224,8 @@ def verify_theta_identities(fp: FieldParams, beta: int, b: int | None = None) ->
                              "x^2 + x + b is not irreducible")
         lhs_b = 0
         for alpha in field.elements(fp):
-            d = field.mul(fp, alpha, alpha) ^ alpha ^ b
-            lhs_b += lam[field.mul(fp, beta, invt[d])]
+            d = mt[alpha][alpha] ^ alpha ^ b
+            lhs_b += lam[brow[invt[d]]]
         out["part_b"] = {"lhs": lhs_b, "rhs": -k1 - 1, "ok": lhs_b == -k1 - 1}
     out["ok"] = all(part["ok"] for key, part in out.items() if key.startswith("part_"))
     return out
@@ -234,7 +243,8 @@ def verify_twisted_sum(fp: FieldParams, beta: int, m: int) -> dict:
         raise ValueError(f"m must be >= 1, got {m}")
     lam = field.char_table(fp)
     vals = kloosterman_values(fp, m)
-    lhs = sum(lam[field.mul(fp, a, beta)] * vals[a] for a in field.units(fp))
+    brow = field.mul_table(fp)[beta]
+    lhs = sum(lam[brow[a]] * vals[a] for a in field.units(fp))
     if beta == 0:
         rhs = (-1) ** (m + 1)
     else:

@@ -192,16 +192,17 @@ def dual_codeword(f: DoubleCosetFamily, a: int) -> tuple:
     fp = f.fp
     field.check_element(fp, a)
     trt = field.trace_table(fp)
-    return tuple(trt[field.mul(fp, a, t)] for t in ordered_traces(f))
+    arow = field.mul_table(fp)[a]
+    return tuple(trt[arow[t]] for t in ordered_traces(f))
 
 
 def dual_kernel(f: DoubleCosetFamily) -> frozenset:
     """All a with c(a) = 0: those with tr(a beta) = 0 on the trace support."""
     fp = f.fp
     support = [beta for beta, cnt in trace_multiplicities(f).items() if cnt]
+    trt, mt = field.trace_table(fp), field.mul_table(fp)
     return frozenset(a for a in field.elements(fp)
-                     if all(field.trace(fp, field.mul(fp, a, beta)) == 0
-                            for beta in support))
+                     if all(trt[mt[a][beta]] == 0 for beta in support))
 
 
 def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:

@@ -11,6 +11,13 @@ serialize as lowercase hex of their int value.
 
 The degree cap exists because everything downstream enumerates F_q or F_q^*
 exhaustively; a too-large r is rejected loudly, never truncated.
+
+Products are formed in one place: `mul_table`, built once per field by row
+xors. Every other product in the package, `mul` included, is a lookup in
+that table. The public functions here validate their operands (ints, not
+bools, in range); inner loops elsewhere read `mul_table`, `inv_table` and
+`trace_table` rows directly and rely on their own entry points having
+validated the inputs.
 """
 
 from dataclasses import dataclass
@@ -61,17 +68,24 @@ def _is_irreducible(p: int, r: int) -> bool:
     return True
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True is not a degree or a field element
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def binary_field(r: int, modulus: int | None = None) -> FieldParams:
     """Construct FieldParams for GF(2^r), verifying the modulus.
 
-    Raises ValueError for r outside 1..8 or a non-irreducible/wrong-degree
-    modulus.
+    Raises ValueError for r outside 1..8, a non-int r or modulus, or a
+    negative, non-irreducible or wrong-degree modulus.
     """
-    if not isinstance(r, int) or not 1 <= r <= MAX_DEGREE:
+    if not _is_int(r) or not 1 <= r <= MAX_DEGREE:
         raise ValueError(f"r out of supported range 1..{MAX_DEGREE}: {r!r}")
     if modulus is None:
         modulus = DEFAULT_MODULI[r]
-    if modulus.bit_length() - 1 != r:
+    if not _is_int(modulus):
+        raise ValueError(f"modulus must be an int, got {modulus!r}")
+    if modulus < 0 or modulus.bit_length() - 1 != r:
         raise ValueError(f"modulus {modulus:#x} does not have degree {r}")
     if not _is_irreducible(modulus, r):
         raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")
@@ -80,7 +94,7 @@ def binary_field(r: int, modulus: int | None = None) -> FieldParams:
 
 def check_element(fp: FieldParams, x: int) -> int:
     """Validate that x encodes an element of fp's field."""
-    if not isinstance(x, int) or not 0 <= x < fp.q:
+    if not _is_int(x) or not 0 <= x < fp.q:
         raise ValueError(f"{x!r} is not an element of GF(2^{fp.r})")
     return x
 
@@ -101,19 +115,10 @@ def add(fp: FieldParams, x: int, y: int) -> int:
 
 
 def mul(fp: FieldParams, x: int, y: int) -> int:
-    """Carryless multiply reduced by the field modulus."""
+    """x * y, read from mul_table."""
     check_element(fp, x)
     check_element(fp, y)
-    q, modulus = fp.q, fp.modulus
-    acc = 0
-    while y:
-        if y & 1:
-            acc ^= x
-        y >>= 1
-        x <<= 1
-        if x & q:
-            x ^= modulus
-    return acc
+    return mul_table(fp)[x][y]
 
 
 def power(fp: FieldParams, x: int, e: int) -> int:
@@ -124,11 +129,12 @@ def power(fp: FieldParams, x: int, e: int) -> int:
             raise ZeroDivisionError("0 has no negative powers")
         return 1 if e == 0 else 0
     e %= fp.q - 1
+    mt = mul_table(fp)
     out = 1
     while e:
         if e & 1:
-            out = mul(fp, out, x)
-        x = mul(fp, x, x)
+            out = mt[out][x]
+        x = mt[x][x]
         e >>= 1
     return out
 
@@ -154,16 +160,18 @@ def additive_char(fp: FieldParams, x: int) -> int:
 
 def artin_schreier_image(fp: FieldParams) -> frozenset:
     """Image of x -> x^2 + x; an index-2 subgroup of (F_q, +)."""
-    return frozenset(mul(fp, a, a) ^ a for a in elements(fp))
+    mt = mul_table(fp)
+    return frozenset(mt[a][a] ^ a for a in elements(fp))
 
 
 @lru_cache(maxsize=None)
 def trace_table(fp: FieldParams) -> tuple:
+    mt = mul_table(fp)
     out = []
     for x in elements(fp):
         acc = t = x
         for _ in range(fp.r - 1):
-            t = mul(fp, t, t)
+            t = mt[t][t]
             acc ^= t
         if acc not in (0, 1):
             raise ConsistencyError("trace must land in F_2", field=fp, x=x, trace=acc)
@@ -179,30 +187,29 @@ def char_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def mul_table(fp: FieldParams) -> tuple:
-    """Full q x q multiplication table; at most 64K entries at r = 8."""
-    rows = []
-    for x in elements(fp):
-        rows.append(tuple(mul(fp, x, y) for y in elements(fp)))
+    """Full q x q multiplication table, mul_table(fp)[x][y] = x * y.
+
+    The package's only product-forming code; at most 64K entries at r = 8.
+    Row 1 is the identity; row 2k is row k times the polynomial x, i.e.
+    each entry shifted left one bit and reduced by the modulus; an odd row
+    2k + 1 is row 2k xor row 1.
+    """
+    q, modulus, top = fp.q, fp.modulus, fp.q >> 1
+    rows = [(0,) * q, tuple(range(q))]
+    for x in range(2, q):
+        if x & 1:
+            rows.append(tuple(v ^ y for y, v in enumerate(rows[x - 1])))
+        else:
+            rows.append(tuple((v << 1) ^ modulus if v & top else v << 1
+                              for v in rows[x >> 1]))
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def inv_table(fp: FieldParams) -> tuple:
-    out = [0] * fp.q
-    for x in units(fp):
-        if out[x]:
-            continue
-        y = 1
-        t = x
-        e = fp.q - 2
-        while e:
-            if e & 1:
-                y = mul(fp, y, t)
-            t = mul(fp, t, t)
-            e >>= 1
-        out[x] = y
-        out[y] = x
-    return tuple(out)
+    """inv_table(fp)[x] = 1/x for x != 0; slot 0 holds 0."""
+    mt = mul_table(fp)
+    return (0,) + tuple(mt[x].index(1) for x in units(fp))
 
 
 def element_hex(fp: FieldParams, x: int) -> str:

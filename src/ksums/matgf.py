@@ -34,23 +34,23 @@ def mat_trace(m: Mat) -> int:
 
 
 def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
-    bt = mat_transpose(b)
+    """a b, each row of which sums the rows of b scaled by mul_table rows."""
+    mt = field.mul_table(fp)
     out = []
     for row in a:
-        new = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc ^= field.mul(fp, x, y)
-            new.append(acc)
-        out.append(tuple(new))
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                scale = mt[x]
+                acc = [v ^ scale[e] for v, e in zip(acc, brow)]
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def mat_inv(fp: FieldParams, m: Mat) -> Mat:
     """Inverse by Gauss-Jordan elimination; singular input raises."""
     n = len(m)
+    mt = field.mul_table(fp)
     invt = field.inv_table(fp)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)]
            for i, row in enumerate(m)]
@@ -61,12 +61,14 @@ def mat_inv(fp: FieldParams, m: Mat) -> Mat:
         aug[col], aug[pivot] = aug[pivot], aug[col]
         pinv = invt[aug[col][col]]
         if pinv != 1:
-            aug[col] = [field.mul(fp, pinv, v) for v in aug[col]]
+            scale = mt[pinv]
+            aug[col] = [scale[v] for v in aug[col]]
+        prow = aug[col]
         for i in range(n):
             f = aug[i][col]
             if i != col and f:
-                prow = aug[col]
-                aug[i] = [v ^ field.mul(fp, f, p) for v, p in zip(aug[i], prow)]
+                scale = mt[f]
+                aug[i] = [v ^ scale[p] for v, p in zip(aug[i], prow)]
     return tuple(tuple(row[n:]) for row in aug)
 
 

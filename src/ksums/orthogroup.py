@@ -18,6 +18,13 @@ lets the whole inner loop be skipped without changing the result set.
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
+
+Every product is read from field.mul_table: matrices multiply through
+matgf.mat_mul, and cells through one packed-row kernel, _coset_products,
+which xors p's packed rows where x has a 1 and scales the lanes of a row
+through a mul_table row otherwise. Field inputs are validated once, where
+they enter (exp_sum_cell's c, theta_plus's entries); the enumeration loops
+trust them.
 """
 
 from collections import Counter
@@ -30,7 +37,6 @@ from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
 PRODUCT_BUDGET = 10 ** 7  # cap on |P+|^2 before a cell may be materialized
-_TABLE_ROWS = 4096  # build scalar-row tables only when q^(2n) stays below this
 
 
 @dataclass(frozen=True)
@@ -113,17 +119,10 @@ def is_in_oplus_alt(fp: FieldParams, m) -> bool:
 
 def preserves_theta_plus(fp: FieldParams, m, vectors=None) -> bool:
     """Isometry check theta+(Mv) = theta+(v), exhaustive unless vectors given."""
-    n2 = len(m)
     if vectors is None:
-        vectors = product(range(fp.q), repeat=n2)
+        vectors = product(range(fp.q), repeat=len(m))
     for v in vectors:
-        mv = [0] * n2
-        for i, row in enumerate(m):
-            acc = 0
-            for x, y in zip(row, v):
-                if x and y:
-                    acc ^= field.mul(fp, x, y)
-            mv[i] = acc
+        mv = [row[0] for row in matgf.mat_mul(fp, m, tuple((e,) for e in v))]
         if theta_plus(fp, mv) != theta_plus(fp, v):
             return False
     return True
@@ -180,72 +179,36 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
 
 # -- packed-row multiplication kernel ---------------------------------------
 
-def _pack_rows(fp, m):
+def _coset_products(fp, left_factors, right):
+    """Deduplicated packed keys of {x p : x in left_factors, p in right}.
+
+    Row i of x p is the sum over k of x_ik times row k of p: p's packed row
+    itself when x_ik = 1, else that row scaled lane by lane through
+    mul_table row x_ik.
+    """
+    mt = field.mul_table(fp)
     r = fp.r
-    rows = []
-    for row in m:
-        acc = 0
-        for e in row:
-            acc = (acc << r) | e
-        rows.append(acc)
-    return tuple(rows)
-
-
-def _rows_key(rows, rowbits):
-    key = 0
-    for x in rows:
-        key = (key << rowbits) | x
-    return key
-
-
-@lru_cache(maxsize=None)
-def _smul_row_table(fp: FieldParams, n2: int):
-    """scaled[s][packed_row] = packed row with every lane multiplied by s."""
-    r, q = fp.r, fp.q
-    nrows = q ** n2
-    if nrows > _TABLE_ROWS:
-        return None
-    shifts = [r * (n2 - 1 - j) for j in range(n2)]
-    mask = q - 1
-    tables = []
-    for s in range(q):
-        tbl = []
-        for packed in range(nrows):
-            acc = 0
-            for sh in shifts:
-                acc |= field.mul(fp, s, (packed >> sh) & mask) << sh
-            tbl.append(acc)
-        tables.append(tuple(tbl))
-    return tuple(tables)
-
-
-def _coset_products(fp, n, left_factors, right):
-    """Deduplicated packed keys of {x p : x in left_factors, p in right}."""
-    n2 = 2 * n
-    rowbits = fp.r * n2
-    tables = _smul_row_table(fp, n2)
+    rowbits = r * len(right[0])
+    right_rows = [(p, tuple(matgf.pack_mat(fp, (row,)) for row in p)) for p in right]
     seen = set()
-    if tables is None:
-        right_mats = right
-        for x in left_factors:
-            if matgf.pack_mat(fp, x) in seen:
-                continue
-            for p in right_mats:
-                seen.add(matgf.pack_mat(fp, matgf.mat_mul(fp, x, p)))
-        return seen
-    right_rows = [_pack_rows(fp, p) for p in right]
+    add = seen.add
     for x in left_factors:
-        xkey = _rows_key(_pack_rows(fp, x), rowbits)
-        if xkey in seen:
+        if matgf.pack_mat(fp, x) in seen:
             continue
-        recipe = [tuple((tables[s], k) for k, s in enumerate(row) if s) for row in x]
-        add = seen.add
-        for prows in right_rows:
+        recipe = [tuple((k, None if s == 1 else mt[s]) for k, s in enumerate(row) if s)
+                  for row in x]
+        for p, prows in right_rows:
             key = 0
             for terms in recipe:
                 acc = 0
-                for tbl, k in terms:
-                    acc ^= tbl[prows[k]]
+                for k, scale in terms:
+                    if scale is None:
+                        acc ^= prows[k]
+                    else:
+                        lanes = 0
+                        for e in p[k]:
+                            lanes = (lanes << r) | scale[e]
+                        acc ^= lanes
                 key = (key << rowbits) | acc
             add(key)
     return seen
@@ -260,7 +223,7 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     pplus = parabolic_matrices(fp, n)
     sigma = sigma_plus(n, r)
     left = [matgf.mat_mul(fp, p, sigma) for p in pplus]
-    keys = _coset_products(fp, n, left, pplus)
+    keys = _coset_products(fp, left, pplus)
     return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
 
 
@@ -376,8 +339,9 @@ def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formu
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if mode == "brute":
         lam = field.char_table(fp)
+        crow = field.mul_table(fp)[c]
         hist = cell_trace_histogram(fp, n, r)
-        return sum(cnt * lam[field.mul(fp, c, beta)] for beta, cnt in hist.items())
+        return sum(cnt * lam[crow[beta]] for beta, cnt in hist.items())
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
     q = fp.q

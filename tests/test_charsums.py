@@ -30,6 +30,11 @@ def test_enumeration_budget():
     fp = binary_field(8)
     with pytest.raises(BudgetError):
         charsums.kloosterman(fp, 1, m=4)  # 256^4 = 2^32 tuples
+    # each sum fits (256^3 = 2^24), but the 255 of them do not
+    with pytest.raises(BudgetError):
+        charsums.kloosterman_values(fp, 3)
+    with pytest.raises(BudgetError):
+        charsums.moment(fp, 3, 2)
 
 
 def test_moment_examples():

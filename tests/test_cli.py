@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,20 @@ def test_field_table_modulus_override(capsys):
     code, _, err = run(capsys, "field", "table", "--r", "3", "--modulus", "f")
     assert code == 2
     assert "reducible" in err
+    code, out, err = run(capsys, "field", "table", "--r", "3", "--modulus=-b")
+    assert code == 2
+    assert "degree" in err
+    assert out == ""
+
+
+def test_kloosterman_table_budget_refuses_fast(capsys):
+    # (q-1) q^m = 255 * 2^24 tuples: refused before the first sum
+    start = time.perf_counter()
+    code, out, err = run(capsys, "moments", "oracle", "--r", "8", "--m", "3", "--h-max", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
 
 
 def test_ksum_value(capsys):

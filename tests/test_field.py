@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ksums import field
 from ksums.field import binary_field
+from ksums.verify import ALT_MODULI
 
 GF2 = binary_field(1)
 GF4 = binary_field(2)
@@ -34,6 +35,46 @@ def test_bad_modulus_rejected():
         binary_field(4, 0b111)  # degree 2, not 4
     with pytest.raises(ValueError):
         binary_field(4, 0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
+    with pytest.raises(ValueError):
+        binary_field(3, -11)  # -0xb: right bit length, but negative
+    with pytest.raises(ValueError):
+        binary_field(3, "0xb")  # the string, not the int
+
+
+def test_bool_rejected_where_int_expected():
+    with pytest.raises(ValueError):
+        binary_field(True)
+    with pytest.raises(ValueError):
+        binary_field(1, True)
+    for b in (True, False):
+        with pytest.raises(ValueError):
+            field.check_element(GF4, b)
+    with pytest.raises(ValueError):
+        field.mul(GF4, True, 1)
+
+
+def _carryless(x, y):
+    acc = 0
+    while y:
+        if y & 1:
+            acc ^= x
+        x <<= 1
+        y >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("r, modulus",
+                         sorted(field.DEFAULT_MODULI.items()) + sorted(ALT_MODULI.items()))
+def test_mul_table_matches_carryless_product(r, modulus):
+    # exhaustive, against products formed here rather than read from the table
+    fp = binary_field(r, modulus)
+    mt = field.mul_table(fp)
+    for x in field.elements(fp):
+        assert mt[x] == tuple(field._poly_mod2(_carryless(x, y), modulus)
+                              for y in field.elements(fp))
+    assert field.inv_table(fp) == (0,) + tuple(
+        next(y for y in field.units(fp) if field._poly_mod2(_carryless(x, y), modulus) == 1)
+        for x in field.units(fp))
 
 
 def test_arithmetic_examples():

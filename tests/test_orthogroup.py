@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ksums import charsums, field, matgf, orthogroup as og
 from ksums.errors import BudgetError
 from ksums.field import binary_field
+from ksums.verify import ALT_MODULI
 
 GF2 = binary_field(1)
 GF4 = binary_field(2)
@@ -124,13 +126,29 @@ def test_bruhat_cell_n1():
 
 
 def test_cell_matches_unskipped_product_set():
-    # oracle without the left-coset dedup shortcut: all |P+|^2 raw products
-    for fp, n, r in [(GF2, 2, 1), (GF2, 2, 2), (GF4, 1, 1)]:
+    # oracle without the left-coset dedup shortcut: all |P+|^2 raw products;
+    # n=1 at q=64 and q=128, one under a second modulus, adds large fields
+    gf64, gf128 = binary_field(6), binary_field(7)
+    gf128_alt = binary_field(7, ALT_MODULI[7])
+    for fp, n, r in [(GF2, 2, 1), (GF2, 2, 2), (GF4, 1, 1),
+                     (gf64, 1, 0), (gf64, 1, 1), (gf128, 1, 1), (gf128_alt, 1, 1)]:
         pplus = og.parabolic_matrices(fp, n)
         sigma = og.sigma_plus(n, r)
         raw = {matgf.pack_mat(fp, matgf.mat_mul(fp, matgf.mat_mul(fp, p1, sigma), p2))
                for p1 in pplus for p2 in pplus}
         assert tuple(sorted(raw)) == og.bruhat_cell(fp, n, r).elements
+
+
+def test_coset_products_kernel_matches_mat_mul():
+    # an n=1 cell is one left coset sigma P+, so the kernel never scales a
+    # lane there; random left factors reach every scalar
+    rng = random.Random(7)
+    for fp, n, count in [(GF4, 2, 30), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
+        pplus = og.parabolic_matrices(fp, n)
+        left = [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
+                for _ in range(count)]
+        expect = {matgf.pack_mat(fp, matgf.mat_mul(fp, x, p)) for x in left for p in pplus}
+        assert og._coset_products(fp, left, pplus) == expect
 
 
 def test_a_r_subgroup():
