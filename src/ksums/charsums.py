@@ -5,10 +5,15 @@ enumeration (the oracle side of every moment identity in this package),
 Kloosterman sums for GL(t,q) by three independent routes, and verification
 helpers for the classical identities relating them.
 
+The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
+GL(t,q), at most q^2 entries, counted once per (q, t) from the pairs
+matgf.gl_matrices yields; each (a, c) then costs one pass over it.
+
 All sums are exact Python ints. Enumerations carry hard budgets and raise
-BudgetError instead of degrading.
+BudgetError instead of degrading; gl_routes names the GL routes that fit.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -18,7 +23,7 @@ from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
 ENUM_BUDGET = 1 << 24  # max tuples enumerated by one m-dimensional sum or values table
-GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for the brute-force route
+GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max tuples for the closed form
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
 
@@ -94,10 +99,22 @@ def _kloosterman_gl_recursion(fp, t, k1):
     return cur
 
 
+def _closed_form_tuples(t):
+    """Inner tuples of the GL closed form: sum over l of C(t+1-l, l-1) = F(t+1)."""
+    prev, cur = 0, 1  # F(0), F(1)
+    for _ in range(t):
+        prev, cur = cur, prev + cur
+    return cur
+
+
 def _kloosterman_gl_closed_form(fp, t, k1):
     # sum over l of q^l K^(t+2-2l) times a sum over weakly decreasing integer
     # tuples j_1 >= ... >= j_(l-1) with 2l-1 <= j_(l-1) and j_1 <= t+1; the
     # inner sum is 1 when l = 1
+    tuples = _closed_form_tuples(t)
+    if tuples > GL_BRUTE_BUDGET:
+        raise BudgetError(f"GL({t}) closed form sums F(t+1) = {tuples} tuples, "
+                          f"over budget {GL_BRUTE_BUDGET}")
     if t == 0:
         return 1
     q = fp.q
@@ -118,10 +135,10 @@ def _kloosterman_gl_closed_form(fp, t, k1):
 
 
 @lru_cache(maxsize=None)
-def _gl_trace_pairs(fp, t):
-    """(Tr w, Tr w^-1) over GL(t,q); enumerated once, reused for every a and c."""
-    return tuple((matgf.mat_trace(m), matgf.mat_trace(minv))
-                 for m, minv in matgf.gl_matrices(fp, t))
+def _gl_trace_histogram(fp, t):
+    """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries; every a and c reads it."""
+    return tuple(Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
+                         for m, minv in matgf.gl_matrices(fp, t)).items())
 
 
 def _kloosterman_gl_brute(fp, t, a, c):
@@ -132,14 +149,26 @@ def _kloosterman_gl_brute(fp, t, a, c):
         return 1
     lamc = _scaled_char_table(fp, c)
     row = field.mul_table(fp)[a]
-    return sum(lamc[tr ^ row[trinv]] for tr, trinv in _gl_trace_pairs(fp, t))
+    return sum(count * lamc[tr ^ row[trinv]]
+               for (tr, trinv), count in _gl_trace_histogram(fp, t))
+
+
+def gl_routes(t: int, q: int) -> tuple:
+    """The GL_METHODS whose work at (t, q) fits GL_BRUTE_BUDGET; the recursion always does."""
+    fits = {
+        "recursion": True,
+        "closed_form": _closed_form_tuples(t) <= GL_BRUTE_BUDGET,
+        "brute_force": combinat.gl_order(t, q) <= GL_BRUTE_BUDGET,
+    }
+    return tuple(method for method in GL_METHODS if fits[method])
 
 
 def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int = 1) -> int:
     """Kloosterman sum for GL(t,q): sum of psi(Tr w + a Tr w^-1) over GL(t,q).
 
     method selects the recursion, the closed form, or direct enumeration;
-    "all" runs every route available at this size and insists they agree.
+    "all" runs every route gl_routes admits at this size and insists they
+    agree.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
     field.check_element(fp, a)
@@ -153,18 +182,14 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
     mt = field.mul_table(fp)
     k1 = kloosterman_values(fp)[mt[mt[c][c]][a]]
-    if method == "recursion":
-        return _kloosterman_gl_recursion(fp, t, k1)
-    if method == "closed_form":
-        return _kloosterman_gl_closed_form(fp, t, k1)
-    if method == "brute_force":
-        return _kloosterman_gl_brute(fp, t, a, c)
-    got = {
-        "recursion": _kloosterman_gl_recursion(fp, t, k1),
-        "closed_form": _kloosterman_gl_closed_form(fp, t, k1),
+    routes = {
+        "recursion": lambda: _kloosterman_gl_recursion(fp, t, k1),
+        "closed_form": lambda: _kloosterman_gl_closed_form(fp, t, k1),
+        "brute_force": lambda: _kloosterman_gl_brute(fp, t, a, c),
     }
-    if combinat.gl_order(t, fp.q) <= GL_BRUTE_BUDGET:
-        got["brute_force"] = _kloosterman_gl_brute(fp, t, a, c)
+    if method != "all":
+        return routes[method]()
+    got = {name: routes[name]() for name in gl_routes(t, fp.q)}
     if len(set(got.values())) != 1:
         raise ConsistencyError("kloosterman_gl methods disagree",
                                t=t, a=a, q=fp.q, **got)

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from ksums import charsums, combinat, coset_codes, field, matgf, moments, orthogroup, verify
+from ksums import charsums, coset_codes, field, matgf, moments, orthogroup, verify
 from ksums.errors import BudgetError, ConsistencyError
 
 
@@ -66,9 +66,7 @@ def _cmd_ksum_gl(args):
     c = field.parse_element(fp, args.c)
     if args.method == "all":
         value = charsums.kloosterman_gl(fp, args.t, a, "all", c)
-        values = {"recursion": value, "closed_form": value}
-        if combinat.gl_order(args.t, fp.q) <= charsums.GL_BRUTE_BUDGET:
-            values["brute_force"] = value
+        values = {name: value for name in charsums.gl_routes(args.t, fp.q)}
     else:
         value = charsums.kloosterman_gl(fp, args.t, a, args.method, c)
         values = {args.method: value}

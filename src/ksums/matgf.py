@@ -4,6 +4,11 @@ Entries are field ints (see ksums.field). Matrices are hashable and compare
 by value; the canonical serialization is the row-major concatenation of
 fixed-width lowercase hex entries, and sorting by the packed-int key agrees
 with sorting by that hex string.
+
+GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
+keeps one Gauss-Jordan state per prefix of rows: singular matrices are never
+built, and each element arrives with its inverse. all_matrices and mat_inv
+remain as the independent route the tests compare it with.
 """
 
 from itertools import product
@@ -119,9 +124,55 @@ def all_matrices(fp: FieldParams, n: int):
 
 
 def gl_matrices(fp: FieldParams, n: int):
-    """Yield (m, m_inverse) over all of GL(n, q)."""
-    for m in all_matrices(fp, n):
-        try:
-            yield m, mat_inv(fp, m)
-        except ZeroDivisionError:
-            continue
+    """Yield (m, m_inverse) over all of GL(n, q), in all_matrices' order.
+
+    A depth-first search over rows, each level trying the q^n rows in lex
+    order. The rows chosen so far carry one Gauss-Jordan state, shared by
+    every matrix that starts with them: echelon rows e_i in reduced form
+    (e_i[p_j] = 1 if i = j else 0) with pivots p_i, and transform rows t_i,
+    e_i = sum_j t_i[j] row_j. A candidate row is reduced against that state;
+    a zero residual means it lies in the span of the earlier rows, so it is
+    skipped and no singular matrix is ever built. Once all n rows are
+    chosen every e_i is the unit vector at p_i, so row p_i of m^-1 is t_i.
+    """
+    if n == 0:
+        yield (), ()
+        return
+    mt = field.mul_table(fp)
+    invt = field.inv_table(fp)
+    rows = list(product(range(fp.q), repeat=n))
+    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+    def extend(chosen, echelon, transform, pivots):
+        k = len(chosen)
+        for v in rows:
+            res, tr = v, units[k]
+            for p, e, t in zip(pivots, echelon, transform):
+                f = v[p]  # the other e_j vanish at p, so v's own entry is the coefficient
+                if f:
+                    scale = mt[f]
+                    res = [x ^ scale[y] for x, y in zip(res, e)]
+                    tr = [x ^ scale[y] for x, y in zip(tr, t)]
+            lead = next(filter(None, res), 0)  # the first nonzero entry pivots
+            if not lead:
+                continue
+            col = res.index(lead)
+            scale = mt[invt[lead]]
+            tr = [scale[x] for x in tr]
+            new_t = [[x ^ mt[e[col]][y] for x, y in zip(t, tr)] if e[col] else t
+                     for e, t in zip(echelon, transform)]
+            new_t.append(tr)
+            new_p = pivots + (col,)
+            if k == n - 1:
+                inv = [None] * n
+                for p, t in zip(new_p, new_t):
+                    inv[p] = tuple(t)
+                yield chosen + (v,), tuple(inv)
+                continue
+            res = [scale[x] for x in res]
+            new_e = [[x ^ mt[e[col]][y] for x, y in zip(e, res)] if e[col] else e
+                     for e in echelon]
+            new_e.append(res)
+            yield from extend(chosen + (v,), new_e, new_t, new_p)
+
+    yield from extend((), [], [], ())

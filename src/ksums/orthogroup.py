@@ -22,9 +22,10 @@ ksums.matgf.
 Every product is read from field.mul_table: matrices multiply through
 matgf.mat_mul, and cells through one packed-row kernel, _coset_products,
 which xors p's packed rows where x has a 1 and scales the lanes of a row
-through a mul_table row otherwise. Field inputs are validated once, where
-they enter (exp_sum_cell's c, theta_plus's entries); the enumeration loops
-trust them.
+through a mul_table row otherwise. A product with the permutation matrix
+s_r is no product at all: it permutes rows or columns (_sigma_perm). Field
+inputs are validated once, where they enter (exp_sum_cell's c, theta_plus's
+entries); the enumeration loops trust them.
 """
 
 from collections import Counter
@@ -61,23 +62,23 @@ def theta_plus(fp: FieldParams, v) -> int:
     return acc
 
 
-def sigma_plus(n: int, r: int):
-    """Coset representative swapping e_i <-> e_(n+i) for i <= r; an involution."""
+def _sigma_perm(n: int, r: int) -> tuple:
+    """The involution i <-> n+i for i < r, fixing the other indices of 0..2n-1."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    n2 = 2 * n
-    rows = []
-    for i in range(n2):
-        if i < r:
-            j = n + i
-        elif i < n:
-            j = i
-        elif i < n + r:
-            j = i - n
-        else:
-            j = i
-        rows.append(tuple(1 if k == j else 0 for k in range(n2)))
-    return tuple(rows)
+    first = tuple(range(n, n + r)) + tuple(range(r, n))
+    return first + tuple(range(r)) + tuple(range(n + r, 2 * n))
+
+
+def sigma_plus(n: int, r: int):
+    """Coset representative swapping e_i <-> e_(n+i) for i <= r; an involution."""
+    perm = _sigma_perm(n, r)
+    return tuple(tuple(1 if k == j else 0 for k in range(2 * n)) for j in perm)
+
+
+def _permute_cols(m, perm):
+    """m s for the permutation matrix s of perm: column j of m s is column perm[j] of m."""
+    return tuple(tuple(row[j] for j in perm) for row in m)
 
 
 def _split_blocks(m):
@@ -221,8 +222,8 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     _check_enum_budget(fp, n)
     pplus = parabolic_matrices(fp, n)
-    sigma = sigma_plus(n, r)
-    left = [matgf.mat_mul(fp, p, sigma) for p in pplus]
+    perm = _sigma_perm(n, r)
+    left = [_permute_cols(p, perm) for p in pplus]
     keys = _coset_products(fp, left, pplus)
     return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
 
@@ -230,14 +231,13 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
 @lru_cache(maxsize=None)
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     """Packed keys of {w in P+ : s_r w s_r^-1 in P+} (s_r is an involution)."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    perm = _sigma_perm(n, r)
     pplus = parabolic_matrices(fp, n)
     pkeys = frozenset(enumerate_parabolic(fp, n))
-    sigma = sigma_plus(n, r)
     out = []
     for m in pplus:
-        conj = matgf.mat_mul(fp, matgf.mat_mul(fp, sigma, m), sigma)
+        # s_r m s_r permutes both the rows and the columns of m by perm
+        conj = _permute_cols([m[i] for i in perm], perm)
         if matgf.pack_mat(fp, conj) in pkeys:
             out.append(matgf.pack_mat(fp, m))
     return tuple(sorted(out))

@@ -1,6 +1,6 @@
 import pytest
 
-from ksums import charsums, field
+from ksums import charsums, combinat, field
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 
@@ -109,6 +109,30 @@ def test_kloosterman_gl_scaled_character():
 def test_kloosterman_gl_brute_budget():
     with pytest.raises(BudgetError):
         charsums.kloosterman_gl(GF2, 5, 1, "brute_force")  # |GL(5,2)| ~ 10^7
+
+
+def test_gl_brute_histogram_matches_recursion():
+    # the brute-force shapes (t, q) = (4, 2) and (2, 16); q = 2 has only c = 1
+    for fp, t, cs in [(GF2, 4, (1,)), (GF16, 2, (1, 0b1011))]:
+        hist = charsums._gl_trace_histogram(fp, t)
+        assert sum(count for _, count in hist) == combinat.gl_order(t, fp.q)
+        assert len(hist) <= fp.q ** 2
+        for c in cs:
+            for a in field.units(fp):
+                assert (charsums.kloosterman_gl(fp, t, a, "brute_force", c)
+                        == charsums.kloosterman_gl(fp, t, a, "recursion", c)), (fp.q, t, a, c)
+
+
+def test_gl_routes_and_closed_form_budget():
+    # the closed form sums F(t+1) tuples: F(30) = 832040 fits, F(31) = 1346269 does not
+    assert charsums.gl_routes(4, 2) == charsums.GL_METHODS
+    assert charsums.gl_routes(2, 32) == ("recursion", "closed_form")  # |GL(2,32)| > 10^6
+    assert charsums.gl_routes(29, 2) == ("recursion", "closed_form")
+    assert charsums.gl_routes(30, 2) == ("recursion",)
+    with pytest.raises(BudgetError):
+        charsums.kloosterman_gl(GF2, 30, 1, "closed_form")
+    assert charsums.kloosterman_gl(GF2, 30, 1, "all") == charsums.kloosterman_gl(
+        GF2, 30, 1, "recursion")
 
 
 def test_carlitz_identity():

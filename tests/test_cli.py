@@ -99,6 +99,24 @@ def test_ksum_gl_all_methods(capsys):
     assert payload["values"]["brute_force"] == "84"
 
 
+def test_gl_closed_form_budget_refuses_fast(capsys):
+    # F(41) = 165580141 closed-form tuples: refused before the first one
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ksum", "gl", "--r", "1", "--t", "40", "--a", "1",
+                         "--method", "closed_form")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
+    # "all" runs only the routes that fit: at t = 30 that is the recursion
+    code, out, _ = run(capsys, "ksum", "gl", "--r", "1", "--t", "30", "--a", "1",
+                       "--method", "all")
+    assert code == 0
+    payload = json.loads(out)
+    assert "closed_form" not in payload["values"]
+    assert payload["values"] == {"recursion": payload["value"]}
+
+
 def test_moments_oracle_json_and_csv(capsys):
     code, out, _ = run(capsys, "moments", "oracle", "--r", "2", "--m", "1",
                        "--h-max", "2")

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ksums import matgf
+from ksums import combinat, matgf
 from ksums.field import binary_field
 
 GF2 = binary_field(1)
 GF4 = binary_field(2)
+GF8 = binary_field(3)
 
 
 def test_identity_and_transpose():
@@ -39,6 +40,27 @@ def test_inverse_round_trip_full_gl():
             assert matgf.mat_mul(fp, m, minv) == matgf.mat_identity(n)
             count += 1
         assert count > 0
+
+
+def _gl_by_inversion(fp, n):
+    # the independent route: every matrix through Gauss-Jordan, singular ones dropped
+    out = []
+    for m in matgf.all_matrices(fp, n):
+        try:
+            out.append((m, matgf.mat_inv(fp, m)))
+        except ZeroDivisionError:
+            continue
+    return out
+
+
+def test_gl_matrices_matches_inversion_route():
+    # same pairs in the same (all_matrices) order, the empty matrix included
+    for fp, n in [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1), (GF4, 2), (GF8, 2)]:
+        assert list(matgf.gl_matrices(fp, n)) == _gl_by_inversion(fp, n), (fp.q, n)
+
+
+def test_gl_matrices_count_gl42():
+    assert sum(1 for _ in matgf.gl_matrices(GF2, 4)) == combinat.gl_order(4, 2)
 
 
 def test_singular_raises():
