@@ -52,9 +52,6 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     invt = field.inv_table(fp)
     mt = field.mul_table(fp)
     us = field.units(fp)
-    if m == 1:
-        row = mt[a]
-        return sum(lamc[x ^ row[invt[x]]] for x in us)
     total = 0
     for head in product(us, repeat=m - 1):
         s = 0

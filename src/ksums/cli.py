@@ -90,18 +90,13 @@ def _cmd_moments_oracle(args):
 def _cmd_moments_recursive(args):
     fp = _parse_field(args)
     fam = coset_codes.parse_family(args.family, args.n, fp)
-    if fam.codim == 1:
-        kinds = [("mk", moments.mk_recursive, lambda h: charsums.moment(fp, 1, h))]
-    else:
-        kinds = [("mk2", moments.mk2_recursive, lambda h: charsums.moment(fp, 2, h)),
-                 ("mk_even", moments.mk_even_recursive, lambda h: charsums.moment(fp, 1, 2 * h))]
     table = []
     all_match = True
-    for name, rec, oracle in kinds:
+    for kind in moments.kinds(fam.codim):
         for h in range(args.h_max + 1):
-            row = {"kind": name, "h": h, "recursive": str(rec(fam, h))}
+            row = {"kind": kind.name, "h": h, "recursive": str(kind.recursive(fam, h))}
             if args.compare_oracle:
-                row["oracle"] = str(oracle(h))
+                row["oracle"] = str(kind.oracle(fp, h))
                 row["match"] = row["recursive"] == row["oracle"]
                 all_match = all_match and row["match"]
             table.append(row)

@@ -300,32 +300,53 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     return _krawtchouk_sum(weights, total, cap, size)
 
 
+def _dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
+    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0)."""
+    weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
+    weights[0] += 1
+    return weights
+
+
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
     """Full weight distribution via the transform of the dual enumerator.
 
-    Feeds the formula-mode dual weights (weight 0 at a = 0) to the same
-    Krawtchouk kernel; the division by q is exact whether or not a -> c(a)
-    is injective, because a kernel of size 2 double-counts a dual code of
-    half the size.
+    Feeds the formula-mode dual weight histogram to the same Krawtchouk
+    kernel; the division by q is exact whether or not a -> c(a) is
+    injective, because a kernel of size 2 double-counts a dual code of half
+    the size.
     """
     n = family_constants(f).size
     if n > FULL_DISTRIBUTION_CAP:
         raise BudgetError(f"length {n} exceeds cap {FULL_DISTRIBUTION_CAP}")
-    weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
-    weights[0] += 1
-    return _krawtchouk_sum(weights, n, n, f.fp.q)
+    return _krawtchouk_sum(_dual_weight_histogram(f), n, n, f.fp.q)
 
 
 def dual_weight_distribution(f: DoubleCosetFamily) -> list:
     """Codeword-weight histogram of the dual code {c(a)}; needs injectivity."""
     if dual_kernel(f) != frozenset({0}):
         raise ValueError(f"{f.label}(n={f.n}, q={f.fp.q}): a -> c(a) is not injective")
-    consts = family_constants(f)
-    out = [0] * (consts.size + 1)
-    out[0] = 1
-    for a in field.units(f.fp):
-        out[dual_weight(f, a, "formula")] += 1
+    out = [0] * (family_constants(f).size + 1)
+    for w, cnt in _dual_weight_histogram(f).items():
+        out[w] = cnt
     return out
+
+
+def pless_sum(weights, n: int, h: int) -> int:
+    """P(w, n, h) = sum_(j <= min(n,h)) (-1)^j w_j sum_(t=j..h) t! S(h,t) 2^(h-t) C(n-j, n-t).
+
+    The Pless power-moment identity (MacWilliams-Sloane, ch. 5) for a binary
+    [n, k] code whose dual has weight distribution w reads
+    sum_j j^h B_j = 2^(k-h) P(w, n, h). Only w_j for j <= min(n, h) are
+    read, so a truncated distribution suffices; terms with t > n vanish.
+    """
+    top = min(n, h)
+    coef = [math.factorial(t) * stirling2(h, t) * 2 ** (h - t) for t in range(top + 1)]
+    total = 0
+    for j in range(top + 1):
+        if weights[j]:
+            total += (-1) ** j * weights[j] * sum(coef[t] * binom(n - j, n - t)
+                                                  for t in range(j, top + 1))
+    return total
 
 
 def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
@@ -340,14 +361,6 @@ def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
         raise ValueError(f"h must be >= 0, got {h}")
     n = len(code_weights) - 1
     lhs = sum(j ** h * bj for j, bj in enumerate(code_weights))
-    rhs = Fraction(0)
-    for j in range(min(n, h) + 1):
-        if not dual_weights[j]:
-            continue
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            inner += (math.factorial(t) * stirling2(h, t)
-                      * binom(n - j, n - t) * Fraction(2) ** (k - t))
-        rhs += (-1) ** j * dual_weights[j] * inner
+    rhs = pless_sum(dual_weights, n, h) * Fraction(2) ** (k - h)
     ok = rhs.denominator == 1 and lhs == int(rhs)
     return {"h": h, "lhs": lhs, "rhs": rhs if rhs.denominator != 1 else int(rhs), "ok": ok}

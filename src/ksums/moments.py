@@ -6,69 +6,99 @@ has left side sum_a w(a)^h with the dual weights w(a) affine in K(lambda;a)
 (codim 1) or in K(lambda;a)^2 (codim 2). Expanding that side binomially and
 separating its l = h term yields, after multiplying through by (-2/A)^h,
 
-    MK^h = sum_(l<h) (-1)^(h+l+1) C(h,l) B^(h-l) MK^l
-           + q A^(-h) sum_j (-1)^(h+j) C_j sum_t t! S(h,t) 2^(h-t) C(N-j, N-t)
+    MK^h = sum_(l<h) (-1)^(h+l+1) C(h,l) B^(h-l) MK^l + q A^(-h) (-1)^h P(C, N, h)
 
-seeded by MK^0 = q - 1, with j up to min(N, h) and t from j to h. The codim-2
-families produce the same shape for the 2-dimensional moments MK2^h (base
-B - q^2) and for the even moments MK^(2h) (base B - q^2 + q).
+seeded by MK^0 = q - 1, where P is the Pless sum coset_codes.pless_sum. The
+codim-2 families produce the same shape for the 2-dimensional moments MK2^h
+(base B - q^2) and for the even moments MK^(2h) (base B - q^2 + q); KINDS
+lists every sequence with its base, its oracle and the families it applies to.
 
-All arithmetic is exact: B and A^(-h) are Fractions and every final moment is
-asserted integral; when B is itself an integer the stronger per-step fact
-that q times the double sum is divisible by A^h is asserted too.
+All arithmetic is exact: B and A^(-h) are Fractions, and every final moment
+is checked to be integral, raising ConsistencyError otherwise; when B is
+itself an integer the stronger per-step fact that q times the Pless sum is
+divisible by A^h is checked too.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from typing import Callable, NamedTuple
 
 from ksums import charsums, coset_codes, field
-from ksums.combinat import binom, stirling2
+from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
 from ksums.errors import ConsistencyError
 
 
-def _require(f: DoubleCosetFamily, codim: int, use: str):
-    if f.codim != codim:
-        raise ValueError(f"{use} needs a codim-{codim} family, got {f.label}")
+class MomentKind(NamedTuple):
+    """One moment sequence the recursion generates, with its oracle.
+
+    The recursion runs on base = cofactor - shift(q) over codim-`codim`
+    families with q >= min_q(f); the oracle is the brute-force
+    charsums.moment(fp, m, step * h). `check` names verify's comparison
+    and `rhs` the key of verify_lhs_expansion's expansion.
+    """
+
+    name: str
+    codim: int
+    shift: Callable
+    min_q: Callable
+    m: int
+    step: int
+    check: str
+    rhs: str
+
+    def admits(self, f: DoubleCosetFamily) -> bool:
+        return f.codim == self.codim and f.fp.q >= self.min_q(f)
+
+    def base(self, f: DoubleCosetFamily) -> Fraction:
+        return coset_codes.family_constants(f).cofactor - self.shift(f.fp.q)
+
+    def oracle(self, fp, h: int) -> int:
+        return charsums.moment(fp, self.m, self.step * h)
+
+    def recursive(self, f: DoubleCosetFamily, h: int) -> int:
+        """The cached module-level <name>_recursive, looked up at call time."""
+        return globals()[f"{self.name}_recursive"](f, h)
+
+
+KINDS = (
+    MomentKind("mk", 1, lambda q: 0, lambda f: 8 if (f.sign, f.n) == ("-", 1) else 2,
+               1, 1, "moments.recursion_vs_oracle", "rhs"),
+    MomentKind("mk2", 2, lambda q: q * q, lambda f: 4,
+               2, 1, "moments.two_dimensional_recursion_vs_oracle", "rhs_two_dimensional"),
+    MomentKind("mk_even", 2, lambda q: q * q - q, lambda f: 4,
+               1, 2, "moments.even_recursion_vs_oracle", "rhs_even"),
+)
+MK, MK2, MK_EVEN = KINDS
+
+
+def kinds(codim: int) -> tuple:
+    """The moment kinds a codim-`codim` family generates, in report order."""
+    return tuple(k for k in KINDS if k.codim == codim)
+
+
+def _expand(base, h: int, ms) -> Fraction:
+    """sum_l (-1)^l C(h,l) base^(h-l) ms[l] over the supplied l <= h."""
+    return sum((-1) ** l * binom(h, l) * base ** (h - l) * m for l, m in enumerate(ms))
+
+
+def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
+    """The h-th moment of `kind`, its lower ones read from the cached functions."""
+    use = f"{kind.name}_recursive"
+    if h < 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     q = f.fp.q
-    if codim == 1:
-        if f.sign == "-" and f.n == 1 and q < 8:
-            raise ValueError(f"{use} with dc1-, n=1 needs q >= 8, got q={q}")
-    else:
-        if q < 4:
-            raise ValueError(f"{use} needs q >= 4, got q={q}")
-
-
-def _double_sum(f: DoubleCosetFamily, h: int) -> int:
-    consts = coset_codes.family_constants(f)
-    n_len = consts.size
-    jtop = min(n_len, h)
-    coeffs = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=jtop)
-    total = 0
-    for j in range(jtop + 1):
-        cj = coeffs[j]
-        if not cj:
-            continue
-        inner = 0
-        for t in range(j, h + 1):
-            b = binom(n_len - j, n_len - t) if t <= n_len else 0
-            if b:
-                inner += factorial(t) * stirling2(h, t) * 2 ** (h - t) * b
-        total += (-1) ** (h + j) * cj * inner
-    return total
-
-
-def _recursion(f: DoubleCosetFamily, h: int, base: Fraction, prev) -> int:
-    """One step of the shared recursion shape with lower moments supplied by prev."""
-    q = f.fp.q
+    if f.codim != kind.codim:
+        raise ValueError(f"{use} needs a codim-{kind.codim} family, got {f.label}")
+    if not kind.admits(f):
+        raise ValueError(f"{use} with {f.label}, n={f.n} needs q >= {kind.min_q(f)}, got q={q}")
     if h == 0:
         return q - 1
     consts = coset_codes.family_constants(f)
-    lead = Fraction(0)
-    for l in range(h):
-        lead += (-1) ** (h + l + 1) * binom(h, l) * base ** (h - l) * prev(l)
-    dsum = _double_sum(f, h)
+    lead = (-1) ** (h + 1) * _expand(kind.base(f), h, [kind.recursive(f, l) for l in range(h)])
+    coeffs = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f),
+                                             j_max=min(consts.size, h))
+    dsum = (-1) ** h * coset_codes.pless_sum(coeffs, consts.size, h)
     if consts.cofactor.denominator == 1:
         if (q * dsum) % consts.scale ** h:
             raise ConsistencyError("double sum not divisible by scale^h",
@@ -84,61 +114,36 @@ def _recursion(f: DoubleCosetFamily, h: int, base: Fraction, prev) -> int:
 @lru_cache(maxsize=None)
 def mk_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^h from a codim-1 family's weight distribution."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
-    _require(f, 1, "mk_recursive")
-    consts = coset_codes.family_constants(f)
-    return _recursion(f, h, consts.cofactor, lambda l: mk_recursive(f, l))
+    return _recursive(MK, f, h)
 
 
 @lru_cache(maxsize=None)
 def mk2_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK_2^h (2-dimensional Kloosterman moments) from a codim-2 family."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
-    _require(f, 2, "mk2_recursive")
-    consts = coset_codes.family_constants(f)
-    q = f.fp.q
-    return _recursion(f, h, consts.cofactor - q * q, lambda l: mk2_recursive(f, l))
+    return _recursive(MK2, f, h)
 
 
 @lru_cache(maxsize=None)
 def mk_even_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^(2h) (even Kloosterman moments) from a codim-2 family."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
-    _require(f, 2, "mk_even_recursive")
-    consts = coset_codes.family_constants(f)
-    q = f.fp.q
-    return _recursion(f, h, consts.cofactor - q * q + q, lambda l: mk_even_recursive(f, l))
+    return _recursive(MK_EVEN, f, h)
 
 
 def verify_lhs_expansion(f: DoubleCosetFamily, h: int) -> dict:
     """Check sum_a w(a)^h against its binomial expansion in oracle moments.
 
-    For codim 1 the expansion runs over MK^l; for codim 2 both the even-moment
-    and the 2-dimensional-moment expansions are checked.
+    Every kind of the family's codim is expanded: MK^l for codim 1, and both
+    the 2-dimensional and the even moments for codim 2.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
     fp = f.fp
-    consts = coset_codes.family_constants(f)
-    a_pow = Fraction(consts.scale) ** h
+    a_pow = Fraction(coset_codes.family_constants(f).scale) ** h
     lhs = sum(dual_weight ** h
               for dual_weight in (coset_codes.dual_weight(f, a) for a in field.units(fp)))
     out = {"family": f.label, "n": f.n, "q": fp.q, "h": h, "lhs": lhs}
-    if f.codim == 1:
-        rhs = sum((-1) ** l * binom(h, l) * consts.cofactor ** (h - l)
-                  * charsums.moment(fp, 1, l) for l in range(h + 1))
-        out["rhs"] = a_pow / 2 ** h * rhs
-        out["ok"] = out["rhs"] == lhs
-    else:
-        q = fp.q
-        rhs_even = sum((-1) ** l * binom(h, l) * (consts.cofactor - q * q + q) ** (h - l)
-                       * charsums.moment(fp, 1, 2 * l) for l in range(h + 1))
-        rhs_two = sum((-1) ** l * binom(h, l) * (consts.cofactor - q * q) ** (h - l)
-                      * charsums.moment(fp, 2, l) for l in range(h + 1))
-        out["rhs_even"] = a_pow / 2 ** h * rhs_even
-        out["rhs_two_dimensional"] = a_pow / 2 ** h * rhs_two
-        out["ok"] = lhs == out["rhs_even"] == out["rhs_two_dimensional"]
+    for kind in kinds(f.codim):
+        out[kind.rhs] = a_pow / 2 ** h * _expand(kind.base(f), h,
+                                                 [kind.oracle(fp, l) for l in range(h + 1)])
+    out["ok"] = all(out[kind.rhs] == lhs for kind in kinds(f.codim))
     return out

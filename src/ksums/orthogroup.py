@@ -345,15 +345,8 @@ def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formu
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
     q = fp.q
-    if r % 2 == 0:
-        exp = r * n - r * r // 4
-        top = r // 2
-    else:
-        exp = r * n - (r + 1) ** 2 // 4
-        top = (r + 1) // 2
-    coeff = q ** combinat.binom(n, 2) * q ** exp * combinat.q_binomial(n, r, q)
-    for j in range(1, top + 1):
-        coeff *= q ** (2 * j - 1) - 1
+    coeff = (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
+             * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
     return coeff * charsums.kloosterman_gl(fp, n - r, 1, method="recursion", c=c)
 
 

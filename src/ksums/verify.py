@@ -176,16 +176,13 @@ def _code_checks(rep, fps, max_n):
                     [a for a in field.units(fp)
                      if coset_codes.dual_weight(f, a, "direct")
                      != coset_codes.dual_weight(f, a, "formula")])
-            cell = coset_codes.family_cell(f)
-            lam = field.char_table(fp)
-            bad = []
-            for beta in field.elements(fp):
-                rhs = len(cell) + sum(
-                    lam[field.mul(fp, a, beta)] * orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a)
-                    for a in field.units(fp))
-                if q * counts[beta] != rhs:
-                    bad.append(beta)
-            rep.add("codes.membership_count_identity", params, "[]", bad)
+            size = len(coset_codes.family_cell(f))
+            lam, mt = field.char_table(fp), field.mul_table(fp)
+            sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
+                    for a in field.units(fp)]
+            rep.add("codes.membership_count_identity", params, "[]",
+                    [beta for beta in field.elements(fp)
+                     if q * counts[beta] != size + sum(lam[row[beta]] * s for row, s in sums)])
         if consts.size <= 40:
             dist = coset_codes.weight_distribution(counts)
             rep.add("codes.distribution_symmetric", params, dist, dist[::-1])
@@ -198,27 +195,14 @@ def _code_checks(rep, fps, max_n):
 
 def _moment_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
-        fp = f.fp
-        params = {"family": f.label, "n": f.n, "q": fp.q}
-        if f.codim == 1:
-            try:
-                moments.mk_recursive(f, 0)
-            except ValueError:
-                continue
-            rep.add("moments.recursion_vs_oracle", params,
-                    [charsums.moment(fp, 1, h) for h in range(h_max + 1)],
-                    [moments.mk_recursive(f, h) for h in range(h_max + 1)])
-        else:
-            try:
-                moments.mk2_recursive(f, 0)
-            except ValueError:
-                continue
-            rep.add("moments.two_dimensional_recursion_vs_oracle", params,
-                    [charsums.moment(fp, 2, h) for h in range(h_max + 1)],
-                    [moments.mk2_recursive(f, h) for h in range(h_max + 1)])
-            rep.add("moments.even_recursion_vs_oracle", params,
-                    [charsums.moment(fp, 1, 2 * h) for h in range(h_max + 1)],
-                    [moments.mk_even_recursive(f, h) for h in range(h_max + 1)])
+        kinds = [kind for kind in moments.kinds(f.codim) if kind.admits(f)]
+        if not kinds:
+            continue
+        params = {"family": f.label, "n": f.n, "q": f.fp.q}
+        for kind in kinds:
+            rep.add(kind.check, params,
+                    [kind.oracle(f.fp, h) for h in range(h_max + 1)],
+                    [kind.recursive(f, h) for h in range(h_max + 1)])
         rep.add("moments.weight_power_sum_expansion", params, "[]",
                 [h for h in range(h_max + 1) if not moments.verify_lhs_expansion(f, h)["ok"]])
 

@@ -201,6 +201,28 @@ def test_exp_sums_brute_vs_formula():
         og.exp_sum_cell(GF2, 2, 1, 1, "fast")
 
 
+def test_exp_sum_cell_formula_beyond_enumeration():
+    # n = 4..6 cannot be enumerated; pin the formula to the cell coefficient
+    # written out by parity of r: q^C(n,2) q^e [n r]_q prod_(j<=top) (q^(2j-1) - 1)
+    # with (e, top) = (rn - r^2/4, r/2) for even r, (rn - (r+1)^2/4, (r+1)/2) for odd r
+    from ksums.combinat import binom, q_binomial
+
+    for fp in (GF2, GF4):
+        q = fp.q
+        for n in range(4, 7):
+            for r in range(n + 1):
+                if r % 2 == 0:
+                    e, top = r * n - r * r // 4, r // 2
+                else:
+                    e, top = r * n - (r + 1) ** 2 // 4, (r + 1) // 2
+                coeff = q ** binom(n, 2) * q ** e * q_binomial(n, r, q)
+                for j in range(1, top + 1):
+                    coeff *= q ** (2 * j - 1) - 1
+                for c in field.units(fp):
+                    gl = charsums.kloosterman_gl(fp, n - r, 1, "recursion", c)
+                    assert og.exp_sum_cell(fp, n, r, c) == coeff * gl, (q, n, r, c)
+
+
 def test_gauss_sum_matches_stirling_side():
     # the whole-group sum equals sum over r of index * q^(r(n-r)) * s_r * K_GL(n-r)
     for fp, n in [(GF2, 2), (GF4, 2), (GF2, 3)]:
