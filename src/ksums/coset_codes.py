@@ -2,12 +2,12 @@
 
 Four families of cells are singled out: the ones at index n-1 and n-2
 (codimension 1 and 2 below the top), with sign label '+' for even n and '-'
-for odd n. Each family carries a pair of exact constants (scale, cofactor)
-with scale * cofactor = |cell|: the cell's character sum at parameter a is
-scale * K(lambda;a) for codimension 1 and scale * (K(lambda;a)^2 + q^2 - q)
-for codimension 2. The cofactor is an exact Fraction; for some n it picks up
-a 1/q (e.g. codim 1, n = 3), while the scale and every downstream count stay
-integral.
+for odd n. At codimension t the cell's character sum at a is
+coeff * K_GL(t)(lambda(a .); 1) = scale * K(lambda;a) for t = 1 and
+scale * (K(lambda;a)^2 + q^2 - q) for t = 2, with coeff from
+orthogroup.cell_sum_coefficient and scale = coeff * q^C(t,2). The cofactor
+|cell| / scale is an exact Fraction that for some n picks up a 1/q (e.g.
+codim 1, n = 3). The paper's explicit products for both live in ksums.verify.
 
 The code of a family is the set of binary vectors orthogonal (over F_q) to
 the vector of element traces in canonical cell order; its dual is the q
@@ -25,8 +25,8 @@ where E(u) is the number of positions whose beta has u.beta odd. One
 Walsh-Hadamard transform of the multiplicity map yields every E(u); the
 coefficients of x^j follow from the Krawtchouk three-term recurrence, so a
 truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
-MacWilliams route feeds the formula-mode dual weights, which come from
-Kloosterman sums instead of multiplicities, to the same kernel.
+MacWilliams route feeds the formula-mode dual weights, which come from the
+cell character sum instead of multiplicities, to the same kernel.
 """
 
 import math
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ksums import charsums, combinat, field, orthogroup
+from ksums import charsums, field, orthogroup
 from ksums.combinat import binom, stirling2
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
@@ -57,17 +57,10 @@ class DoubleCosetFamily:
     def __post_init__(self):
         if self.codim not in (1, 2):
             raise ValueError(f"codim must be 1 or 2, got {self.codim}")
-        if self.sign not in "+-":
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        even = self.n % 2 == 0
-        if self.sign == "+" and (not even or self.n < 2):
-            raise ValueError(f"'+' families need even n >= 2, got n={self.n}")
-        if self.sign == "-" and even:
-            raise ValueError(f"'-' families need odd n, got n={self.n}")
-        if self.sign == "-" and self.codim == 1 and self.n < 1:
-            raise ValueError(f"dc1- needs n >= 1, got n={self.n}")
-        if self.sign == "-" and self.codim == 2 and self.n < 3:
-            raise ValueError(f"dc2- needs n >= 3, got n={self.n}")
+        if self.sign != "+-"[self.n % 2]:
+            raise ValueError(f"n={self.n} needs sign {'+-'[self.n % 2]!r}, got {self.sign!r}")
+        if self.cell_index < 0:
+            raise ValueError(f"{self.label} needs n >= {self.codim}, got n={self.n}")
 
     @property
     def cell_index(self) -> int:
@@ -94,46 +87,13 @@ class FamilyConstants:
     size: int
 
 
-def _qpow(q: int, num: int) -> Fraction:
-    return Fraction(q) ** num
-
-
 @lru_cache(maxsize=None)
 def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
-    q, n = f.fp.q, f.n
-    if f.codim == 1:
-        qb = combinat.q_binomial(n, 1, q)
-        if f.sign == "+":
-            a = _qpow(q, (5 * n * n - 6 * n) // 4) * qb
-            b = _qpow(q, (n - 2) ** 2 // 4)
-            for j in range(1, n // 2 + 1):
-                a *= q ** (2 * j - 1) - 1
-                b *= q ** (2 * j) - 1
-        else:
-            a = _qpow(q, (5 * n * n - 4 * n - 1) // 4) * qb
-            b = _qpow(q, (n * n - 6 * n + 5) // 4) * (q ** n - 1)
-            for j in range(1, (n - 1) // 2 + 1):
-                a *= q ** (2 * j - 1) - 1
-                b *= q ** (2 * j) - 1
-    else:
-        qb = combinat.q_binomial(n, 2, q)
-        if f.sign == "+":
-            a = _qpow(q, (5 * n * n - 6 * n) // 4) * qb
-            b = _qpow(q, (n * n - 8 * n + 12) // 4) * (q ** (n - 1) - 1) * (q ** n - 1)
-            for j in range(1, (n - 2) // 2 + 1):
-                a *= q ** (2 * j - 1) - 1
-                b *= q ** (2 * j) - 1
-        else:
-            a = _qpow(q, (5 * n * n - 8 * n + 3) // 4) * qb
-            b = _qpow(q, (n - 3) ** 2 // 4) * (q ** n - 1)
-            for j in range(1, (n - 1) // 2 + 1):
-                a *= q ** (2 * j - 1) - 1
-                b *= q ** (2 * j) - 1
-    size = a * b
-    if a.denominator != 1 or size.denominator != 1:
-        raise ConsistencyError("family constants must multiply to an integer",
-                               family=f.label, n=n, q=q, a=a, b=b)
-    return FamilyConstants(scale=int(a), cofactor=b, size=int(size))
+    """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale."""
+    q = f.fp.q
+    scale = orthogroup.cell_sum_coefficient(f.n, f.cell_index, q) * q ** binom(f.codim, 2)
+    size = orthogroup.cell_order(f.n, f.cell_index, q)
+    return FamilyConstants(scale=scale, cofactor=Fraction(size, scale), size=size)
 
 
 def enumerable(f: DoubleCosetFamily) -> bool:
@@ -147,9 +107,9 @@ def family_cell(f: DoubleCosetFamily) -> orthogroup.BruhatCell:
 def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
     """Map beta -> #{w in the cell : Tr w = beta}, over all beta in F_q.
 
-    Formula mode evaluates the closed form driven by tr(1/beta) (codim 1) or
-    K(lambda; 1/beta) (codim 2); brute_force mode histograms the materialized
-    cell. Zero counts are kept explicit.
+    Formula mode evaluates the closed form, affine in lambda(1/beta) =
+    (-1)^tr(1/beta) (codim 1) or K(lambda; 1/beta) (codim 2) at beta != 0;
+    brute_force mode histograms the materialized cell. Zero counts stay explicit.
     """
     fp = f.fp
     if mode == "brute_force":
@@ -159,20 +119,14 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
         raise ValueError(f"unknown mode {mode!r}")
     consts = family_constants(f)
     q = fp.q
+    invt = field.inv_table(fp)
+    if f.codim == 1:
+        vals, const, at_zero = field.char_table(fp), 1, 1
+    else:
+        vals, const, at_zero = charsums.kloosterman_values(fp), -q * q - 1, q ** 3 - q ** 2 - 1
     out = {}
     for beta in field.elements(fp):
-        if f.codim == 1:
-            if beta == 0:
-                adj = 1
-            elif field.trace(fp, field.inv(fp, beta)) == 0:
-                adj = q + 1
-            else:
-                adj = 1 - q
-        else:
-            if beta == 0:
-                adj = q ** 3 - q ** 2 - 1
-            else:
-                adj = q * charsums.kloosterman_values(fp)[field.inv(fp, beta)] - q ** 2 - 1
+        adj = q * vals[invt[beta]] + const if beta else at_zero
         num = consts.size + consts.scale * adj
         cnt, rem = divmod(num, q)
         if rem or cnt < 0:
@@ -209,8 +163,7 @@ def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     """Hamming weight of the dual codeword at a != 0.
 
     direct mode counts ones in the materialized vector; formula mode
-    evaluates (size - scale*K)/2 for codim 1 and, for codim 2, both the
-    K^2 form and the 2-dimensional-Kloosterman form, insisting they agree.
+    evaluates (size - S(a))/2 with S(a) the cell's character sum at a.
     """
     fp = f.fp
     field.check_element(fp, a)
@@ -220,18 +173,7 @@ def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
         return sum(dual_codeword(f, a))
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
-    consts = family_constants(f)
-    q = fp.q
-    k1 = charsums.kloosterman_values(fp)[a]
-    if f.codim == 1:
-        num = consts.size - consts.scale * k1
-    else:
-        num = consts.size - consts.scale * (q * q - q + k1 * k1)
-        k2 = charsums.kloosterman_values(fp, 2)[a]
-        alt = consts.size - consts.scale * (q * q + k2)
-        if num != alt:
-            raise ConsistencyError("codim-2 weight forms disagree",
-                                   family=f.label, a=a, k_form=num, k2_form=alt)
+    num = family_constants(f).size - orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a)
     w, rem = divmod(num, 2)
     if rem or w < 0:
         raise ConsistencyError("dual weight must be a nonnegative integer",
@@ -239,13 +181,15 @@ def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     return w
 
 
-def _krawtchouk_sum(weights, length: int, cap: int, denom: int) -> list:
+def krawtchouk_sum(weights, length: int, cap: int) -> list:
     """Coefficients j <= cap of sum_w mult_w (1+x)^(length-w) (1-x)^w / denom.
 
-    weights maps w -> mult_w. Each coefficient sequence p_j obeys
+    weights maps w -> mult_w over the dual codewords, and denom is the sum
+    of the mult_w. Each coefficient sequence p_j obeys
     (j+1) p_(j+1) = (length - 2w) p_j - (length - j + 1) p_(j-1), so a weight
     costs O(cap); every quotient by denom must be an exact nonnegative int.
     """
+    denom = sum(weights.values())
     acc = [0] * (cap + 1)
     for w, mult in weights.items():
         prev, cur = 0, 1
@@ -261,6 +205,23 @@ def _krawtchouk_sum(weights, length: int, cap: int, denom: int) -> list:
                                    j=j, acc=total, denom=denom)
         out.append(cj)
     return out
+
+
+def walsh_weights(counts) -> Counter:
+    """E(u) -> number of u in F_2^b; one Walsh-Hadamard transform gives N - 2 E(u)."""
+    total = sum(counts.values())
+    size = 1 << max(counts, default=0).bit_length()
+    spectrum = [0] * size
+    for beta, cnt in counts.items():
+        spectrum[beta] = cnt
+    half = 1
+    while half < size:
+        for i in range(0, size, 2 * half):
+            for k in range(i, i + half):
+                x, y = spectrum[k], spectrum[k + half]
+                spectrum[k], spectrum[k + half] = x + y, x - y
+        half *= 2
+    return Counter((total - s) // 2 for s in spectrum)
 
 
 def weight_distribution(counts, j_max: int | None = None) -> list:
@@ -284,24 +245,15 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
         if j_max < 0:
             raise ValueError(f"j_max must be >= 0, got {j_max}")
         cap = min(j_max, total)
-    # Walsh-Hadamard transform: spectrum[u] = total - 2 E(u)
-    size = 1 << max(counts, default=0).bit_length()
-    spectrum = [0] * size
-    for beta, cnt in counts.items():
-        spectrum[beta] = cnt
-    half = 1
-    while half < size:
-        for i in range(0, size, 2 * half):
-            for k in range(i, i + half):
-                x, y = spectrum[k], spectrum[k + half]
-                spectrum[k], spectrum[k + half] = x + y, x - y
-        half *= 2
-    weights = Counter((total - s) // 2 for s in spectrum)
-    return _krawtchouk_sum(weights, total, cap, size)
+    return krawtchouk_sum(walsh_weights(counts), total, cap)
 
 
-def _dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
-    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0)."""
+@lru_cache(maxsize=None)
+def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
+    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0).
+
+    Cached for every h of moments.verify_lhs_expansion; do not mutate it.
+    """
     weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
     weights[0] += 1
     return weights
@@ -318,7 +270,7 @@ def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
     n = family_constants(f).size
     if n > FULL_DISTRIBUTION_CAP:
         raise BudgetError(f"length {n} exceeds cap {FULL_DISTRIBUTION_CAP}")
-    return _krawtchouk_sum(_dual_weight_histogram(f), n, n, f.fp.q)
+    return krawtchouk_sum(dual_weight_histogram(f), n, n)
 
 
 def dual_weight_distribution(f: DoubleCosetFamily) -> list:
@@ -326,7 +278,7 @@ def dual_weight_distribution(f: DoubleCosetFamily) -> list:
     if dual_kernel(f) != frozenset({0}):
         raise ValueError(f"{f.label}(n={f.n}, q={f.fp.q}): a -> c(a) is not injective")
     out = [0] * (family_constants(f).size + 1)
-    for w, cnt in _dual_weight_histogram(f).items():
+    for w, cnt in dual_weight_histogram(f).items():
         out[w] = cnt
     return out
 

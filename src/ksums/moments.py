@@ -1,10 +1,12 @@
 """Recursive generation of Kloosterman power moments from code weight data.
 
-Writing A, B for a family's (scale, cofactor) and C_j for its weight
-distribution, the power-moment identity applied to the q-codeword dual code
-has left side sum_a w(a)^h with the dual weights w(a) affine in K(lambda;a)
-(codim 1) or in K(lambda;a)^2 (codim 2). Expanding that side binomially and
-separating its l = h term yields, after multiplying through by (-2/A)^h,
+Writing A for a family's scale, B = N/A for its cofactor (N the code
+length; coset_codes.family_constants derives both from the cell character
+sum) and C_j for its weight distribution, the power-moment identity applied
+to the q-codeword dual code has left side sum_a w(a)^h with the dual weights
+w(a) affine in K(lambda;a) (codim 1) or in K(lambda;a)^2 (codim 2).
+Expanding that side binomially and separating its l = h term yields, after
+multiplying through by (-2/A)^h,
 
     MK^h = sum_(l<h) (-1)^(h+l+1) C(h,l) B^(h-l) MK^l + q A^(-h) (-1)^h P(C, N, h)
 
@@ -17,13 +19,15 @@ All arithmetic is exact: B and A^(-h) are Fractions, and every final moment
 is checked to be integral, raising ConsistencyError otherwise; when B is
 itself an integer the stronger per-step fact that q times the Pless sum is
 divisible by A^h is checked too.
+One Walsh-Hadamard transform per family serves every h, and each h's
+Pless sum serves both codim-2 kinds.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from ksums import charsums, coset_codes, field
+from ksums import charsums, coset_codes
 from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
 from ksums.errors import ConsistencyError
@@ -77,9 +81,11 @@ def kinds(codim: int) -> tuple:
     return tuple(k for k in KINDS if k.codim == codim)
 
 
-def _expand(base, h: int, ms) -> Fraction:
-    """sum_l (-1)^l C(h,l) base^(h-l) ms[l] over the supplied l <= h."""
-    return sum((-1) ** l * binom(h, l) * base ** (h - l) * m for l, m in enumerate(ms))
+def _expand(base: Fraction, h: int, ms) -> Fraction:
+    """sum_l (-1)^l C(h,l) base^(h-l) ms[l] over the supplied l <= h, in ints over d^h."""
+    p, d = base.numerator, base.denominator
+    return Fraction(sum((-1) ** l * binom(h, l) * p ** (h - l) * d ** l * m
+                        for l, m in enumerate(ms)), d ** h)
 
 
 def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
@@ -96,19 +102,30 @@ def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
         return q - 1
     consts = coset_codes.family_constants(f)
     lead = (-1) ** (h + 1) * _expand(kind.base(f), h, [kind.recursive(f, l) for l in range(h)])
-    coeffs = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f),
-                                             j_max=min(consts.size, h))
-    dsum = (-1) ** h * coset_codes.pless_sum(coeffs, consts.size, h)
-    if consts.cofactor.denominator == 1:
-        if (q * dsum) % consts.scale ** h:
-            raise ConsistencyError("double sum not divisible by scale^h",
-                                   family=f.label, n=f.n, q=q, h=h, dsum=dsum)
+    dsum = _pless_sum(f, h)
+    if consts.cofactor.denominator == 1 and (q * dsum) % consts.scale ** h:
+        raise ConsistencyError("double sum not divisible by scale^h",
+                               family=f.label, n=f.n, q=q, h=h, dsum=dsum)
     total = lead + Fraction(q * dsum, consts.scale ** h)
     if total.denominator != 1:
         raise ConsistencyError("moment recursion produced a non-integer",
                                family=f.label, n=f.n, q=q, h=h,
                                lead=lead, dsum=dsum)
     return int(total)
+
+
+@lru_cache(maxsize=None)
+def _code_weights(f: DoubleCosetFamily):
+    """walsh_weights of f's trace multiplicities, read by every h."""
+    return coset_codes.walsh_weights(coset_codes.trace_multiplicities(f))
+
+
+@lru_cache(maxsize=None)
+def _pless_sum(f: DoubleCosetFamily, h: int) -> int:
+    """(-1)^h P(C, N, h) for f's code; the two codim-2 kinds share it."""
+    size = coset_codes.family_constants(f).size
+    coeffs = coset_codes.krawtchouk_sum(_code_weights(f), size, min(size, h))
+    return (-1) ** h * coset_codes.pless_sum(coeffs, size, h)
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +156,8 @@ def verify_lhs_expansion(f: DoubleCosetFamily, h: int) -> dict:
         raise ValueError(f"h must be >= 0, got {h}")
     fp = f.fp
     a_pow = Fraction(coset_codes.family_constants(f).scale) ** h
-    lhs = sum(dual_weight ** h
-              for dual_weight in (coset_codes.dual_weight(f, a) for a in field.units(fp)))
+    # less the term 0^h of a = 0, which the histogram counts at weight 0
+    lhs = sum(mult * w ** h for w, mult in coset_codes.dual_weight_histogram(f).items()) - 0 ** h
     out = {"family": f.label, "n": f.n, "q": fp.q, "h": h, "lhs": lhs}
     for kind in kinds(f.codim):
         out[kind.rhs] = a_pow / 2 ** h * _expand(kind.base(f), h,

@@ -325,12 +325,18 @@ def group_counts(n: int, q: int) -> dict:
     }
 
 
+def cell_sum_coefficient(n: int, r: int, q: int) -> int:
+    """The integer coeff with sum over P+ s_r P+ of psi(Tr w) = coeff * K_GL(n-r)(psi; 1)."""
+    return (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
+            * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
+
+
 def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formula") -> int:
     """Character sum of psi(Tr w) over the cell P+ s_r P+, psi = lambda(c .).
 
-    Formula mode multiplies the closed-form cell coefficient by the GL
-    Kloosterman sum K_GL(n-r)(psi;1); brute mode sums over the materialized
-    cell's trace histogram.
+    Formula mode multiplies cell_sum_coefficient by the GL Kloosterman sum
+    K_GL(n-r)(psi;1); brute mode sums over the materialized cell's trace
+    histogram.
     """
     field.check_element(fp, c)
     if c == 0:
@@ -344,10 +350,8 @@ def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formu
         return sum(cnt * lam[crow[beta]] for beta, cnt in hist.items())
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
-    q = fp.q
-    coeff = (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
-             * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
-    return coeff * charsums.kloosterman_gl(fp, n - r, 1, method="recursion", c=c)
+    return (cell_sum_coefficient(n, r, fp.q)
+            * charsums.kloosterman_gl(fp, n - r, 1, method="recursion", c=c))
 
 
 def gauss_sum_oplus(fp: FieldParams, n: int, c: int = 1, mode: str = "formula") -> int:

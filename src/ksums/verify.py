@@ -6,9 +6,11 @@ actual values as decimal strings. The set of checks is a deterministic
 function of (max_r, max_n, h_max); report rows are sorted by check name.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
-from ksums import charsums, coset_codes, field, moments, orthogroup
+from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
 from ksums.coset_codes import parse_family
 
 # second irreducible of each degree, for basis-independence checks
@@ -49,16 +51,14 @@ class Report:
 def _field_checks(rep, fps):
     for fp in fps:
         q = fp.q
-        bad = [c for c in field.elements(fp)
-               if sum(field.additive_char(fp, field.mul(fp, c, x)) for x in field.elements(fp))
-               != (q if c == 0 else 0)]
+        lam, trt = field.char_table(fp), field.trace_table(fp)
+        bad = [c for c, row in enumerate(field.mul_table(fp))
+               if sum(lam[cx] for cx in row) != (q if c == 0 else 0)]
         rep.add("field.char_orthogonality", {"r": fp.r}, "[]", bad)
-        rep.add("field.trace_onto_count", {"r": fp.r}, q // 2,
-                sum(field.trace_table(fp)))
-        image = field.artin_schreier_image(fp)
-        zeros = frozenset(x for x in field.elements(fp) if field.trace(fp, x) == 0)
+        rep.add("field.trace_onto_count", {"r": fp.r}, q // 2, sum(trt))
         rep.add("field.artin_schreier_is_trace_kernel", {"r": fp.r},
-                sorted(zeros), sorted(image))
+                [x for x, t in enumerate(trt) if t == 0],
+                sorted(field.artin_schreier_image(fp)))
         if fp.r in ALT_MODULI:
             alt = field.binary_field(fp.r, ALT_MODULI[fp.r])
             rep.add("field.basis_independent_kloosterman", {"r": fp.r},
@@ -154,13 +154,38 @@ def _families(fps, max_n):
                     continue
 
 
+# The paper's products: scale = q^(e_a/4) [n codim]_q and cofactor =
+# q^(e_b/4) prod_(d in extra) (q^(n+d) - 1), e = c2 n^2 + c1 n + c0, times the
+# (q^(2j-1) - 1) and (q^(2j) - 1) for j = 1..floor((n-codim+1)/2) respectively.
+_PAPER_FACTORS = {
+    "dc1+": ((5, -6, 0), (1, -4, 4), ()),
+    "dc1-": ((5, -4, -1), (1, -6, 5), (0,)),
+    "dc2+": ((5, -6, 0), (1, -8, 12), (-1, 0)),
+    "dc2-": ((5, -8, 3), (1, -6, 9), (0,)),
+}
+
+
+def _paper_constants(f) -> tuple:
+    """The paper's (scale, cofactor) for f, independent of the cell model."""
+    q, n = f.fp.q, f.n
+    (a2, a1, a0), (b2, b1, b0), extra = _PAPER_FACTORS[f.label]
+    scale = Fraction(q) ** ((a2 * n * n + a1 * n + a0) // 4) * combinat.q_binomial(n, f.codim, q)
+    cofactor = Fraction(q) ** ((b2 * n * n + b1 * n + b0) // 4) * math.prod(
+        q ** (n + d) - 1 for d in extra)
+    for j in range(1, (n - f.codim + 1) // 2 + 1):
+        scale *= q ** (2 * j - 1) - 1
+        cofactor *= q ** (2 * j) - 1
+    return scale, cofactor
+
+
 def _code_checks(rep, fps, max_n):
     for f in _families(fps, max_n):
         fp, q = f.fp, f.fp.q
         params = {"family": f.label, "n": f.n, "q": q}
         consts = coset_codes.family_constants(f)
+        scale, cofactor = _paper_constants(f)
         rep.add("codes.size_matches_cell_formula", params,
-                orthogroup.cell_order(f.n, f.cell_index, q), consts.size)
+                orthogroup.cell_order(f.n, f.cell_index, q), scale * cofactor)
         counts = coset_codes.trace_multiplicities(f, "formula")
         rep.add("codes.multiplicities_total", params, consts.size, sum(counts.values()))
         weighted = 0

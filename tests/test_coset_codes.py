@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksums import coset_codes as cc, field, orthogroup
+from ksums import charsums, coset_codes as cc, field, orthogroup, verify
 from ksums.combinat import binom
 from ksums.errors import BudgetError
 from ksums.field import binary_field
@@ -31,6 +31,19 @@ def test_family_validation():
     assert f.cell_index == 1 and f.label == "dc2-"
 
 
+def test_family_validation_matches_paper_ranges():
+    # '+' families take even n >= 2, dc1- odd n >= 1 and dc2- odd n >= 3
+    minimum = {"dc1+": 2, "dc1-": 1, "dc2+": 2, "dc2-": 3}
+    for label in cc.FAMILY_LABELS:
+        for n in range(-2, 13):
+            valid = n >= minimum[label] and (n % 2 == 0) == (label[3] == "+")
+            if valid:
+                assert fam(label, n, GF2).n == n
+            else:
+                with pytest.raises(ValueError):
+                    fam(label, n, GF2)
+
+
 def test_constants_examples():
     for fp in (GF2, GF4):
         q = fp.q
@@ -55,6 +68,20 @@ def test_constants_match_cell_order_formula():
                 consts = cc.family_constants(f)
                 assert consts.size == orthogroup.cell_order(n, f.cell_index, fp.q)
                 assert consts.scale * consts.cofactor == consts.size
+
+
+def test_constants_match_paper_products():
+    # the cell-model constants against the paper's explicit products
+    for r in (1, 2, 3, 4, 8):
+        fp = binary_field(r)
+        for n in range(1, 10):
+            for label in cc.FAMILY_LABELS:
+                try:
+                    f = fam(label, n, fp)
+                except ValueError:
+                    continue
+                consts = cc.family_constants(f)
+                assert (consts.scale, consts.cofactor) == verify._paper_constants(f), f
 
 
 def test_cofactor_can_be_non_integral():
@@ -114,8 +141,6 @@ def test_dual_weight_examples():
     assert cc.dual_weight(fam("dc1+", 2, GF2), 1) == 12
     for fp in (GF4, GF8):
         f = fam("dc1-", 1, fp)
-        from ksums import charsums
-
         for a in field.units(fp):
             expect = (fp.q - 1 - charsums.kloosterman(fp, a)) // 2
             assert cc.dual_weight(f, a) == expect
@@ -123,9 +148,19 @@ def test_dual_weight_examples():
         cc.dual_weight(fam("dc1+", 2, GF2), 0)
 
 
+def test_codim2_dual_weight_matches_two_dimensional_kloosterman():
+    # Carlitz's K_2 = K^2 - q turns the cell character sum into scale (q^2 + K_2)
+    for n, fp in ((2, GF4), (2, GF8), (3, GF4), (4, GF2)):
+        f = fam("dc2+" if n % 2 == 0 else "dc2-", n, fp)
+        consts = cc.family_constants(f)
+        k2 = charsums.kloosterman_values(fp, 2)
+        for a in field.units(fp):
+            num = consts.size - consts.scale * (fp.q ** 2 + k2[a])
+            assert num % 2 == 0 and cc.dual_weight(f, a) == num // 2, (f, a)
+
+
 def test_dual_weight_formula_only_family_runs():
-    # dc2-(3,4) is far beyond materialization; formula mode still works and
-    # internally reconciles the two closed forms
+    # dc2-(3,4) is far beyond materialization; formula mode still works
     f = fam("dc2-", 3, GF4)
     assert not cc.enumerable(f)
     w = cc.dual_weight(f, 1, "formula")
@@ -338,8 +373,6 @@ def test_pless_parameter_errors():
 def test_codim2_multiplicities_group_by_kloosterman_value():
     # for the codim-2 families N(beta) is constant on classes with equal
     # K(lambda;1/beta) = tau and equals (size + scale(q tau - q^2 - 1))/q
-    from ksums import charsums
-
     for fp, label, n in [(GF4, "dc2+", 2), (GF4, "dc2-", 3), (GF8, "dc2-", 3)]:
         f = fam(label, n, fp)
         consts = cc.family_constants(f)

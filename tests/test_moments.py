@@ -159,6 +159,26 @@ def test_even_moments_nonnegative():
             assert moments.mk_even_recursive(f, h) >= 0
 
 
+def test_code_data_computed_once_per_family(monkeypatch):
+    calls = []
+    real = cc.trace_multiplicities
+
+    def counting(f, *args):
+        calls.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(cc, "trace_multiplicities", counting)
+    for cached in (moments.mk2_recursive, moments.mk_even_recursive,
+                   moments._code_weights, moments._pless_sum):
+        cached.cache_clear()
+    fams = [fam("dc2+", 2, GF8), fam("dc2-", 3, GF4)]
+    for f in fams:
+        for h in range(H_MAX + 1):
+            moments.mk2_recursive(f, h)
+            moments.mk_even_recursive(f, h)
+    assert calls == fams
+
+
 def test_lhs_expansion():
     rep = moments.verify_lhs_expansion(fam("dc1-", 1, GF8), 3)
     assert rep["ok"]

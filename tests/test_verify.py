@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from ksums import verify
+from ksums import cli, verify
 
 
 def test_tier1_all_pass():
@@ -39,3 +41,15 @@ def test_tier2_group_slice():
     params = [c["params"] for c in report["checks"]
               if c["name"] == "group.cell_order"]
     assert {"n": 3, "q": 2, "cell": 3} in params
+
+
+@pytest.mark.parametrize("max_r,max_n,h_max,digest", [
+    (2, 2, 5, "3f9ccf3d500f9275e79d426712b44b1e725bdda924ae5e42a89b6ed4b68855b8"),
+    (3, 3, 10, "9c5f753c076bf3ff69061dd481ba7747354e85fa07909c31d69be2272b688ec9"),
+])
+def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
+    # a change that adds or alters report rows on purpose updates these digests
+    code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
+                     "--h-max", str(h_max)])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
