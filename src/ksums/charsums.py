@@ -164,7 +164,7 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     """Kloosterman sum for GL(t,q): sum of psi(Tr w + a Tr w^-1) over GL(t,q).
 
     method selects the recursion, the closed form, or direct enumeration;
-    "all" runs every route gl_routes admits at this size and insists they
+    "all" runs every route gl_routes names at this size and insists they
     agree.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """

@@ -120,8 +120,7 @@ def _cmd_group_enum(args):
             "trace_histogram": {format(b, "x"): str(c) for b, c in sorted(hist.items())},
         }
         if args.elements:
-            entry["elements"] = [matgf.mat_hex(fp, matgf.unpack_mat(fp, 2 * args.n, k))
-                                 for k in cell.elements]
+            entry["elements"] = matgf.keys_hex(fp, 2 * args.n, cell.elements)
         out.append(entry)
     payload = {"r": fp.r, "n": args.n, "cells": out}
     rows = [("cell", "order", "beta_hex", "count")]
@@ -165,7 +164,9 @@ def _cmd_code_dist(args):
     payload = {"family": fam.label, "n": fam.n, "r": fp.r, "length": str(size),
                "source": "enumerable" if coset_codes.enumerable(fam) else "formula-only"}
     if args.j is not None:
-        value = coset_codes.weight_distribution(counts, j_max=args.j)[args.j]
+        # no codeword is longer than the code, so j beyond it has coefficient 0
+        dist = coset_codes.weight_distribution(counts, j_max=args.j)
+        value = dist[args.j] if args.j < len(dist) else 0
         payload["j"] = args.j
         payload["coefficient"] = str(value)
         rows = [("j", "coefficient"), (args.j, str(value))]
@@ -184,6 +185,13 @@ def _cmd_verify_all(args):
         for c in report["checks"]]
     _emit(args, report, rows)
     return 0 if report["summary"]["failed"] == 0 else 1
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_format(p):
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = mom_sub.add_parser("oracle", help="brute-force moments")
     p_oracle.add_argument("--r", type=int, required=True)
     p_oracle.add_argument("--m", type=int, default=1)
-    p_oracle.add_argument("--h-max", type=int, required=True, dest="h_max")
+    p_oracle.add_argument("--h-max", type=_nonnegative, required=True, dest="h_max")
     p_oracle.add_argument("--c", default="1")
     _add_format(p_oracle)
     p_oracle.set_defaults(handler=_cmd_moments_oracle)
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--family", choices=coset_codes.FAMILY_LABELS, required=True)
     p_rec.add_argument("--n", type=int, required=True)
     p_rec.add_argument("--r", type=int, required=True)
-    p_rec.add_argument("--h-max", type=int, default=10, dest="h_max")
+    p_rec.add_argument("--h-max", type=_nonnegative, default=10, dest="h_max")
     p_rec.add_argument("--compare-oracle", action="store_true")
     _add_format(p_rec)
     p_rec.set_defaults(handler=_cmd_moments_recursive)
@@ -244,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_sub = p_group.add_subparsers(dest="subcommand", required=True)
     p_enum = group_sub.add_parser("enum", help="materialize Bruhat cells")
     p_enum.add_argument("--r", type=int, required=True)
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_nonnegative, required=True)
     p_enum.add_argument("--cell", type=int)
     p_enum.add_argument("--elements", action="store_true",
                         help="include serialized elements")

@@ -1,9 +1,9 @@
 """Square matrices over GF(2^r) as immutable tuples of row tuples.
 
 Entries are field ints (see ksums.field). Matrices are hashable and compare
-by value; the canonical serialization is the row-major concatenation of
-fixed-width lowercase hex entries, and sorting by the packed-int key agrees
-with sorting by that hex string.
+by value; the canonical serialization (keys_hex) is the row-major
+concatenation of fixed-width lowercase hex entries, read straight from the
+packed-int key, and sorting by that key agrees with sorting by the hex string.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows: singular matrices are never
@@ -89,15 +89,6 @@ def mat_is_alternating(m: Mat) -> bool:
     return True
 
 
-def entry_width(fp: FieldParams) -> int:
-    return (fp.r + 3) // 4
-
-
-def mat_hex(fp: FieldParams, m: Mat) -> str:
-    w = entry_width(fp)
-    return "".join(format(e, f"0{w}x") for row in m for e in row)
-
-
 def pack_mat(fp: FieldParams, m: Mat) -> int:
     """Row-major big-endian packing, fp.r bits per entry."""
     key = 0
@@ -115,6 +106,14 @@ def unpack_mat(fp: FieldParams, n: int, key: int) -> Mat:
     for shift in range(r * (n * n - 1), -1, -r):
         flat.append((key >> shift) & mask)
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+def keys_hex(fp: FieldParams, n: int, keys) -> list:
+    """Canonical hex of each packed n x n key, entries read through a q-entry digit table."""
+    r, mask = fp.r, fp.q - 1
+    digits = [format(e, f"0{(r + 3) // 4}x") for e in range(fp.q)]
+    shifts = range(r * (n * n - 1), -1, -r)
+    return ["".join([digits[(key >> s) & mask] for s in shifts]) for key in keys]
 
 
 def all_matrices(fp: FieldParams, n: int):

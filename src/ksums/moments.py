@@ -13,7 +13,9 @@ multiplying through by (-2/A)^h,
 seeded by MK^0 = q - 1, where P is the Pless sum coset_codes.pless_sum. The
 codim-2 families produce the same shape for the 2-dimensional moments MK2^h
 (base B - q^2) and for the even moments MK^(2h) (base B - q^2 + q); KINDS
-lists every sequence with its base, its oracle and the families it applies to.
+lists every sequence with its base and its oracle. The left side sums
+w(a)^h over all q values of a, so a kind needs neither a bound on q nor an
+injective a -> c(a): it applies to every family of its codimension.
 
 All arithmetic is exact: B and A^(-h) are Fractions, and every final moment
 is checked to be integral, raising ConsistencyError otherwise; when B is
@@ -36,23 +38,19 @@ from ksums.errors import ConsistencyError
 class MomentKind(NamedTuple):
     """One moment sequence the recursion generates, with its oracle.
 
-    The recursion runs on base = cofactor - shift(q) over codim-`codim`
-    families with q >= min_q(f); the oracle is the brute-force
-    charsums.moment(fp, m, step * h). `check` names verify's comparison
-    and `rhs` the key of verify_lhs_expansion's expansion.
+    The recursion runs on base = cofactor - shift(q) over every codim-`codim`
+    family; the oracle is the brute-force charsums.moment(fp, m, step * h).
+    `check` names verify's comparison and `rhs` the key of
+    verify_lhs_expansion's expansion.
     """
 
     name: str
     codim: int
     shift: Callable
-    min_q: Callable
     m: int
     step: int
     check: str
     rhs: str
-
-    def admits(self, f: DoubleCosetFamily) -> bool:
-        return f.codim == self.codim and f.fp.q >= self.min_q(f)
 
     def base(self, f: DoubleCosetFamily) -> Fraction:
         return coset_codes.family_constants(f).cofactor - self.shift(f.fp.q)
@@ -66,11 +64,10 @@ class MomentKind(NamedTuple):
 
 
 KINDS = (
-    MomentKind("mk", 1, lambda q: 0, lambda f: 8 if (f.sign, f.n) == ("-", 1) else 2,
-               1, 1, "moments.recursion_vs_oracle", "rhs"),
-    MomentKind("mk2", 2, lambda q: q * q, lambda f: 4,
+    MomentKind("mk", 1, lambda q: 0, 1, 1, "moments.recursion_vs_oracle", "rhs"),
+    MomentKind("mk2", 2, lambda q: q * q,
                2, 1, "moments.two_dimensional_recursion_vs_oracle", "rhs_two_dimensional"),
-    MomentKind("mk_even", 2, lambda q: q * q - q, lambda f: 4,
+    MomentKind("mk_even", 2, lambda q: q * q - q,
                1, 2, "moments.even_recursion_vs_oracle", "rhs_even"),
 )
 MK, MK2, MK_EVEN = KINDS
@@ -90,14 +87,11 @@ def _expand(base: Fraction, h: int, ms) -> Fraction:
 
 def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
     """The h-th moment of `kind`, its lower ones read from the cached functions."""
-    use = f"{kind.name}_recursive"
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
     q = f.fp.q
     if f.codim != kind.codim:
-        raise ValueError(f"{use} needs a codim-{kind.codim} family, got {f.label}")
-    if not kind.admits(f):
-        raise ValueError(f"{use} with {f.label}, n={f.n} needs q >= {kind.min_q(f)}, got q={q}")
+        raise ValueError(f"{kind.name}_recursive needs a codim-{kind.codim} family, got {f.label}")
     if h == 0:
         return q - 1
     consts = coset_codes.family_constants(f)

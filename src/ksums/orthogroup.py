@@ -228,7 +228,6 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
 
 
-@lru_cache(maxsize=None)
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     """Packed keys of {w in P+ : s_r w s_r^-1 in P+} (s_r is an involution)."""
     perm = _sigma_perm(n, r)

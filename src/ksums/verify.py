@@ -220,11 +220,8 @@ def _code_checks(rep, fps, max_n):
 
 def _moment_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
-        kinds = [kind for kind in moments.kinds(f.codim) if kind.admits(f)]
-        if not kinds:
-            continue
         params = {"family": f.label, "n": f.n, "q": f.fp.q}
-        for kind in kinds:
+        for kind in moments.kinds(f.codim):
             rep.add(kind.check, params,
                     [kind.oracle(f.fp, h) for h in range(h_max + 1)],
                     [kind.recursive(f, h) for h in range(h_max + 1)])
@@ -238,6 +235,8 @@ def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:
         raise ValueError(f"max_r out of range 1..{field.MAX_DEGREE}: {max_r}")
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if h_max < 0:
+        raise ValueError(f"h_max must be >= 0, got {h_max}")
     fps = [field.binary_field(r) for r in range(1, max_r + 1)]
     rep = Report()
     _field_checks(rep, fps)

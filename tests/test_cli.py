@@ -142,11 +142,34 @@ def test_moments_recursive_compare(capsys):
     assert {row["kind"] for row in payload["rows"]} == {"mk2", "mk_even"}
 
 
-def test_moments_recursive_inadmissible(capsys):
-    code, _, err = run(capsys, "moments", "recursive", "--family", "dc1-",
-                       "--n", "1", "--r", "2", "--h-max", "2")
+def test_moments_recursive_small_q(capsys):
+    for family, n, r, kinds in [("dc1-", "1", "2", {"mk"}),
+                                ("dc2+", "2", "1", {"mk2", "mk_even"})]:
+        code, out, _ = run(capsys, "moments", "recursive", "--family", family,
+                           "--n", n, "--r", r, "--h-max", "12", "--compare-oracle")
+        assert code == 0
+        payload = json.loads(out)
+        assert {row["kind"] for row in payload["rows"]} == kinds
+        assert len(payload["rows"]) == 13 * len(kinds)
+        assert all(row["match"] for row in payload["rows"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "oracle", "--r", "2", "--h-max", "-1"],
+    ["moments", "recursive", "--family", "dc1+", "--n", "2", "--r", "2", "--h-max", "-1"],
+    ["verify", "all", "--max-r", "1", "--max-n", "1", "--h-max", "-1"],
+    ["group", "enum", "--r", "1", "--n", "-1"],
+], ids=["moments-oracle", "moments-recursive", "verify-all", "group-enum"])
+def test_negative_parameters_rejected(capsys, argv):
+    # argparse refuses the CLI-only bounds; verify.run_checks refuses h_max itself
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
-    assert "q >= 8" in err
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be >= 0, got -1" in out.err
 
 
 def test_group_enum(capsys):
@@ -200,6 +223,13 @@ def test_code_dist_full_and_single(capsys):
                        "--r", "3", "--j", "2")
     payload = json.loads(out)
     assert payload["coefficient"] == "3"
+    # no codeword is longer than the code (N = q - 1 = 3 here)
+    code, out, _ = run(capsys, "code", "dist", "--family", "dc1-", "--n", "1",
+                       "--r", "2", "--j", "100")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["length"] == "3" and payload["j"] == 100
+    assert payload["coefficient"] == "0"
     code, out, _ = run(capsys, "code", "dist", "--family", "dc1-", "--n", "1",
                        "--r", "3", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,7 +82,7 @@ def test_alternating_detector():
 def test_pack_round_trip_and_ordering():
     mats = list(matgf.all_matrices(GF4, 2))
     keys = [matgf.pack_mat(GF4, m) for m in mats]
-    hexes = [matgf.mat_hex(GF4, m) for m in mats]
+    hexes = matgf.keys_hex(GF4, 2, keys)
     for m, k in zip(mats, keys):
         assert matgf.unpack_mat(GF4, 2, k) == m
     assert sorted(range(len(mats)), key=lambda i: keys[i]) == sorted(
@@ -91,8 +93,20 @@ def test_pack_round_trip_and_ordering():
 def test_hex_width_two_digit_entries():
     fp = binary_field(5)
     m = ((17, 0), (1, 31))
-    assert matgf.mat_hex(fp, m) == "1100011f"
+    assert matgf.keys_hex(fp, 2, [matgf.pack_mat(fp, m)]) == ["1100011f"]
     assert matgf.unpack_mat(fp, 2, matgf.pack_mat(fp, m)) == m
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_keys_hex_matches_entrywise_format(r):
+    fp = binary_field(r)
+    width = (r + 3) // 4
+    rng = random.Random(r)
+    for n in (1, 2, 4):
+        keys = [0, (1 << (r * n * n)) - 1] + [rng.getrandbits(r * n * n) for _ in range(50)]
+        expected = ["".join(format(e, f"0{width}x") for row in matgf.unpack_mat(fp, n, k)
+                            for e in row) for k in keys]
+        assert matgf.keys_hex(fp, n, keys) == expected, n
 
 
 @given(st.sampled_from([GF2, GF4]), st.integers(1, 3), st.data())

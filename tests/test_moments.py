@@ -21,15 +21,30 @@ def test_admissibility():
     with pytest.raises(ValueError):
         moments.mk_recursive(fam("dc2+", 2, GF4), 1)  # wrong codim
     with pytest.raises(ValueError):
-        moments.mk_recursive(fam("dc1-", 1, GF4), 1)  # n=1 needs q >= 8
-    with pytest.raises(ValueError):
-        moments.mk2_recursive(fam("dc2+", 2, GF2), 1)  # needs q >= 4
-    with pytest.raises(ValueError):
         moments.mk2_recursive(fam("dc1+", 2, GF4), 1)
     with pytest.raises(ValueError):
-        moments.mk_even_recursive(fam("dc2-", 3, GF2), 1)
+        moments.mk_even_recursive(fam("dc1-", 3, GF2), 1)
     with pytest.raises(ValueError):
         moments.mk_recursive(fam("dc1+", 2, GF4), -1)
+
+
+# dc1- n=1 at q = 2, 4 and the codim-2 families at q = 2: the recursion sums
+# w(a)^h over every a, so it needs no injectivity of a -> c(a) and no q bound
+SMALL_Q_FAMILIES = [("dc1-", 1, GF2), ("dc1-", 1, GF4)] + [
+    ("dc2+" if n % 2 == 0 else "dc2-", n, GF2) for n in range(2, 9)]
+
+
+def test_every_kind_applies_at_small_q():
+    pairs = 0
+    for label, n, fp in SMALL_Q_FAMILIES:
+        f = fam(label, n, fp)
+        for kind in moments.kinds(f.codim):
+            pairs += 1
+            for h in range(13):
+                assert kind.recursive(f, h) == kind.oracle(fp, h), (label, n, fp.q, kind.name, h)
+        for h in range(13):
+            assert moments.verify_lhs_expansion(f, h)["ok"], (label, n, fp.q, h)
+    assert pairs == 16
 
 
 def test_h0_seed():
@@ -46,10 +61,7 @@ def test_mk_matches_oracle_q2():
 
 @pytest.mark.parametrize("fp", [GF4, GF8])
 def test_mk_matches_oracle(fp):
-    fams = [fam("dc1+", 2, fp), fam("dc1-", 3, fp)]
-    if fp.q >= 8:
-        fams.append(fam("dc1-", 1, fp))
-    for f in fams:
+    for f in (fam("dc1+", 2, fp), fam("dc1-", 3, fp), fam("dc1-", 1, fp)):
         for h in range(H_MAX + 1):
             assert moments.mk_recursive(f, h) == charsums.moment(fp, 1, h), (f, h)
 

@@ -30,6 +30,8 @@ def test_parameter_validation():
         verify.run_checks(max_r=9)
     with pytest.raises(ValueError):
         verify.run_checks(max_n=0)
+    with pytest.raises(ValueError):
+        verify.run_checks(h_max=-1)
 
 
 def test_tier2_group_slice():
@@ -44,9 +46,9 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "3f9ccf3d500f9275e79d426712b44b1e725bdda924ae5e42a89b6ed4b68855b8"),
-    (3, 3, 10, "9c5f753c076bf3ff69061dd481ba7747354e85fa07909c31d69be2272b688ec9"),
-])
+    (2, 2, 5, "674e9c713d2137ec6e1b9b193c5f8fa26386ac1a705bfc8738f1d9c46f86ddf4"),
+    (3, 3, 10, "46789a2d3a62d787857aea27b2b04f2973e5a37353fca90f740180fa09878b8e"),
+], ids=["2-2-5", "3-3-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
