@@ -1,9 +1,14 @@
 """Character sums over GF(2^r).
 
-m-dimensional Kloosterman sums and their power moments by direct
-enumeration (the oracle side of every moment identity in this package),
-Kloosterman sums for GL(t,q) by three independent routes, and verification
-helpers for the classical identities relating them.
+m-dimensional Kloosterman sums and their power moments (the oracle side of
+every moment identity in this package), Kloosterman sums for GL(t,q) by
+three independent routes, and verification helpers for the classical
+identities relating them.
+
+One value K_m(a) is a direct sum over (F_q^*)^m (`kloosterman`, the `ksum`
+command and the independent side of verify's values_table_vs_direct row).
+A table of all of them (`kloosterman_values`, which moments read) is built
+by multiplicative convolution instead, m levels of (q-1)^2 lookups.
 
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t) from the pairs
@@ -22,7 +27,8 @@ from ksums import combinat, field, matgf
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
-ENUM_BUDGET = 1 << 24  # max tuples enumerated by one m-dimensional sum or values table
+ENUM_BITS = 24
+ENUM_BUDGET = 1 << ENUM_BITS  # max tuples of one direct sum, max lookups of one values table
 GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max tuples for the closed form
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
@@ -35,19 +41,26 @@ def _scaled_char_table(fp, c):
     return tuple(lam[cy] for cy in field.mul_table(fp)[c])
 
 
+def _check_dimension_and_scale(fp, m, c):
+    field.check_element(fp, c)
+    if c == 0:
+        raise ValueError("kloosterman sum needs c != 0")
+    if m < 1:
+        raise ValueError(f"dimension m must be >= 1, got {m}")
+
+
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     """m-dimensional Kloosterman sum for psi = lambda(c .) at parameter a.
 
     Direct sum of psi(a1 + ... + am + a/(a1...am)) over (F_q^*)^m.
     """
     field.check_element(fp, a)
-    field.check_element(fp, c)
-    if a == 0 or c == 0:
-        raise ValueError("kloosterman sum needs a != 0 and c != 0")
-    if m < 1:
-        raise ValueError(f"dimension m must be >= 1, got {m}")
-    if fp.q ** m > ENUM_BUDGET:
-        raise BudgetError(f"q^m = {fp.q ** m} exceeds enumeration budget {ENUM_BUDGET}")
+    if a == 0:
+        raise ValueError("kloosterman sum needs a != 0")
+    _check_dimension_and_scale(fp, m, c)
+    if m * fp.r > ENUM_BITS:  # q^m > ENUM_BUDGET, without forming q^m
+        raise BudgetError(f"q^m tuples at m = {m}, q = {fp.q} exceed "
+                          f"enumeration budget {ENUM_BUDGET}")
     lamc = _scaled_char_table(fp, c)
     invt = field.inv_table(fp)
     mt = field.mul_table(fp)
@@ -69,17 +82,28 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
 def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None.
 
-    The (q-1) sums enumerate (q-1) q^m tuples in all; that total, not each
-    sum alone, must fit ENUM_BUDGET, and it is checked before the first sum.
+    Built by multiplicative convolution, not by direct sums:
+    K_m(a) = sum over x != 0 of lambda(c x) K_(m-1)(a/x), with K_0 = lambda(c .).
+    The m levels make m (q-1)^2 lookups; m q^2 must fit ENUM_BUDGET, and it
+    is checked before the first level.
     """
-    work = (fp.q - 1) * fp.q ** m
-    if work > ENUM_BUDGET:
-        raise BudgetError(f"(q-1) q^m = {work} exceeds enumeration budget {ENUM_BUDGET}")
-    return (None,) + tuple(kloosterman(fp, a, m, c) for a in field.units(fp))
+    _check_dimension_and_scale(fp, m, c)
+    if m * fp.q * fp.q > ENUM_BUDGET:
+        raise BudgetError(f"m q^2 = {m * fp.q * fp.q} table lookups exceed "
+                          f"enumeration budget {ENUM_BUDGET}")
+    lamc = _scaled_char_table(fp, c)
+    mt, invt = field.mul_table(fp), field.inv_table(fp)
+    # (lambda(c x), 1/x) for x != 0, so that a/x is mt[a][1/x]
+    terms = [(lamc[x], invt[x]) for x in field.units(fp)]
+    prev = lamc
+    for _ in range(m):
+        prev = (None,) + tuple(sum(s * prev[row[xinv]] for s, xinv in terms)
+                               for row in mt[1:])
+    return prev
 
 
 def moment(fp: FieldParams, m: int, h: int, c: int = 1) -> int:
-    """Brute-force power moment: sum of K_m(psi;a)^h over a in F_q^*."""
+    """Oracle power moment: sum of K_m(psi;a)^h over a in F_q^*, from kloosterman_values."""
     if h < 0:
         raise ValueError(f"moment exponent must be >= 0, got {h}")
     vals = kloosterman_values(fp, m, c)
@@ -194,7 +218,7 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
 
 
 def verify_carlitz(fp: FieldParams, a: int) -> dict:
-    """Check K_2(lambda;a) = K(lambda;a)^2 - q, both sides brute force."""
+    """Check K_2(lambda;a) = K(lambda;a)^2 - q, both sides from the values tables."""
     if a == 0:
         raise ValueError("needs a != 0")
     k2 = kloosterman_values(fp, 2)[a]
@@ -258,7 +282,10 @@ def verify_twisted_sum(fp: FieldParams, beta: int, m: int) -> dict:
 
     The closed form is q K_(m-1)(lambda; 1/beta) + (-1)^(m+1) for beta != 0
     and (-1)^(m+1) for beta = 0, where K_0(lambda; x) means lambda(x).
-    (-a beta = a beta in characteristic 2.)
+    (-a beta = a beta in characteristic 2.) The left side reads the
+    convolution table kloosterman_values, the right side one direct
+    kloosterman sum. Both rest on the substitution x -> a/x, so this does not
+    test the table independently; values_table_vs_direct in verify does.
     """
     field.check_element(fp, beta)
     if m < 1:

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("moments", help="power moments of Kloosterman sums")
     mom_sub = p_mom.add_subparsers(dest="subcommand", required=True)
-    p_oracle = mom_sub.add_parser("oracle", help="brute-force moments")
+    p_oracle = mom_sub.add_parser("oracle", help="oracle moments from the Kloosterman value table")
     p_oracle.add_argument("--r", type=int, required=True)
     p_oracle.add_argument("--m", type=int, default=1)
     p_oracle.add_argument("--h-max", type=_nonnegative, required=True, dest="h_max")

@@ -39,7 +39,7 @@ class MomentKind(NamedTuple):
     """One moment sequence the recursion generates, with its oracle.
 
     The recursion runs on base = cofactor - shift(q) over every codim-`codim`
-    family; the oracle is the brute-force charsums.moment(fp, m, step * h).
+    family; the oracle is charsums.moment(fp, m, step * h).
     `check` names verify's comparison and `rhs` the key of
     verify_lhs_expansion's expansion.
     """

@@ -148,6 +148,12 @@ def enumerable(fp: FieldParams, n: int) -> bool:
     return parabolic_order(n, fp.q) ** 2 <= PRODUCT_BUDGET
 
 
+def _check_witt_index(n: int):
+    # O+(2n,q) needs n >= 1: group_order(0, q) is 0, not the trivial group's 1
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _check_enum_budget(fp: FieldParams, n: int):
     if not enumerable(fp, n):
         raise BudgetError(f"|P+({2*n},{fp.q})|^2 = {parabolic_order(n, fp.q) ** 2} "
@@ -157,6 +163,7 @@ def _check_enum_budget(fp: FieldParams, n: int):
 @lru_cache(maxsize=None)
 def parabolic_matrices(fp: FieldParams, n: int) -> tuple:
     """All elements [[A, AB], [0, tA^-1]] of P+(2n,q), as matrices, sorted by key."""
+    _check_witt_index(n)
     _check_enum_budget(fp, n)
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     alts = tuple(_alternating_matrices(fp, n))
@@ -286,8 +293,7 @@ def cell_order(n: int, r: int, q: int) -> int:
 
 def group_counts(n: int, q: int) -> dict:
     """Closed-form order bookkeeping for O+(2n,q), with internal identities checked."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_witt_index(n)
     gl = [combinat.gl_order(t, q) for t in range(n + 1)]
     qbin = [combinat.q_binomial(n, r, q) for r in range(n + 1)]
     p_order = parabolic_order(n, q)

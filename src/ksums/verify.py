@@ -86,6 +86,12 @@ def _charsum_checks(rep, fps, h_max):
         rep.add("charsums.twisted_sum", {"r": fp.r}, "[]",
                 [(b, m) for b in field.elements(fp) for m in (1, 2)
                  if not charsums.verify_twisted_sum(fp, b, m)["ok"]])
+        # the convolution tables against direct sums; c = 2 at m = 2 is tied to
+        # these through moment_scale_invariance
+        cases = ((1, 1), (2, 1), (1, 2)) if q > 2 else ((1, 1), (2, 1))
+        rep.add("charsums.values_table_vs_direct", {"r": fp.r}, "[]",
+                [(m, c, a) for m, c in cases for a in field.units(fp)
+                 if charsums.kloosterman_values(fp, m, c)[a] != charsums.kloosterman(fp, a, m, c)])
         if fp.r >= 2:
             rep.add("charsums.value_range", {"r": fp.r},
                     sorted(charsums.kloosterman_range(fp)), sorted(set(vals)))

@@ -1,6 +1,6 @@
 import pytest
 
-from ksums import charsums, combinat, field
+from ksums import charsums, combinat, field, verify
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 
@@ -28,13 +28,51 @@ def test_kloosterman_parameter_errors():
 
 def test_enumeration_budget():
     fp = binary_field(8)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="m = 4, q = 256"):
         charsums.kloosterman(fp, 1, m=4)  # 256^4 = 2^32 tuples
-    # each sum fits (256^3 = 2^24), but the 255 of them do not
+    # the convolution table costs m q^2 lookups: 3 * 2^16 fits, 300 * 2^16 does not
+    assert len(charsums.kloosterman_values(fp, 3)) == fp.q
     with pytest.raises(BudgetError):
-        charsums.kloosterman_values(fp, 3)
+        charsums.kloosterman_values(fp, 300)
     with pytest.raises(BudgetError):
-        charsums.moment(fp, 3, 2)
+        charsums.moment(fp, 300, 2)
+
+
+def test_values_table_parameter_errors():
+    # m and c are checked before the budget, so neither a huge m nor m <= 0
+    # hides them (m = 0 would otherwise be the character table itself)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            charsums.kloosterman_values(GF4, m)
+    with pytest.raises(ValueError):
+        charsums.kloosterman_values(GF4, 1, 0)
+    with pytest.raises(ValueError):
+        charsums.kloosterman_values(binary_field(8), 10 ** 9, 0)
+
+
+def _direct_values(fp, m, c=1):
+    return (None,) + tuple(charsums.kloosterman(fp, a, m, c) for a in field.units(fp))
+
+
+@pytest.mark.parametrize("r,m,c", [(3, 2, 1), (5, 3, 3), (6, 2, 2), (8, 1, 5),
+                                   (7, 2, 3), (4, 4, 3)])
+def test_values_table_matches_direct_sums(r, m, c):
+    fp = binary_field(r)
+    assert charsums.kloosterman_values(fp, m, c) == _direct_values(fp, m, c)
+
+
+def test_values_table_matches_direct_sums_alt_moduli():
+    for r, modulus in verify.ALT_MODULI.items():
+        fp = binary_field(r, modulus)
+        for m in (1, 2):
+            assert charsums.kloosterman_values(fp, m) == _direct_values(fp, m), (r, m)
+
+
+def test_values_table_m3_spot_checks():
+    fp = binary_field(6)
+    table = charsums.kloosterman_values(fp, 3)
+    for a in (1, 0b10, 0b100101):
+        assert table[a] == charsums.kloosterman(fp, a, 3)
 
 
 def test_moment_examples():

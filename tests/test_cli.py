@@ -57,12 +57,34 @@ def test_field_table_modulus_override(capsys):
 
 
 def test_kloosterman_table_budget_refuses_fast(capsys):
-    # (q-1) q^m = 255 * 2^24 tuples: refused before the first sum
+    # m q^2 = 300 * 2^16 table lookups: refused before the first level
     start = time.perf_counter()
-    code, out, err = run(capsys, "moments", "oracle", "--r", "8", "--m", "3", "--h-max", "2")
+    code, out, err = run(capsys, "moments", "oracle", "--r", "8", "--m", "300", "--h-max", "2")
     assert time.perf_counter() - start < 5
     assert code == 2
     assert "budget" in err
+    assert out == ""
+
+
+def test_moments_oracle_m3_at_q256(capsys):
+    # the convolution table makes 3 * 255^2 lookups, where 255 direct sums took 2^24 tuples each
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "moments", "oracle", "--r", "8", "--m", "3", "--h-max", "10")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    values = [int(row["value"]) for row in json.loads(out)["moments"]]
+    assert values[0] == 255
+    assert values[1] == 1  # sum over a of K_m(a) is (-1)^(m+1)
+    assert all(v > 0 for v in values[2::2])
+
+
+def test_ksum_direct_budget_refuses_fast(capsys):
+    # q^m at m = 10^9 is never formed: the exponents m r and 24 are compared
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ksum", "--r", "8", "--a", "1", "--m", "1000000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "budget" in err and "m = 1000000000, q = 256" in err
     assert out == ""
 
 
@@ -194,6 +216,15 @@ def test_group_enum_budget_exceeded(capsys):
     code, _, err = run(capsys, "group", "enum", "--r", "3", "--n", "2")
     assert code == 2
     assert "budget" in err
+
+
+def test_group_enum_and_counts_reject_n0(capsys):
+    # group_order(0, q) is 0, so O+(0,q) is outside the domain of both commands
+    for sub in ("enum", "counts"):
+        code, out, err = run(capsys, "group", sub, "--r", "1", "--n", "0")
+        assert code == 2, sub
+        assert "n must be >= 1, got 0" in err
+        assert out == ""
 
 
 def test_group_counts(capsys):

@@ -172,6 +172,9 @@ def test_group_counts_values():
     assert og.group_order(1, 4) == 6  # 2(q-1)
     with pytest.raises(ValueError):
         og.group_counts(0, 2)
+    # enumeration shares the n >= 1 domain of the closed forms
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        og.bruhat_cell(GF2, 0, 0)
 
 
 def test_exp_sum_cell_n1_is_kloosterman():

@@ -46,12 +46,21 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "674e9c713d2137ec6e1b9b193c5f8fa26386ac1a705bfc8738f1d9c46f86ddf4"),
-    (3, 3, 10, "46789a2d3a62d787857aea27b2b04f2973e5a37353fca90f740180fa09878b8e"),
+    (2, 2, 5, "3ac7458193be0567768180b2939ae98abbdb3f116e2857bd96ba111665bb1fad"),
+    (3, 3, 10, "abd352fe9404671fec50c249faba27633953f9a194864dc12ccda1df2f3e4b6e"),
 ], ids=["2-2-5", "3-3-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
-    # a change that adds or alters report rows on purpose updates these digests
+    # a change that adds or alters report rows on purpose updates these digests;
+    # the last rows added were charsums.values_table_vs_direct, one per r
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_values_table_rows():
+    # one row per r comparing the convolution tables with direct sums
+    report = verify.run_checks(max_r=3, max_n=1, h_max=1)
+    rows = [c for c in report["checks"] if c["name"] == "charsums.values_table_vs_direct"]
+    assert [c["params"] for c in rows] == [{"r": 1}, {"r": 2}, {"r": 3}]
+    assert all(c["pass"] and c["actual"] == "[]" for c in rows)
