@@ -219,6 +219,7 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
 
 def verify_carlitz(fp: FieldParams, a: int) -> dict:
     """Check K_2(lambda;a) = K(lambda;a)^2 - q, both sides from the values tables."""
+    field.check_element(fp, a)
     if a == 0:
         raise ValueError("needs a != 0")
     k2 = kloosterman_values(fp, 2)[a]

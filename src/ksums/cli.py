@@ -109,6 +109,8 @@ def _cmd_moments_recursive(args):
 
 def _cmd_group_enum(args):
     fp = _parse_field(args)
+    if args.n < 1:  # the bound group counts applies: group_order(0, q) is 0
+        raise ValueError(f"n must be >= 1, got {args.n}")
     cells = [args.cell] if args.cell is not None else list(range(args.n + 1))
     out = []
     for r in cells:
@@ -116,7 +118,7 @@ def _cmd_group_enum(args):
         hist = orthogroup.cell_trace_histogram(fp, args.n, r)
         entry = {
             "cell": r,
-            "order": str(len(cell)),
+            "order": str(len(cell.elements)),
             "trace_histogram": {format(b, "x"): str(c) for b, c in sorted(hist.items())},
         }
         if args.elements:
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_sub = p_group.add_subparsers(dest="subcommand", required=True)
     p_enum = group_sub.add_parser("enum", help="materialize Bruhat cells")
     p_enum.add_argument("--r", type=int, required=True)
-    p_enum.add_argument("--n", type=_nonnegative, required=True)
+    p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--cell", type=int)
     p_enum.add_argument("--elements", action="store_true",
                         help="include serialized elements")

@@ -31,9 +31,9 @@ cell character sum instead of multiplicities, to the same kernel.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
 from ksums.combinat import binom, stirling2
@@ -45,26 +45,20 @@ FULL_DISTRIBUTION_CAP = 10 ** 4  # single-coefficient queries stay available abo
 FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")
 
 
-@dataclass(frozen=True)
-class DoubleCosetFamily:
-    """One of the four cell families P+ s_(n-codim) P+ with parity-tied sign."""
+class DoubleCosetFamily(NamedTuple):
+    """Cells P+ s_(n-codim) P+; the label's sign is '+' iff n is even, checked in parse_family."""
 
-    codim: int  # 1 or 2
-    sign: str  # '+' iff n even
+    codim: int
     n: int
     fp: FieldParams
-
-    def __post_init__(self):
-        if self.codim not in (1, 2):
-            raise ValueError(f"codim must be 1 or 2, got {self.codim}")
-        if self.sign != "+-"[self.n % 2]:
-            raise ValueError(f"n={self.n} needs sign {'+-'[self.n % 2]!r}, got {self.sign!r}")
-        if self.cell_index < 0:
-            raise ValueError(f"{self.label} needs n >= {self.codim}, got n={self.n}")
 
     @property
     def cell_index(self) -> int:
         return self.n - self.codim
+
+    @property
+    def sign(self) -> str:
+        return "+-"[self.n % 2]
 
     @property
     def label(self) -> str:
@@ -75,13 +69,18 @@ class DoubleCosetFamily:
 
 
 def parse_family(label: str, n: int, fp: FieldParams) -> DoubleCosetFamily:
+    """The one constructor of DoubleCosetFamily: the label's sign must match n's parity."""
     if label not in FAMILY_LABELS:
         raise ValueError(f"unknown family {label!r}; expected one of {FAMILY_LABELS}")
-    return DoubleCosetFamily(codim=int(label[2]), sign=label[3], n=n, fp=fp)
+    f = DoubleCosetFamily(int(label[2]), n, fp)
+    if f.sign != label[3]:
+        raise ValueError(f"n={n} needs sign {f.sign!r}, got {label[3]!r}")
+    if f.cell_index < 0:
+        raise ValueError(f"{label} needs n >= {f.codim}, got n={n}")
+    return f
 
 
-@dataclass(frozen=True)
-class FamilyConstants:
+class FamilyConstants(NamedTuple):
     scale: int  # multiplier of the Kloosterman term in the cell character sum
     cofactor: Fraction  # scale * cofactor = size; may carry a 1/q power
     size: int

@@ -20,8 +20,8 @@ bools, in range); inner loops elsewhere read `mul_table`, `inv_table` and
 validated the inputs.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ksums.errors import ConsistencyError
 
@@ -40,8 +40,7 @@ DEFAULT_MODULI = {
 }
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(NamedTuple):
     r: int
     q: int
     modulus: int

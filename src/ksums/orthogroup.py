@@ -29,9 +29,9 @@ entries); the enumeration loops trust them.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from ksums import charsums, combinat, field, matgf
 from ksums.errors import BudgetError, ConsistencyError
@@ -40,15 +40,13 @@ from ksums.field import FieldParams
 PRODUCT_BUDGET = 10 ** 7  # cap on |P+|^2 before a cell may be materialized
 
 
-@dataclass(frozen=True)
-class BruhatCell:
+class BruhatCell(NamedTuple):
+    """The materialized P+ s_r P+; its order is len(cell.elements), not len(cell)."""
+
     fp: FieldParams
     n: int
     r: int
     elements: tuple  # packed keys, sorted ascending
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def theta_plus(fp: FieldParams, v) -> int:

@@ -7,8 +7,8 @@ function of (max_r, max_n, h_max); report rows are sorted by check name.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
 from ksums.coset_codes import parse_family
@@ -17,8 +17,7 @@ from ksums.coset_codes import parse_family
 ALT_MODULI = {3: 0b1101, 4: 0b11001, 5: 0b101001, 6: 0b1011011, 7: 0b10001001, 8: 0b101001101}
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     params: dict
     expected: str
@@ -26,9 +25,9 @@ class Check:
     passed: bool
 
 
-@dataclass
 class Report:
-    checks: list = dc_field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     def add(self, name, params, expected, actual):
         expected, actual = str(expected), str(actual)
@@ -132,7 +131,7 @@ def _group_checks(rep, fps, max_n):
             for r in range(n + 1):
                 cell = orthogroup.bruhat_cell(fp, n, r)
                 rep.add("group.cell_order", {"n": n, "q": q, "cell": r},
-                        counts["cell_orders"][r], len(cell))
+                        counts["cell_orders"][r], len(cell.elements))
                 rep.add("group.cell_disjoint_from_lower", {"n": n, "q": q, "cell": r},
                         0, len(union & set(cell.elements)))
                 union |= set(cell.elements)
@@ -207,7 +206,7 @@ def _code_checks(rep, fps, max_n):
                     [a for a in field.units(fp)
                      if coset_codes.dual_weight(f, a, "direct")
                      != coset_codes.dual_weight(f, a, "formula")])
-            size = len(coset_codes.family_cell(f))
+            size = len(coset_codes.family_cell(f).elements)
             lam, mt = field.char_table(fp), field.mul_table(fp)
             sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
                     for a in field.units(fp)]

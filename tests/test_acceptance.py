@@ -81,7 +81,7 @@ def test_criterion_4_order_bookkeeping():
         union = set()
         for r in range(n + 1):
             cell = og.bruhat_cell(fp, n, r)
-            assert len(cell) == counts["cell_orders"][r], (fp.q, n, r)
+            assert len(cell.elements) == counts["cell_orders"][r], (fp.q, n, r)
             assert len(og.a_r_subgroup(fp, n, r)) == counts["a_r_orders"][r]
             assert not union & set(cell.elements)
             union |= set(cell.elements)

@@ -182,6 +182,13 @@ def test_carlitz_identity():
             assert charsums.verify_carlitz(fp, a)["ok"]
 
 
+@pytest.mark.parametrize("a", [-1, 8, True, 0], ids=["negative", "q", "bool", "zero"])
+def test_carlitz_rejects_non_units(a):
+    # a indexes the value tables, where -1 would read the last slot and q run off the end
+    with pytest.raises(ValueError):
+        charsums.verify_carlitz(GF8, a)
+
+
 def test_power_invariance():
     assert charsums.verify_power_invariance(GF4, 0b10, 1)["ok"]
     for a in field.units(GF8):

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from ksums import cli
+import ksums
+from ksums import cli, coset_codes, field
 
 GOLDEN_FIELD_TABLE_R2 = """\
 {
@@ -176,14 +180,19 @@ def test_moments_recursive_small_q(capsys):
         assert all(row["match"] for row in payload["rows"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["moments", "oracle", "--r", "2", "--h-max", "-1"],
-    ["moments", "recursive", "--family", "dc1+", "--n", "2", "--r", "2", "--h-max", "-1"],
-    ["verify", "all", "--max-r", "1", "--max-n", "1", "--h-max", "-1"],
-    ["group", "enum", "--r", "1", "--n", "-1"],
-], ids=["moments-oracle", "moments-recursive", "verify-all", "group-enum"])
-def test_negative_parameters_rejected(capsys, argv):
-    # argparse refuses the CLI-only bounds; verify.run_checks refuses h_max itself
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "oracle", "--r", "2", "--h-max", "-1"], "must be >= 0, got -1"),
+    (["moments", "recursive", "--family", "dc1+", "--n", "2", "--r", "2", "--h-max", "-1"],
+     "must be >= 0, got -1"),
+    (["verify", "all", "--max-r", "1", "--max-n", "1", "--h-max", "-1"], "must be >= 0, got -1"),
+    (["group", "enum", "--r", "1", "--n", "-1"], "must be >= 1, got -1"),
+    (["group", "enum", "--r", "1", "--n", "0"], "must be >= 1, got 0"),
+    (["group", "counts", "--r", "1", "--n", "0"], "must be >= 1, got 0"),
+], ids=["moments-oracle", "moments-recursive", "verify-all", "group-enum",
+        "group-enum-n0", "group-counts-n0"])
+def test_negative_parameters_rejected(capsys, argv, message):
+    # argparse refuses h_max < 0 for moments; verify.run_checks refuses h_max
+    # itself; both group commands refuse n < 1, since group_order(0, q) is 0
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -191,7 +200,7 @@ def test_negative_parameters_rejected(capsys, argv):
     assert code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "must be >= 0, got -1" in out.err
+    assert message in out.err
 
 
 def test_group_enum(capsys):
@@ -306,3 +315,20 @@ def test_every_subcommand_emits_valid_json(capsys):
         out = capsys.readouterr().out
         assert code == 0, argv
         json.loads(out)
+
+
+def test_cold_import_and_record_keys():
+    # every request pays the import; records are NamedTuples, so neither
+    # dataclasses nor the inspect module it pulls in is loaded (-S keeps
+    # site's .pth imports out of the count)
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    code = "import sys, ksums.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    # records key the table caches, so equal values must compare and hash equal
+    fp, fp2 = field.binary_field(3), field.binary_field(3)
+    assert fp == fp2 and hash(fp) == hash(fp2)
+    f, f2 = coset_codes.parse_family("dc2-", 3, fp), coset_codes.parse_family("dc2-", 3, fp2)
+    assert f == f2 and hash(f) == hash(f2)

@@ -110,7 +110,7 @@ def test_bruhat_cells_2_2():
     union = set()
     for r in range(3):
         cell = og.bruhat_cell(GF2, 2, r)
-        sizes.append(len(cell))
+        sizes.append(len(cell.elements))
         assert not union & set(cell.elements)
         union |= set(cell.elements)
     assert sizes == [12, 36, 24]
@@ -122,7 +122,7 @@ def test_bruhat_cell_n1():
     for fp in (GF2, GF4, GF8):
         cell0 = og.bruhat_cell(fp, 1, 0)
         assert cell0.elements == og.enumerate_parabolic(fp, 1)
-        assert len(og.bruhat_cell(fp, 1, 1)) == fp.q - 1
+        assert len(og.bruhat_cell(fp, 1, 1).elements) == fp.q - 1
 
 
 def test_cell_matches_unskipped_product_set():
