@@ -14,7 +14,9 @@ The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t) from the pairs
 matgf.gl_matrices yields; each (a, c) then costs one pass over it.
 
-All sums are exact Python ints. Enumerations carry hard budgets and raise
+All sums are exact Python ints. Every public function checks its integer
+parameters with field.check_int and its nonzero elements with
+field.check_unit before any work. Enumerations carry hard budgets and raise
 BudgetError instead of degrading; gl_routes names the GL routes that fit.
 """
 
@@ -41,23 +43,14 @@ def _scaled_char_table(fp, c):
     return tuple(lam[cy] for cy in field.mul_table(fp)[c])
 
 
-def _check_dimension_and_scale(fp, m, c):
-    field.check_element(fp, c)
-    if c == 0:
-        raise ValueError("kloosterman sum needs c != 0")
-    if m < 1:
-        raise ValueError(f"dimension m must be >= 1, got {m}")
-
-
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     """m-dimensional Kloosterman sum for psi = lambda(c .) at parameter a.
 
     Direct sum of psi(a1 + ... + am + a/(a1...am)) over (F_q^*)^m.
     """
-    field.check_element(fp, a)
-    if a == 0:
-        raise ValueError("kloosterman sum needs a != 0")
-    _check_dimension_and_scale(fp, m, c)
+    field.check_unit(fp, a, "a")
+    field.check_unit(fp, c, "c")
+    field.check_int("m", m, 1)
     if m * fp.r > ENUM_BITS:  # q^m > ENUM_BUDGET, without forming q^m
         raise BudgetError(f"q^m tuples at m = {m}, q = {fp.q} exceed "
                           f"enumeration budget {ENUM_BUDGET}")
@@ -78,7 +71,7 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit m = 1's table
 def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None.
 
@@ -87,7 +80,8 @@ def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     The m levels make m (q-1)^2 lookups; m q^2 must fit ENUM_BUDGET, and it
     is checked before the first level.
     """
-    _check_dimension_and_scale(fp, m, c)
+    field.check_unit(fp, c, "c")
+    field.check_int("m", m, 1)
     if m * fp.q * fp.q > ENUM_BUDGET:
         raise BudgetError(f"m q^2 = {m * fp.q * fp.q} table lookups exceed "
                           f"enumeration budget {ENUM_BUDGET}")
@@ -104,8 +98,7 @@ def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
 
 def moment(fp: FieldParams, m: int, h: int, c: int = 1) -> int:
     """Oracle power moment: sum of K_m(psi;a)^h over a in F_q^*, from kloosterman_values."""
-    if h < 0:
-        raise ValueError(f"moment exponent must be >= 0, got {h}")
+    field.check_int("h", h, 0)
     vals = kloosterman_values(fp, m, c)
     return sum(v ** h for v in vals[1:])
 
@@ -192,12 +185,9 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     agree.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
-    field.check_element(fp, a)
-    field.check_element(fp, c)
-    if a == 0 or c == 0:
-        raise ValueError("kloosterman_gl needs a != 0 and c != 0")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    field.check_unit(fp, a, "a")
+    field.check_unit(fp, c, "c")
+    field.check_int("t", t, 0)
     if method not in GL_METHODS + ("all",):
         raise ValueError(f"unknown method {method!r}")
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
@@ -219,9 +209,7 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
 
 def verify_carlitz(fp: FieldParams, a: int) -> dict:
     """Check K_2(lambda;a) = K(lambda;a)^2 - q, both sides from the values tables."""
-    field.check_element(fp, a)
-    if a == 0:
-        raise ValueError("needs a != 0")
+    field.check_unit(fp, a, "a")
     k2 = kloosterman_values(fp, 2)[a]
     k1 = kloosterman_values(fp)[a]
     rhs = k1 ** 2 - fp.q
@@ -230,10 +218,8 @@ def verify_carlitz(fp: FieldParams, a: int) -> dict:
 
 def verify_power_invariance(fp: FieldParams, a: int, s: int) -> dict:
     """Check K(lambda; a^(2^s)) = K(lambda; a)."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if a == 0:
-        raise ValueError("needs a != 0")
+    field.check_int("s", s, 0)
+    field.check_unit(fp, a, "a")
     vals = kloosterman_values(fp)
     lhs = vals[field.power(fp, a, 2 ** s)]
     rhs = vals[a]
@@ -248,9 +234,7 @@ def verify_theta_identities(fp: FieldParams, beta: int, b: int | None = None) ->
     image (so x^2+x+b is irreducible): summing over all alpha with
     denominator alpha^2+alpha+b gives -K(lambda;beta) - 1.
     """
-    field.check_element(fp, beta)
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
+    field.check_unit(fp, beta, "beta")
     lam = field.char_table(fp)
     mt = field.mul_table(fp)
     invt = field.inv_table(fp)
@@ -289,8 +273,7 @@ def verify_twisted_sum(fp: FieldParams, beta: int, m: int) -> dict:
     test the table independently; values_table_vs_direct in verify does.
     """
     field.check_element(fp, beta)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    field.check_int("m", m, 1)
     lam = field.char_table(fp)
     vals = kloosterman_values(fp, m)
     brow = field.mul_table(fp)[beta]
@@ -310,8 +293,7 @@ def kloosterman_range(fp: FieldParams) -> set:
     Only valid for r >= 2 (for q = 2 the single value is +1, outside this
     description).
     """
-    if fp.r < 2:
-        raise ValueError("kloosterman_range needs r >= 2")
+    field.check_int("r", fp.r, 2)
     q = fp.q
     bound = 1
     while (bound + 1) ** 2 < 4 * q:

@@ -109,8 +109,7 @@ def _cmd_moments_recursive(args):
 
 def _cmd_group_enum(args):
     fp = _parse_field(args)
-    if args.n < 1:  # the bound group counts applies: group_order(0, q) is 0
-        raise ValueError(f"n must be >= 1, got {args.n}")
+    field.check_int("n", args.n, 1)  # the bound group counts applies: group_order(0, q) is 0
     cells = [args.cell] if args.cell is not None else list(range(args.n + 1))
     out = []
     for r in cells:

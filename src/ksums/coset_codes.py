@@ -33,6 +33,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
@@ -69,14 +70,14 @@ class DoubleCosetFamily(NamedTuple):
 
 
 def parse_family(label: str, n: int, fp: FieldParams) -> DoubleCosetFamily:
-    """The one constructor of DoubleCosetFamily: the label's sign must match n's parity."""
+    """The one constructor of DoubleCosetFamily: n >= codim, with the sign of n's parity."""
     if label not in FAMILY_LABELS:
         raise ValueError(f"unknown family {label!r}; expected one of {FAMILY_LABELS}")
-    f = DoubleCosetFamily(int(label[2]), n, fp)
+    codim = int(label[2])
+    field.check_int(f"{label} n", n, codim)
+    f = DoubleCosetFamily(codim, n, fp)
     if f.sign != label[3]:
         raise ValueError(f"n={n} needs sign {f.sign!r}, got {label[3]!r}")
-    if f.cell_index < 0:
-        raise ValueError(f"{label} needs n >= {f.codim}, got n={n}")
     return f
 
 
@@ -165,9 +166,7 @@ def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     evaluates (size - S(a))/2 with S(a) the cell's character sum at a.
     """
     fp = f.fp
-    field.check_element(fp, a)
-    if a == 0:
-        raise ValueError("dual weights are defined for a != 0")
+    field.check_unit(fp, a, "a")
     if mode == "direct":
         return sum(dual_codeword(f, a))
     if mode != "formula":
@@ -231,9 +230,10 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     nu_beta * beta zero in F_q. Truncate with j_max for single-coefficient
     queries on astronomically long codes.
     """
+    for beta, cnt in counts.items():
+        field.check_int("trace value", beta, 0)
+        field.check_int(f"multiplicity of {beta}", cnt, 0)
     total = sum(counts.values())
-    if any(c < 0 for c in counts.values()):
-        raise ValueError("multiplicities must be nonnegative")
     if j_max is None:
         if total > FULL_DISTRIBUTION_CAP:
             raise BudgetError(
@@ -241,21 +241,19 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
                 "query single coefficients via j_max")
         cap = total
     else:
-        if j_max < 0:
-            raise ValueError(f"j_max must be >= 0, got {j_max}")
-        cap = min(j_max, total)
+        cap = min(field.check_int("j_max", j_max, 0), total)
     return krawtchouk_sum(walsh_weights(counts), total, cap)
 
 
 @lru_cache(maxsize=None)
-def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
+def dual_weight_histogram(f: DoubleCosetFamily) -> MappingProxyType:
     """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0).
 
-    Cached for every h of moments.verify_lhs_expansion; do not mutate it.
+    Cached for every h of moments.verify_lhs_expansion, hence read-only.
     """
     weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
     weights[0] += 1
-    return weights
+    return MappingProxyType(weights)
 
 
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
@@ -308,8 +306,7 @@ def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
     """
     if len(code_weights) != len(dual_weights):
         raise ValueError("code and dual weight lists must have equal length")
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    field.check_int("h", h, 0)
     n = len(code_weights) - 1
     lhs = sum(j ** h * bj for j, bj in enumerate(code_weights))
     rhs = pless_sum(dual_weights, n, h) * Fraction(2) ** (k - h)

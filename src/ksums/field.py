@@ -17,7 +17,8 @@ xors. Every other product in the package, `mul` included, is a lookup in
 that table. The public functions here validate their operands (ints, not
 bools, in range); inner loops elsewhere read `mul_table`, `inv_table` and
 `trace_table` rows directly and rely on their own entry points having
-validated the inputs.
+validated the inputs with `check_int` (an int, not a bool, within bounds)
+and `check_unit` (a nonzero element), the package's one parameter rule.
 """
 
 from functools import lru_cache
@@ -91,10 +92,28 @@ def binary_field(r: int, modulus: int | None = None) -> FieldParams:
     return FieldParams(r=r, q=1 << r, modulus=modulus)
 
 
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """Validate an integer parameter: an int, not a bool, with lo <= value <= hi."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
+    return value
+
+
 def check_element(fp: FieldParams, x: int) -> int:
     """Validate that x encodes an element of fp's field."""
     if not _is_int(x) or not 0 <= x < fp.q:
         raise ValueError(f"{x!r} is not an element of GF(2^{fp.r})")
+    return x
+
+
+def check_unit(fp: FieldParams, x: int, name: str) -> int:
+    """Validate that x encodes a nonzero element of fp's field."""
+    if check_element(fp, x) == 0:
+        raise ValueError(f"needs {name} != 0")
     return x
 
 

@@ -27,9 +27,10 @@ Pless sum serves both codim-2 kinds.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from ksums import charsums, coset_codes
+from ksums import charsums, coset_codes, field
 from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
 from ksums.errors import ConsistencyError
@@ -87,8 +88,7 @@ def _expand(base: Fraction, h: int, ms) -> Fraction:
 
 def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
     """The h-th moment of `kind`, its lower ones read from the cached functions."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    field.check_int("h", h, 0)
     q = f.fp.q
     if f.codim != kind.codim:
         raise ValueError(f"{kind.name}_recursive needs a codim-{kind.codim} family, got {f.label}")
@@ -109,9 +109,9 @@ def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _code_weights(f: DoubleCosetFamily):
-    """walsh_weights of f's trace multiplicities, read by every h."""
-    return coset_codes.walsh_weights(coset_codes.trace_multiplicities(f))
+def _code_weights(f: DoubleCosetFamily) -> MappingProxyType:
+    """walsh_weights of f's trace multiplicities, read by every h, hence read-only."""
+    return MappingProxyType(coset_codes.walsh_weights(coset_codes.trace_multiplicities(f)))
 
 
 @lru_cache(maxsize=None)
@@ -122,19 +122,20 @@ def _pless_sum(f: DoubleCosetFamily, h: int) -> int:
     return (-1) ** h * coset_codes.pless_sum(coeffs, size, h)
 
 
-@lru_cache(maxsize=None)
+# typed: True or 1.0 must be refused by _recursive, not read h = 1's entry
+@lru_cache(maxsize=None, typed=True)
 def mk_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^h from a codim-1 family's weight distribution."""
     return _recursive(MK, f, h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mk2_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK_2^h (2-dimensional Kloosterman moments) from a codim-2 family."""
     return _recursive(MK2, f, h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mk_even_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^(2h) (even Kloosterman moments) from a codim-2 family."""
     return _recursive(MK_EVEN, f, h)
@@ -146,8 +147,7 @@ def verify_lhs_expansion(f: DoubleCosetFamily, h: int) -> dict:
     Every kind of the family's codim is expanded: MK^l for codim 1, and both
     the 2-dimensional and the even moments for codim 2.
     """
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h}")
+    field.check_int("h", h, 0)
     fp = f.fp
     a_pow = Fraction(coset_codes.family_constants(f).scale) ** h
     # less the term 0^h of a = 0, which the histogram counts at weight 0

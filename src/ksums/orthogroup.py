@@ -23,9 +23,11 @@ Every product is read from field.mul_table: matrices multiply through
 matgf.mat_mul, and cells through one packed-row kernel, _coset_products,
 which xors p's packed rows where x has a 1 and scales the lanes of a row
 through a mul_table row otherwise. A product with the permutation matrix
-s_r is no product at all: it permutes rows or columns (_sigma_perm). Field
-inputs are validated once, where they enter (exp_sum_cell's c, theta_plus's
-entries); the enumeration loops trust them.
+s_r is no product at all: it permutes rows or columns (_sigma_perm). Inputs
+are validated once, where they enter, by field.check_int and field.check_unit
+(n >= 1 and 0 <= r <= n in _check_cell; exp_sum_cell's c); _sigma_perm and
+the enumeration loops trust them. Caches keyed by n or r are typed, so True
+or 1.0 is refused rather than served the entry of 1.
 """
 
 from collections import Counter
@@ -60,16 +62,21 @@ def theta_plus(fp: FieldParams, v) -> int:
     return acc
 
 
+def _check_cell(n: int, r: int):
+    # O+(2n,q) needs n >= 1: group_order(0, q) is 0, not the trivial group's 1
+    field.check_int("n", n, 1)
+    field.check_int("cell r", r, 0, n)
+
+
 def _sigma_perm(n: int, r: int) -> tuple:
     """The involution i <-> n+i for i < r, fixing the other indices of 0..2n-1."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     first = tuple(range(n, n + r)) + tuple(range(r, n))
     return first + tuple(range(r)) + tuple(range(n + r, 2 * n))
 
 
 def sigma_plus(n: int, r: int):
     """Coset representative swapping e_i <-> e_(n+i) for i <= r; an involution."""
+    _check_cell(n, r)
     perm = _sigma_perm(n, r)
     return tuple(tuple(1 if k == j else 0 for k in range(2 * n)) for j in perm)
 
@@ -146,22 +153,16 @@ def enumerable(fp: FieldParams, n: int) -> bool:
     return parabolic_order(n, fp.q) ** 2 <= PRODUCT_BUDGET
 
 
-def _check_witt_index(n: int):
-    # O+(2n,q) needs n >= 1: group_order(0, q) is 0, not the trivial group's 1
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-
 def _check_enum_budget(fp: FieldParams, n: int):
     if not enumerable(fp, n):
         raise BudgetError(f"|P+({2*n},{fp.q})|^2 = {parabolic_order(n, fp.q) ** 2} "
                           f"exceeds product budget {PRODUCT_BUDGET}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def parabolic_matrices(fp: FieldParams, n: int) -> tuple:
     """All elements [[A, AB], [0, tA^-1]] of P+(2n,q), as matrices, sorted by key."""
-    _check_witt_index(n)
+    field.check_int("n", n, 1)
     _check_enum_budget(fp, n)
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     alts = tuple(_alternating_matrices(fp, n))
@@ -177,7 +178,7 @@ def parabolic_matrices(fp: FieldParams, n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
     """Packed keys of P+(2n,q), sorted ascending."""
     return tuple(matgf.pack_mat(fp, m) for m in parabolic_matrices(fp, n))
@@ -220,11 +221,10 @@ def _coset_products(fp, left_factors, right):
     return seen
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     """Materialize the double coset P+ s_r P+ by deduplicating products."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    _check_cell(n, r)
     _check_enum_budget(fp, n)
     pplus = parabolic_matrices(fp, n)
     perm = _sigma_perm(n, r)
@@ -235,6 +235,7 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     """Packed keys of {w in P+ : s_r w s_r^-1 in P+} (s_r is an involution)."""
+    _check_cell(n, r)
     perm = _sigma_perm(n, r)
     pplus = parabolic_matrices(fp, n)
     pkeys = frozenset(enumerate_parabolic(fp, n))
@@ -247,7 +248,7 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cell_traces(fp: FieldParams, n: int, r: int) -> tuple:
     """Tr w for the cell elements in canonical (packed-key) order."""
     n2 = 2 * n
@@ -291,7 +292,7 @@ def cell_order(n: int, r: int, q: int) -> int:
 
 def group_counts(n: int, q: int) -> dict:
     """Closed-form order bookkeeping for O+(2n,q), with internal identities checked."""
-    _check_witt_index(n)
+    field.check_int("n", n, 1)
     gl = [combinat.gl_order(t, q) for t in range(n + 1)]
     qbin = [combinat.q_binomial(n, r, q) for r in range(n + 1)]
     p_order = parabolic_order(n, q)
@@ -341,11 +342,8 @@ def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formu
     K_GL(n-r)(psi;1); brute mode sums over the materialized cell's trace
     histogram.
     """
-    field.check_element(fp, c)
-    if c == 0:
-        raise ValueError("character scale c must be nonzero")
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    field.check_unit(fp, c, "c")
+    _check_cell(n, r)
     if mode == "brute":
         lam = field.char_table(fp)
         crow = field.mul_table(fp)[c]
@@ -359,4 +357,5 @@ def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formu
 
 def gauss_sum_oplus(fp: FieldParams, n: int, c: int = 1, mode: str = "formula") -> int:
     """Character sum of psi(Tr w) over all of O+(2n,q)."""
+    field.check_int("n", n, 1)
     return sum(exp_sum_cell(fp, n, r, c, mode) for r in range(n + 1))

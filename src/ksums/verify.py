@@ -236,12 +236,9 @@ def _moment_checks(rep, fps, max_n, h_max):
 
 def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:
     """Run the full matrix up to field degree max_r and Witt index max_n."""
-    if not 1 <= max_r <= field.MAX_DEGREE:
-        raise ValueError(f"max_r out of range 1..{field.MAX_DEGREE}: {max_r}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if h_max < 0:
-        raise ValueError(f"h_max must be >= 0, got {h_max}")
+    field.check_int("max_r", max_r, 1, field.MAX_DEGREE)
+    field.check_int("max_n", max_n, 1)
+    field.check_int("h_max", h_max, 0)
     fps = [field.binary_field(r) for r in range(1, max_r + 1)]
     rep = Report()
     _field_checks(rep, fps)
