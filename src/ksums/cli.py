@@ -44,7 +44,7 @@ def _cmd_field_table(args):
         "modulus_hex": format(fp.modulus, "x"),
         "trace": list(field.trace_table(fp)),
     }
-    rows = [("x_hex", "trace")] + [(format(x, "x"), t)
+    rows = [("x_hex", "trace")] + [(field.element_hex(fp, x), t)
                                    for x, t in enumerate(payload["trace"])]
     _emit(args, payload, rows)
     return 0
@@ -55,8 +55,8 @@ def _cmd_ksum(args):
     a = field.parse_element(fp, args.a)
     c = field.parse_element(fp, args.c)
     value = charsums.kloosterman(fp, a, args.m, c)
-    _emit(args, {"r": fp.r, "a": format(a, "x"), "m": args.m,
-                 "c": format(c, "x"), "value": str(value)})
+    _emit(args, {"r": fp.r, "a": field.element_hex(fp, a), "m": args.m,
+                 "c": field.element_hex(fp, c), "value": str(value)})
     return 0
 
 
@@ -70,8 +70,8 @@ def _cmd_ksum_gl(args):
     else:
         value = charsums.kloosterman_gl(fp, args.t, a, args.method, c)
         values = {args.method: value}
-    _emit(args, {"r": fp.r, "t": args.t, "a": format(a, "x"), "c": format(c, "x"),
-                 "value": str(value),
+    _emit(args, {"r": fp.r, "t": args.t, "a": field.element_hex(fp, a),
+                 "c": field.element_hex(fp, c), "value": str(value),
                  "values": {k: str(v) for k, v in values.items()}})
     return 0
 
@@ -81,7 +81,7 @@ def _cmd_moments_oracle(args):
     c = field.parse_element(fp, args.c)
     table = [{"h": h, "value": str(charsums.moment(fp, args.m, h, c))}
              for h in range(args.h_max + 1)]
-    payload = {"r": fp.r, "m": args.m, "c": format(c, "x"), "moments": table}
+    payload = {"r": fp.r, "m": args.m, "c": field.element_hex(fp, c), "moments": table}
     rows = [("h", "value")] + [(row["h"], row["value"]) for row in table]
     _emit(args, payload, rows)
     return 0
@@ -118,7 +118,8 @@ def _cmd_group_enum(args):
         entry = {
             "cell": r,
             "order": str(len(cell.elements)),
-            "trace_histogram": {format(b, "x"): str(c) for b, c in sorted(hist.items())},
+            "trace_histogram": {field.element_hex(fp, b): str(c)
+                                for b, c in sorted(hist.items())},
         }
         if args.elements:
             entry["elements"] = matgf.keys_hex(fp, 2 * args.n, cell.elements)
@@ -147,7 +148,8 @@ def _cmd_group_counts(args):
 def _cmd_code_weights(args):
     fp = _parse_field(args)
     fam = coset_codes.parse_family(args.family, args.n, fp)
-    table = [{"a": format(a, "x"), "weight": str(coset_codes.dual_weight(fam, a, args.mode))}
+    table = [{"a": field.element_hex(fp, a),
+              "weight": str(coset_codes.dual_weight(fam, a, args.mode))}
              for a in field.units(fp)]
     payload = {"family": fam.label, "n": fam.n, "r": fp.r, "mode": args.mode,
                "source": "enumerable" if coset_codes.enumerable(fam) else "formula-only",

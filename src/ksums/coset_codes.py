@@ -207,6 +207,10 @@ def krawtchouk_sum(weights, length: int, cap: int) -> list:
 
 def walsh_weights(counts) -> Counter:
     """E(u) -> number of u in F_2^b; one Walsh-Hadamard transform gives N - 2 E(u)."""
+    for beta, cnt in counts.items():
+        # a key sizes the Walsh-Hadamard array, so it must be an element of some GF(2^r)
+        field.check_int("trace value", beta, 0, (1 << field.MAX_DEGREE) - 1)
+        field.check_int(f"multiplicity of {beta}", cnt, 0)
     total = sum(counts.values())
     size = 1 << max(counts, default=0).bit_length()
     spectrum = [0] * size
@@ -230,9 +234,7 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     nu_beta * beta zero in F_q. Truncate with j_max for single-coefficient
     queries on astronomically long codes.
     """
-    for beta, cnt in counts.items():
-        field.check_int("trace value", beta, 0)
-        field.check_int(f"multiplicity of {beta}", cnt, 0)
+    weights = walsh_weights(counts)  # checks every key and count first
     total = sum(counts.values())
     if j_max is None:
         if total > FULL_DISTRIBUTION_CAP:
@@ -242,7 +244,7 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
         cap = total
     else:
         cap = min(field.check_int("j_max", j_max, 0), total)
-    return krawtchouk_sum(walsh_weights(counts), total, cap)
+    return krawtchouk_sum(weights, total, cap)
 
 
 @lru_cache(maxsize=None)
@@ -271,12 +273,19 @@ def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
 
 
 def dual_weight_distribution(f: DoubleCosetFamily) -> list:
-    """Codeword-weight histogram of the dual code {c(a)}; needs injectivity."""
-    if dual_kernel(f) != frozenset({0}):
-        raise ValueError(f"{f.label}(n={f.n}, q={f.fp.q}): a -> c(a) is not injective")
+    """Codeword-weight histogram of the dual code {c(a)}.
+
+    a -> c(a) is F_2-linear, so each codeword is c(a) for exactly
+    |dual_kernel| values of a, all of its weight; the dual weight histogram
+    counts it that many times.
+    """
+    kern = len(dual_kernel(f))
     out = [0] * (family_constants(f).size + 1)
     for w, cnt in dual_weight_histogram(f).items():
-        out[w] = cnt
+        out[w], rem = divmod(cnt, kern)
+        if rem:
+            raise ConsistencyError("dual weight count must be a multiple of the kernel size",
+                                   family=f.label, n=f.n, q=f.fp.q, w=w, count=cnt)
     return out
 
 

@@ -142,6 +142,8 @@ def mul(fp: FieldParams, x: int, y: int) -> int:
 def power(fp: FieldParams, x: int, e: int) -> int:
     """x^e by square-and-multiply; negative e allowed for x != 0."""
     check_element(fp, x)
+    if not _is_int(e):
+        raise ValueError(f"e must be an int, got {e!r}")
     if x == 0:
         if e < 0:
             raise ZeroDivisionError("0 has no negative powers")
@@ -231,6 +233,7 @@ def inv_table(fp: FieldParams) -> tuple:
 
 
 def element_hex(fp: FieldParams, x: int) -> str:
+    """Lowercase hex of x, the one serialization of field elements (the CLI's too)."""
     check_element(fp, x)
     return format(x, "x")
 

@@ -7,8 +7,7 @@ packed-int key, and sorting by that key agrees with sorting by the hex string.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows: singular matrices are never
-built, and each element arrives with its inverse. all_matrices and mat_inv
-remain as the independent route the tests compare it with.
+built, and each element arrives with its inverse.
 """
 
 from itertools import product
@@ -52,31 +51,6 @@ def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def mat_inv(fp: FieldParams, m: Mat) -> Mat:
-    """Inverse by Gauss-Jordan elimination; singular input raises."""
-    n = len(m)
-    mt = field.mul_table(fp)
-    invt = field.inv_table(fp)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = invt[aug[col][col]]
-        if pinv != 1:
-            scale = mt[pinv]
-            aug[col] = [scale[v] for v in aug[col]]
-        prow = aug[col]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f:
-                scale = mt[f]
-                aug[i] = [v ^ scale[p] for v, p in zip(aug[i], prow)]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def mat_is_alternating(m: Mat) -> bool:
     """Symmetric with zero diagonal (the characteristic-2 convention)."""
     n = len(m)
@@ -116,14 +90,8 @@ def keys_hex(fp: FieldParams, n: int, keys) -> list:
     return ["".join([digits[(key >> s) & mask] for s in shifts]) for key in keys]
 
 
-def all_matrices(fp: FieldParams, n: int):
-    """Iterate every n x n matrix over the field, row-major lex order."""
-    for flat in product(range(fp.q), repeat=n * n):
-        yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
-
-
 def gl_matrices(fp: FieldParams, n: int):
-    """Yield (m, m_inverse) over all of GL(n, q), in all_matrices' order.
+    """Yield (m, m_inverse) over all of GL(n, q), in row-major lex order of m.
 
     A depth-first search over rows, each level trying the q^n rows in lex
     order. The rows chosen so far carry one Gauss-Jordan state, shared by

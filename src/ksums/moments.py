@@ -57,7 +57,8 @@ class MomentKind(NamedTuple):
         return coset_codes.family_constants(f).cofactor - self.shift(f.fp.q)
 
     def oracle(self, fp, h: int) -> int:
-        return charsums.moment(fp, self.m, self.step * h)
+        # checked before the product: step * True would pass as an int
+        return charsums.moment(fp, self.m, self.step * field.check_int("h", h, 0))
 
     def recursive(self, f: DoubleCosetFamily, h: int) -> int:
         """The cached module-level <name>_recursive, looked up at call time."""

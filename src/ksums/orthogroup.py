@@ -2,7 +2,8 @@
 
 The quadratic form is theta+(x) = x_1 x_(n+1) + ... + x_n x_(2n) on column
 vectors of length 2n. Membership is decided by block conditions on
-[[A,B],[C,D]]: tA C and tB D alternating and tA D + tC B = 1. The maximal
+[[A,B],[C,D]]: tA C and tB D alternating and tA D + tC B = 1 (is_in_oplus),
+whose oracle is the definition itself, preserves_theta_plus. The maximal
 parabolic P+ consists of [[A, AB], [0, tA^-1]] with A in GL(n,q) and B
 alternating, and the group is the disjoint union over r = 0..n of the
 double cosets (Bruhat cells) P+ s_r P+ for involutions s_r swapping the
@@ -25,7 +26,8 @@ which xors p's packed rows where x has a 1 and scales the lanes of a row
 through a mul_table row otherwise. A product with the permutation matrix
 s_r is no product at all: it permutes rows or columns (_sigma_perm). Inputs
 are validated once, where they enter, by field.check_int and field.check_unit
-(n >= 1 and 0 <= r <= n in _check_cell; exp_sum_cell's c); _sigma_perm and
+(n >= 1 and 0 <= r <= n in _check_cell, which the closed forms a_r_order,
+cell_order and cell_sum_coefficient run too; exp_sum_cell's c); _sigma_perm and
 the enumeration loops trust them. Caches keyed by n or r are typed, so True
 or 1.0 is refused rather than served the entry of 1.
 """
@@ -106,20 +108,6 @@ def is_in_oplus(fp: FieldParams, m) -> bool:
     if not matgf.mat_is_alternating(matgf.mat_mul(fp, bt, d)):
         return False
     lhs = matgf.mat_add(matgf.mat_mul(fp, at, d), matgf.mat_mul(fp, ct, b))
-    return lhs == matgf.mat_identity(len(a))
-
-
-def is_in_oplus_alt(fp: FieldParams, m) -> bool:
-    """Membership by the transposed conditions (A tB, C tD, A tD + B tC)."""
-    if len(m) % 2:
-        return False
-    a, b, c, d = _split_blocks(m)
-    bt, dt = matgf.mat_transpose(b), matgf.mat_transpose(d)
-    if not matgf.mat_is_alternating(matgf.mat_mul(fp, a, bt)):
-        return False
-    if not matgf.mat_is_alternating(matgf.mat_mul(fp, c, dt)):
-        return False
-    lhs = matgf.mat_add(matgf.mat_mul(fp, a, dt), matgf.mat_mul(fp, b, matgf.mat_transpose(c)))
     return lhs == matgf.mat_identity(len(a))
 
 
@@ -277,6 +265,7 @@ def group_order(n: int, q: int) -> int:
 
 
 def a_r_order(n: int, r: int, q: int) -> int:
+    _check_cell(n, r)
     # q-exponent C(n,2) + r(2n-3r+1)/2 is an integer and >= 0 for 0 <= r <= n
     # (concave in r, zero at r = n), so this stays in exact ints
     exp2 = 2 * combinat.binom(n, 2) + r * (2 * n - 3 * r + 1)
@@ -286,6 +275,7 @@ def a_r_order(n: int, r: int, q: int) -> int:
 
 
 def cell_order(n: int, r: int, q: int) -> int:
+    _check_cell(n, r)
     return (q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
             * combinat.q_binomial(n, r, q) * q ** combinat.binom(r, 2))
 
@@ -331,6 +321,7 @@ def group_counts(n: int, q: int) -> dict:
 
 def cell_sum_coefficient(n: int, r: int, q: int) -> int:
     """The integer coeff with sum over P+ s_r P+ of psi(Tr w) = coeff * K_GL(n-r)(psi; 1)."""
+    _check_cell(n, r)
     return (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
             * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
 

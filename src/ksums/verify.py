@@ -183,7 +183,7 @@ def _paper_constants(f) -> tuple:
     return scale, cofactor
 
 
-def _code_checks(rep, fps, max_n):
+def _code_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
         fp, q = f.fp, f.fp.q
         params = {"family": f.label, "n": f.n, "q": q}
@@ -217,10 +217,15 @@ def _code_checks(rep, fps, max_n):
             dist = coset_codes.weight_distribution(counts)
             rep.add("codes.distribution_symmetric", params, dist, dist[::-1])
             kern = coset_codes.dual_kernel(f)
-            rep.add("codes.distribution_mass", params,
-                    2 ** (consts.size - fp.r + len(kern).bit_length() - 1), sum(dist))
+            # the code's dimension: N less the dual's, r - log2 |kernel|
+            k = consts.size - fp.r + len(kern).bit_length() - 1
+            rep.add("codes.distribution_mass", params, 2 ** k, sum(dist))
             rep.add("codes.distribution_macwilliams", params, dist,
                     coset_codes.weight_distribution_macwilliams(f))
+            dual = coset_codes.dual_weight_distribution(f)
+            sides = [coset_codes.pless_check(dist, dual, k, h) for h in range(h_max + 1)]
+            rep.add("codes.pless_identity", params,
+                    [s["lhs"] for s in sides], [s["rhs"] for s in sides])
 
 
 def _moment_checks(rep, fps, max_n, h_max):
@@ -244,6 +249,6 @@ def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:
     _field_checks(rep, fps)
     _charsum_checks(rep, fps, h_max)
     _group_checks(rep, fps, max_n)
-    _code_checks(rep, fps, max_n)
+    _code_checks(rep, fps, max_n, h_max)
     _moment_checks(rep, fps, max_n, h_max)
     return rep.as_dict()

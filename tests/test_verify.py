@@ -46,12 +46,12 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "3ac7458193be0567768180b2939ae98abbdb3f116e2857bd96ba111665bb1fad"),
-    (3, 3, 10, "abd352fe9404671fec50c249faba27633953f9a194864dc12ccda1df2f3e4b6e"),
+    (2, 2, 5, "4a4cdbe13962b643348b4178ae56b2db4c446de74abd3c2fa2a847b85910bfef"),
+    (3, 3, 10, "5b449a7623fc56ba5b598e0c0163f19e11393559c45eaf65df6bab026fd393f2"),
 ], ids=["2-2-5", "3-3-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
-    # the last rows added were charsums.values_table_vs_direct, one per r
+    # the last rows added were codes.pless_identity, one per family of length <= 40
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
@@ -64,3 +64,14 @@ def test_values_table_rows():
     rows = [c for c in report["checks"] if c["name"] == "charsums.values_table_vs_direct"]
     assert [c["params"] for c in rows] == [{"r": 1}, {"r": 2}, {"r": 3}]
     assert all(c["pass"] and c["actual"] == "[]" for c in rows)
+
+
+def test_pless_rows():
+    # one row per family of length <= 40, each h = 0..h_max on both sides
+    report = verify.run_checks(max_r=2, max_n=2, h_max=5)
+    rows = [c for c in report["checks"] if c["name"] == "codes.pless_identity"]
+    assert [c["params"] for c in rows] == [
+        {"family": "dc1+", "n": 2, "q": 2}, {"family": "dc1-", "n": 1, "q": 2},
+        {"family": "dc1-", "n": 1, "q": 4}, {"family": "dc2+", "n": 2, "q": 2}]
+    assert all(c["pass"] for c in rows)
+    assert rows[2]["actual"] == "[4, 6, 14, 36, 98, 276]"
