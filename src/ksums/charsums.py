@@ -11,8 +11,14 @@ A table of all of them (`kloosterman_values`, which moments read) is built
 by multiplicative convolution instead, m levels of (q-1)^2 lookups.
 
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
-GL(t,q), at most q^2 entries, counted once per (q, t) from the pairs
-matgf.gl_matrices yields; each (a, c) then costs one pass over it.
+GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
+costs one pass over it. A unit u sends w to u w and the pair to
+(u Tr w, u^-1 Tr w^-1), and scalars act freely on GL(t,q), so the histogram
+counts the pairs matgf.gl_matrices yields with scalar_classes, one matrix of
+each class and |GL(t,q)|/(q-1) in all, and spreads each count over the q-1
+scaled pairs. The closed form's inner sum over weakly decreasing tuples
+j_1 >= ... >= j_(l-1) is taken level by level through suffix sums, O(t^2)
+terms per l instead of one per tuple.
 
 All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
@@ -23,7 +29,7 @@ BudgetError instead of degrading; gl_routes names the GL routes that fit.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from ksums import combinat, field, matgf
 from ksums.errors import BudgetError, ConsistencyError
@@ -31,7 +37,7 @@ from ksums.field import FieldParams
 
 ENUM_BITS = 24
 ENUM_BUDGET = 1 << ENUM_BITS  # max tuples of one direct sum, max lookups of one values table
-GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max tuples for the closed form
+GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max F(t+1) for the closed form
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
 
@@ -114,7 +120,10 @@ def _kloosterman_gl_recursion(fp, t, k1):
 
 
 def _closed_form_tuples(t):
-    """Inner tuples of the GL closed form: sum over l of C(t+1-l, l-1) = F(t+1)."""
+    """Inner tuples of the GL closed form: sum over l of C(t+1-l, l-1) = F(t+1).
+
+    The suffix sums never enumerate them; the count only caps t (t <= 29).
+    """
     prev, cur = 0, 1  # F(0), F(1)
     for _ in range(t):
         prev, cur = cur, prev + cur
@@ -123,25 +132,27 @@ def _closed_form_tuples(t):
 
 def _kloosterman_gl_closed_form(fp, t, k1):
     # sum over l of q^l K^(t+2-2l) times a sum over weakly decreasing integer
-    # tuples j_1 >= ... >= j_(l-1) with 2l-1 <= j_(l-1) and j_1 <= t+1; the
-    # inner sum is 1 when l = 1
+    # tuples j_1 >= ... >= j_(l-1) with 2l-1 <= j_(l-1) and j_1 <= t+1 of
+    # prod (q^(j_nu - 2 nu) - 1); the inner sum is 1 when l = 1
     tuples = _closed_form_tuples(t)
     if tuples > GL_BRUTE_BUDGET:
-        raise BudgetError(f"GL({t}) closed form sums F(t+1) = {tuples} tuples, "
-                          f"over budget {GL_BRUTE_BUDGET}")
+        raise BudgetError(f"GL({t}) closed form: F(t+1) = {tuples} is over "
+                          f"budget {GL_BRUTE_BUDGET}")
     if t == 0:
         return 1
     q = fp.q
     total = 0
     for l in range(1, (t + 2) // 2 + 1):
-        inner = 0
-        for asc in combinations_with_replacement(range(2 * l - 1, t + 2), l - 1):
-            js = asc[::-1]
-            term = 1
-            for nu, j in enumerate(js, start=1):
-                term *= q ** (j - 2 * nu) - 1
-            inner += term
-        total += q ** l * k1 ** (t + 2 - 2 * l) * inner
+        # level[i] after step nu sums the products over j_1 >= ... >= j_nu = lo + i;
+        # level 0 is the empty tuple, set at the top so every j_1 sees it
+        lo = 2 * l - 1
+        level = [0] * (t + 1 - lo) + [1]
+        for nu in range(1, l):
+            suffix = 0  # sum over j' >= j of the previous level
+            for i in range(t + 1 - lo, -1, -1):
+                suffix += level[i]
+                level[i] = (q ** (lo + i - 2 * nu) - 1) * suffix
+        total += q ** l * k1 ** (t + 2 - 2 * l) * sum(level)
     value = Fraction(q) ** ((t - 2) * (t + 1) // 2) * total
     if value.denominator != 1:
         raise ConsistencyError("GL closed form must be an integer", t=t, q=q, k1=k1, value=value)
@@ -150,9 +161,19 @@ def _kloosterman_gl_closed_form(fp, t, k1):
 
 @lru_cache(maxsize=None)
 def _gl_trace_histogram(fp, t):
-    """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries; every a and c reads it."""
-    return tuple(Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
-                         for m, minv in matgf.gl_matrices(fp, t)).items())
+    """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries; every a and c reads it.
+
+    One matrix per scalar class is enumerated; u w for the q-1 units u
+    carries (Tr w, Tr w^-1) to (u Tr w, u^-1 Tr w^-1).
+    """
+    classes = Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
+                      for m, minv in matgf.gl_matrices(fp, t, scalar_classes=True))
+    mt, invt = field.mul_table(fp), field.inv_table(fp)
+    hist = Counter()
+    for (tr, trinv), count in classes.items():
+        for u in field.units(fp):
+            hist[mt[u][tr], mt[invt[u]][trinv]] += count
+    return tuple(hist.items())
 
 
 def _kloosterman_gl_brute(fp, t, a, c):

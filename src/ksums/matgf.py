@@ -7,7 +7,9 @@ packed-int key, and sorting by that key agrees with sorting by the hex string.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows: singular matrices are never
-built, and each element arrives with its inverse.
+built, and each element arrives with its inverse. With scalar_classes the
+same search yields one matrix of each class {u m : u != 0}, |GL(n,q)|/(q-1)
+of them.
 """
 
 from itertools import product
@@ -90,7 +92,7 @@ def keys_hex(fp: FieldParams, n: int, keys) -> list:
     return ["".join([digits[(key >> s) & mask] for s in shifts]) for key in keys]
 
 
-def gl_matrices(fp: FieldParams, n: int):
+def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
     """Yield (m, m_inverse) over all of GL(n, q), in row-major lex order of m.
 
     A depth-first search over rows, each level trying the q^n rows in lex
@@ -101,6 +103,10 @@ def gl_matrices(fp: FieldParams, n: int):
     a zero residual means it lies in the span of the earlier rows, so it is
     skipped and no singular matrix is ever built. Once all n rows are
     chosen every e_i is the unit vector at p_i, so row p_i of m^-1 is t_i.
+
+    With scalar_classes, the first level tries only rows whose first nonzero
+    entry is 1. Scalars act freely on GL(n,q) and scale the first row's lead,
+    so exactly one m of each class {u m : u != 0} is yielded.
     """
     if n == 0:
         yield (), ()
@@ -109,10 +115,11 @@ def gl_matrices(fp: FieldParams, n: int):
     invt = field.inv_table(fp)
     rows = list(product(range(fp.q), repeat=n))
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    first = [v for v in rows if next(filter(None, v), 0) == 1] if scalar_classes else rows
 
     def extend(chosen, echelon, transform, pivots):
         k = len(chosen)
-        for v in rows:
+        for v in rows if k else first:
             res, tr = v, units[k]
             for p, e, t in zip(pivots, echelon, transform):
                 f = v[p]  # the other e_j vanish at p, so v's own entry is the coefficient

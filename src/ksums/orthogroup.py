@@ -28,8 +28,9 @@ s_r is no product at all: it permutes rows or columns (_sigma_perm). Inputs
 are validated once, where they enter, by field.check_int and field.check_unit
 (n >= 1 and 0 <= r <= n in _check_cell, which the closed forms a_r_order,
 cell_order and cell_sum_coefficient run too; exp_sum_cell's c); _sigma_perm and
-the enumeration loops trust them. Caches keyed by n or r are typed, so True
-or 1.0 is refused rather than served the entry of 1.
+the enumeration loops trust them. The closed forms take q bare, so _check_q
+refuses any q that is not an int power of two >= 2. Caches keyed by n or r
+are typed, so True or 1.0 is refused rather than served the entry of 1.
 """
 
 from collections import Counter
@@ -68,6 +69,13 @@ def _check_cell(n: int, r: int):
     # O+(2n,q) needs n >= 1: group_order(0, q) is 0, not the trivial group's 1
     field.check_int("n", n, 1)
     field.check_int("cell r", r, 0, n)
+
+
+def _check_q(q: int):
+    # the closed forms count over GF(q), q = 2^r; True or 1.5 must not pass
+    field.check_int("q", q, 2)
+    if q & (q - 1):
+        raise ValueError(f"q must be a power of two, got {q}")
 
 
 def _sigma_perm(n: int, r: int) -> tuple:
@@ -123,6 +131,7 @@ def preserves_theta_plus(fp: FieldParams, m, vectors=None) -> bool:
 
 
 def parabolic_order(n: int, q: int) -> int:
+    _check_q(q)
     return q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
 
 
@@ -258,6 +267,7 @@ def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> dict:
 
 def group_order(n: int, q: int) -> int:
     """|O+(2n,q)| = 2 q^(n^2-n) (q^n - 1) prod_(j<n) (q^2j - 1)."""
+    _check_q(q)
     out = 2 * q ** (n * n - n) * (q ** n - 1)
     for j in range(1, n):
         out *= q ** (2 * j) - 1
@@ -266,6 +276,7 @@ def group_order(n: int, q: int) -> int:
 
 def a_r_order(n: int, r: int, q: int) -> int:
     _check_cell(n, r)
+    _check_q(q)
     # q-exponent C(n,2) + r(2n-3r+1)/2 is an integer and >= 0 for 0 <= r <= n
     # (concave in r, zero at r = n), so this stays in exact ints
     exp2 = 2 * combinat.binom(n, 2) + r * (2 * n - 3 * r + 1)
@@ -276,6 +287,7 @@ def a_r_order(n: int, r: int, q: int) -> int:
 
 def cell_order(n: int, r: int, q: int) -> int:
     _check_cell(n, r)
+    _check_q(q)
     return (q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
             * combinat.q_binomial(n, r, q) * q ** combinat.binom(r, 2))
 
@@ -283,6 +295,7 @@ def cell_order(n: int, r: int, q: int) -> int:
 def group_counts(n: int, q: int) -> dict:
     """Closed-form order bookkeeping for O+(2n,q), with internal identities checked."""
     field.check_int("n", n, 1)
+    _check_q(q)
     gl = [combinat.gl_order(t, q) for t in range(n + 1)]
     qbin = [combinat.q_binomial(n, r, q) for r in range(n + 1)]
     p_order = parabolic_order(n, q)
@@ -322,6 +335,7 @@ def group_counts(n: int, q: int) -> dict:
 def cell_sum_coefficient(n: int, r: int, q: int) -> int:
     """The integer coeff with sum over P+ s_r P+ of psi(Tr w) = coeff * K_GL(n-r)(psi; 1)."""
     _check_cell(n, r)
+    _check_q(q)
     return (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
             * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
 

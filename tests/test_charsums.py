@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from ksums import charsums, combinat, field, verify
+from ksums import charsums, combinat, field, matgf, verify
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 
@@ -159,6 +161,24 @@ def test_gl_brute_histogram_matches_recursion():
             for a in field.units(fp):
                 assert (charsums.kloosterman_gl(fp, t, a, "brute_force", c)
                         == charsums.kloosterman_gl(fp, t, a, "recursion", c)), (fp.q, t, a, c)
+
+
+def test_gl_histogram_over_scalar_classes_matches_full_enumeration():
+    # spreading the class counts over (u Tr w, u^-1 Tr w^-1) gives the counts
+    # over every matrix of GL(t,q)
+    for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2)]:
+        full = Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
+                       for m, minv in matgf.gl_matrices(fp, t))
+        assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, t)
+
+
+def test_gl_closed_form_matches_recursion_at_the_cap():
+    # t = 29 is the largest t with F(t+1) <= GL_BRUTE_BUDGET
+    assert charsums.gl_routes(29, 4) == ("recursion", "closed_form")
+    for fp in (GF2, GF4):
+        for a in field.units(fp):
+            assert (charsums.kloosterman_gl(fp, 29, a, "closed_form")
+                    == charsums.kloosterman_gl(fp, 29, a, "recursion")), (fp.q, a)
 
 
 def test_gl_routes_and_closed_form_budget():

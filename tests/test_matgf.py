@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from ksums import combinat, matgf
+from ksums import combinat, field, matgf
 from ksums.field import binary_field
 
 GF2 = binary_field(1)
@@ -46,6 +46,23 @@ def test_inverse_round_trip_full_gl():
         mats = [m for m, _ in pairs]
         assert all(a < b for a, b in zip(mats, mats[1:])), (fp.q, n)
         assert len(pairs) == combinat.gl_order(n, fp.q), (fp.q, n)
+
+
+def test_scalar_classes_cover_gl_once():
+    # one matrix per class {u m : u != 0}: its first row leads with 1, and the
+    # q-1 multiples of the representatives are all of GL(2,q), each once
+    for fp in (GF4, GF8):
+        mt = field.mul_table(fp)
+        reps = list(matgf.gl_matrices(fp, 2, scalar_classes=True))
+        assert len(reps) == combinat.gl_order(2, fp.q) // (fp.q - 1)
+        assert all(next(filter(None, m[0])) == 1 for m, _ in reps)
+        for m, minv in reps:
+            assert matgf.mat_mul(fp, m, minv) == matgf.mat_identity(2)
+        multiples = [tuple(tuple(mt[u][x] for x in row) for row in m)
+                     for m, _ in reps for u in field.units(fp)]
+        full = [m for m, _ in matgf.gl_matrices(fp, 2)]
+        assert len(multiples) == len(set(multiples)) == len(full)
+        assert set(multiples) == set(full)
 
 
 def test_gl_matrices_count_gl42():

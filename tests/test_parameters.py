@@ -17,6 +17,7 @@ DC1 = cc.parse_family("dc1-", 1, GF8)
 DC2 = cc.parse_family("dc2+", 2, GF2)
 
 NOT_INTS = (True, 1.0, 2.0)
+Q_OUTSIDE = (1.5, -2, 0, 1, 3, 6, 12)  # the closed forms' q is an int power of two >= 2
 
 # id -> (call of the parameter, a valid value, values outside the bound)
 CASES = {
@@ -44,16 +45,22 @@ CASES = {
     "sigma_plus-r": (lambda v: og.sigma_plus(1, v), 1, (-1, 2)),
     "parabolic_matrices-n": (lambda v: og.parabolic_matrices(GF2, v), 1, (0,)),
     "group_counts-n": (lambda v: og.group_counts(v, 8), 1, (0,)),
+    "group_counts-q": (lambda v: og.group_counts(1, v), 2, Q_OUTSIDE),
+    "group_order-q": (lambda v: og.group_order(1, v), 2, Q_OUTSIDE),
+    "parabolic_order-q": (lambda v: og.parabolic_order(1, v), 2, Q_OUTSIDE),
     "exp_sum_cell-n": (lambda v: og.exp_sum_cell(GF2, v, 0), 1, (0,)),
     "exp_sum_cell-r": (lambda v: og.exp_sum_cell(GF2, 1, v), 1, (-1, 2)),
     "exp_sum_cell-c": (lambda v: og.exp_sum_cell(GF8, 1, 0, v), 1, (0,)),
     "gauss_sum_oplus-n": (lambda v: og.gauss_sum_oplus(GF2, v), 1, (0,)),
     "cell_sum_coefficient-n": (lambda v: og.cell_sum_coefficient(v, 0, 2), 1, (0,)),
     "cell_sum_coefficient-r": (lambda v: og.cell_sum_coefficient(1, v, 2), 1, (-1, 2, 3)),
-    "cell_order-n": (lambda v: og.cell_order(v, 0, 5), 1, (0,)),
-    "cell_order-r": (lambda v: og.cell_order(1, v, 5), 1, (-1, 2, 5)),
-    "a_r_order-n": (lambda v: og.a_r_order(v, 0, 5), 1, (0,)),
-    "a_r_order-r": (lambda v: og.a_r_order(1, v, 5), 1, (-1, 2, 5)),
+    "cell_sum_coefficient-q": (lambda v: og.cell_sum_coefficient(1, 0, v), 2, Q_OUTSIDE),
+    "cell_order-n": (lambda v: og.cell_order(v, 0, 4), 1, (0,)),
+    "cell_order-r": (lambda v: og.cell_order(1, v, 4), 1, (-1, 2, 5)),
+    "cell_order-q": (lambda v: og.cell_order(1, 0, v), 2, Q_OUTSIDE),
+    "a_r_order-n": (lambda v: og.a_r_order(v, 0, 4), 1, (0,)),
+    "a_r_order-r": (lambda v: og.a_r_order(1, v, 4), 1, (-1, 2, 5)),
+    "a_r_order-q": (lambda v: og.a_r_order(1, 0, v), 2, Q_OUTSIDE),
     "parse_family-n": (lambda v: cc.parse_family("dc1-", v, GF8), 1, (0, -1)),
     "dual_weight-a": (lambda v: cc.dual_weight(DC1, v), 1, (0,)),
     "weight_distribution-j_max": (lambda v: cc.weight_distribution({1: 1}, v), 1, (-1,)),
@@ -103,6 +110,8 @@ def test_messages_name_the_parameter():
         og.bruhat_cell(GF2, 1, 2)
     with pytest.raises(ValueError, match="^needs c != 0$"):
         og.exp_sum_cell(GF2, 1, 0, 0)
+    with pytest.raises(ValueError, match="^q must be a power of two, got 6$"):
+        og.group_counts(1, 6)
 
 
 def test_cached_mappings_are_read_only():
