@@ -85,11 +85,22 @@ def unpack_mat(fp: FieldParams, n: int, key: int) -> Mat:
 
 
 def keys_hex(fp: FieldParams, n: int, keys) -> list:
-    """Canonical hex of each packed n x n key, entries read through a q-entry digit table."""
-    r, mask = fp.r, fp.q - 1
+    """Canonical hex of each packed n x n key, c = max(1, 12 // r) entries at a time.
+
+    A q^c-entry table (at most 4096) holds the hex of every run of c entries;
+    the top run is padded with zero entries, whose digits are stripped.
+    """
+    r = fp.r
+    c = max(1, 12 // r)
     digits = [format(e, f"0{(r + 3) // 4}x") for e in range(fp.q)]
-    shifts = range(r * (n * n - 1), -1, -r)
-    return ["".join([digits[(key >> s) & mask] for s in shifts]) for key in keys]
+    table = digits
+    for _ in range(c - 1):
+        table = [a + b for a in table for b in digits]
+    runs = -(-n * n // c)
+    pad = (runs * c - n * n) * len(digits[0])
+    mask = (1 << r * c) - 1
+    shifts = range(r * c * (runs - 1), -1, -r * c)
+    return ["".join([table[(key >> s) & mask] for s in shifts])[pad:] for key in keys]
 
 
 def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):

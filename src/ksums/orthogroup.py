@@ -20,22 +20,31 @@ Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
-Every product is read from field.mul_table: matrices multiply through
-matgf.mat_mul, and cells through one packed-row kernel, _coset_products,
-which xors p's packed rows where x has a 1 and scales the lanes of a row
-through a mul_table row otherwise. A product with the permutation matrix
-s_r is no product at all: it permutes rows or columns (_sigma_perm). Inputs
-are validated once, where they enter, by field.check_int and field.check_unit
-(n >= 1 and 0 <= r <= n in _check_cell, which the closed forms a_r_order,
-cell_order and cell_sum_coefficient run too; exp_sum_cell's c); _sigma_perm and
-the enumeration loops trust them. The closed forms take q bare, so _check_q
-refuses any q that is not an int power of two >= 2. Caches keyed by n or r
-are typed, so True or 1.0 is refused rather than served the entry of 1.
+Every product is read from field.mul_table. Matrices, P+ among them,
+multiply through matgf.mat_mul; cells are built on keys alone. Row i of x p
+xors the rows k of p scaled by x_ik, so _coset_products keeps, per pair
+(k, s), the list S_(k,s) of the packed rows k of P+ scaled by s, and reads
+the keys of a whole coset x P+ as the xor of each S_(k,s) times a
+multiplier that copies a row into the row slots where x has s: one chain of
+C-level maps per coset.
+A product with the permutation matrix s_r is no product at all: on a key it
+swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
+Bit b of Tr w is the parity of bit b over the diagonal lanes, one
+int.bit_count per key and bit (cell_traces).
+
+Inputs are validated once, where they enter, by field.check_int and
+field.check_unit (n >= 1 and 0 <= r <= n in _check_cell, which the closed
+forms a_r_order, cell_order and cell_sum_coefficient run too; exp_sum_cell's
+c); _sigma_perm, _swap_lanes and the enumeration loops trust them. The
+closed forms take q bare, so _check_q refuses any q that is not an int power
+of two >= 2. Caches keyed by n or r are typed, so True or 1.0 is refused
+rather than served the entry of 1.
 """
 
 from collections import Counter
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial, reduce
+from itertools import product, repeat
+from operator import and_, lshift, mul, or_, xor
 from typing import NamedTuple
 
 from ksums import charsums, combinat, field, matgf
@@ -131,6 +140,7 @@ def preserves_theta_plus(fp: FieldParams, m, vectors=None) -> bool:
 
 
 def parabolic_order(n: int, q: int) -> int:
+    field.check_int("n", n, 1)
     _check_q(q)
     return q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
 
@@ -181,41 +191,72 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
     return tuple(matgf.pack_mat(fp, m) for m in parabolic_matrices(fp, n))
 
 
-# -- packed-row multiplication kernel ---------------------------------------
+# -- packed-key kernels ------------------------------------------------------
 
-def _coset_products(fp, left_factors, right):
-    """Deduplicated packed keys of {x p : x in left_factors, p in right}.
+@lru_cache(maxsize=None, typed=True)
+def _scaled_rows(fp: FieldParams, n: int, k: int, s: int) -> list:
+    """S_(k,s): packed row k of each P+ element in key order, each lane times s.
 
-    Row i of x p is the sum over k of x_ik times row k of p: p's packed row
-    itself when x_ik = 1, else that row scaled lane by lane through
-    mul_table row x_ik.
+    Cached because the n+1 cells of one (q, n) read the same lists.
     """
-    mt = field.mul_table(fp)
-    r = fp.r
-    rowbits = r * len(right[0])
-    right_rows = [(p, tuple(matgf.pack_mat(fp, (row,)) for row in p)) for p in right]
+    r, nn = fp.r, 2 * n
+    rowbits = r * nn
+    shift, rowmask = rowbits * (nn - 1 - k), (1 << rowbits) - 1
+    rows = [(key >> shift) & rowmask for key in enumerate_parabolic(fp, n)]
+    if s == 1:
+        return rows
+    scale, mask = field.mul_table(fp)[s], fp.q - 1
+    scaled = {}
+    for v in set(rows):
+        acc = 0
+        for sh in range(rowbits - r, -1, -r):
+            acc = (acc << r) | scale[(v >> sh) & mask]
+        scaled[v] = acc
+    return list(map(scaled.__getitem__, rows))
+
+
+def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
+    """Deduplicated keys of {x p : x in left_keys, p in P+(2n,q)}.
+
+    Row i of x p is the sum over k of x_ik times row k of p, so the key of
+    x p is the xor over the pairs (k, s) occurring in x of S_(k,s)[p] * M,
+    where M has a 1 at the low bit of each row slot i with x_ik = s: the
+    product copies the packed row into those slots, rowbits apart, so no
+    carries occur. Each new coset x P+ is one chain of C-level maps.
+    """
+    r, nn = fp.r, 2 * n
+    rowbits, mask = r * nn, fp.q - 1
     seen = set()
-    add = seen.add
-    for x in left_factors:
-        if matgf.pack_mat(fp, x) in seen:
+    for x in left_keys:
+        if x in seen:  # x = x' p' with x' already expanded, so x P+ = x' P+
             continue
-        recipe = [tuple((k, None if s == 1 else mt[s]) for k, s in enumerate(row) if s)
-                  for row in x]
-        for p, prows in right_rows:
-            key = 0
-            for terms in recipe:
-                acc = 0
-                for k, scale in terms:
-                    if scale is None:
-                        acc ^= prows[k]
-                    else:
-                        lanes = 0
-                        for e in p[k]:
-                            lanes = (lanes << r) | scale[e]
-                        acc ^= lanes
-                key = (key << rowbits) | acc
-            add(key)
+        mults = {}
+        for i in range(nn):
+            slot = 1 << rowbits * (nn - 1 - i)
+            for k in range(nn):
+                s = (x >> r * (nn * nn - 1 - i * nn - k)) & mask
+                if s:
+                    mults[k, s] = mults.get((k, s), 0) | slot
+        terms = [map(mul, _scaled_rows(fp, n, k, s), repeat(m)) for (k, s), m in mults.items()]
+        seen.update(reduce(partial(map, xor), terms))
     return seen
+
+
+def _swap_lanes(fp: FieldParams, n: int, r: int, keys, rows: bool) -> list:
+    """s_r K (rows) or K s_r (columns) of each key: s_r swaps lanes i and n+i, i < r.
+
+    A lane is a row or an entry; hi selects lanes i < r, d bits above n+i.
+    """
+    nn = 2 * n
+    rowbits = fp.r * nn
+    w = rowbits if rows else fp.r
+    hi = sum(((1 << w) - 1) << w * (nn - 1 - i) for i in range(r))
+    if not rows:
+        hi *= sum(1 << rowbits * i for i in range(nn))  # the same lanes in every row
+    d = w * n
+    lo = hi >> d
+    keep = ~(hi | lo)
+    return [(k & keep) | ((k & hi) >> d) | ((k & lo) << d) for k in keys]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -223,40 +264,34 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     """Materialize the double coset P+ s_r P+ by deduplicating products."""
     _check_cell(n, r)
     _check_enum_budget(fp, n)
-    pplus = parabolic_matrices(fp, n)
-    perm = _sigma_perm(n, r)
-    left = [_permute_cols(p, perm) for p in pplus]
-    keys = _coset_products(fp, left, pplus)
+    left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
+    keys = _coset_products(fp, n, left)
     return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
 
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     """Packed keys of {w in P+ : s_r w s_r^-1 in P+} (s_r is an involution)."""
     _check_cell(n, r)
-    perm = _sigma_perm(n, r)
-    pplus = parabolic_matrices(fp, n)
-    pkeys = frozenset(enumerate_parabolic(fp, n))
-    out = []
-    for m in pplus:
-        # s_r m s_r permutes both the rows and the columns of m by perm
-        conj = _permute_cols([m[i] for i in perm], perm)
-        if matgf.pack_mat(fp, conj) in pkeys:
-            out.append(matgf.pack_mat(fp, m))
-    return tuple(sorted(out))
+    pkeys = enumerate_parabolic(fp, n)
+    conj = _swap_lanes(fp, n, r, _swap_lanes(fp, n, r, pkeys, rows=False), rows=True)
+    members = frozenset(pkeys)
+    return tuple(k for k, c in zip(pkeys, conj) if c in members)
 
 
 @lru_cache(maxsize=None, typed=True)
 def cell_traces(fp: FieldParams, n: int, r: int) -> tuple:
-    """Tr w for the cell elements in canonical (packed-key) order."""
-    n2 = 2 * n
-    mask = fp.q - 1
-    shifts = [fp.r * (n2 * n2 - 1 - i * (n2 + 1)) for i in range(n2)]
-    out = []
-    for key in bruhat_cell(fp, n, r).elements:
-        tr = 0
-        for sh in shifts:
-            tr ^= (key >> sh) & mask
-        out.append(tr)
+    """Tr w for the cell elements in canonical (packed-key) order.
+
+    Bit b of Tr w is the parity of bit b over the 2n diagonal lanes.
+    """
+    nn = 2 * n
+    keys = bruhat_cell(fp, n, r).elements
+    diag = sum(1 << fp.r * (nn * nn - 1 - i * (nn + 1)) for i in range(nn))
+    out = repeat(0, len(keys))
+    for b in range(fp.r):
+        bit = map(and_, map(lshift, map(int.bit_count, map(and_, keys, repeat(diag << b))),
+                            repeat(b)), repeat(1 << b))
+        out = map(or_, out, bit)
     return tuple(out)
 
 
@@ -267,6 +302,7 @@ def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> dict:
 
 def group_order(n: int, q: int) -> int:
     """|O+(2n,q)| = 2 q^(n^2-n) (q^n - 1) prod_(j<n) (q^2j - 1)."""
+    field.check_int("n", n, 1)
     _check_q(q)
     out = 2 * q ** (n * n - n) * (q ** n - 1)
     for j in range(1, n):

@@ -99,7 +99,7 @@ def test_keys_hex_matches_entrywise_format(r):
     fp = binary_field(r)
     width = (r + 3) // 4
     rng = random.Random(r)
-    for n in (1, 2, 4):
+    for n in (1, 2, 3, 4, 6):
         keys = [0, (1 << (r * n * n)) - 1] + [rng.getrandbits(r * n * n) for _ in range(50)]
         expected = ["".join(format(e, f"0{width}x") for row in matgf.unpack_mat(fp, n, k)
                             for e in row) for k in keys]

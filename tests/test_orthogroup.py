@@ -135,7 +135,36 @@ def test_coset_products_kernel_matches_mat_mul():
         left = [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
                 for _ in range(count)]
         expect = {matgf.pack_mat(fp, matgf.mat_mul(fp, x, p)) for x in left for p in pplus}
-        assert og._coset_products(fp, left, pplus) == expect
+        left_keys = [matgf.pack_mat(fp, x) for x in left]
+        assert og._coset_products(fp, n, left_keys) == expect
+
+
+def test_lane_swaps_match_permuted_matrices():
+    # K s_r, s_r K and s_r K s_r on keys against permuting the matrix, then pack_mat
+    gf128_alt = binary_field(7, ALT_MODULI[7])
+    for fp, n in [(GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1), (GF4, 2), (gf128_alt, 1)]:
+        pplus = og.parabolic_matrices(fp, n)
+        keys = og.enumerate_parabolic(fp, n)
+        for r in range(n + 1):
+            perm = og._sigma_perm(n, r)
+            cols = og._swap_lanes(fp, n, r, keys, rows=False)
+            rows = og._swap_lanes(fp, n, r, keys, rows=True)
+            both = og._swap_lanes(fp, n, r, cols, rows=True)
+            assert cols == [matgf.pack_mat(fp, og._permute_cols(m, perm)) for m in pplus]
+            assert rows == [matgf.pack_mat(fp, [m[i] for i in perm]) for m in pplus]
+            assert both == [matgf.pack_mat(fp, og._permute_cols([m[i] for i in perm], perm))
+                            for m in pplus]
+
+
+def test_cell_traces_match_mat_trace():
+    # bit parity over the diagonal lanes against the trace of the unpacked matrix
+    cases = [(binary_field(r), 1, 1) for r in range(1, 9)] + [(GF4, 2, 1), (GF2, 3, 97)]
+    for fp, n, stride in cases:
+        for r in range(n + 1):
+            keys = og.bruhat_cell(fp, n, r).elements
+            traces = og.cell_traces(fp, n, r)
+            assert traces[::stride] == tuple(
+                matgf.mat_trace(matgf.unpack_mat(fp, 2 * n, k)) for k in keys[::stride])
 
 
 def test_a_r_subgroup():

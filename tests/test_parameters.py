@@ -46,7 +46,9 @@ CASES = {
     "parabolic_matrices-n": (lambda v: og.parabolic_matrices(GF2, v), 1, (0,)),
     "group_counts-n": (lambda v: og.group_counts(v, 8), 1, (0,)),
     "group_counts-q": (lambda v: og.group_counts(1, v), 2, Q_OUTSIDE),
+    "group_order-n": (lambda v: og.group_order(v, 4), 1, (0, -1, 1.5)),
     "group_order-q": (lambda v: og.group_order(1, v), 2, Q_OUTSIDE),
+    "parabolic_order-n": (lambda v: og.parabolic_order(v, 4), 1, (0, -1, 1.5)),
     "parabolic_order-q": (lambda v: og.parabolic_order(1, v), 2, Q_OUTSIDE),
     "exp_sum_cell-n": (lambda v: og.exp_sum_cell(GF2, v, 0), 1, (0,)),
     "exp_sum_cell-r": (lambda v: og.exp_sum_cell(GF2, 1, v), 1, (-1, 2)),
