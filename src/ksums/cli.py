@@ -32,7 +32,12 @@ def _emit(args, payload, rows=None):
 
 
 def _parse_field(args):
-    modulus = int(args.modulus, 16) if getattr(args, "modulus", None) else None
+    text, modulus = getattr(args, "modulus", None), None
+    if text is not None:  # "" is a bad modulus, not the default one
+        try:
+            modulus = int(text, 16)
+        except ValueError:
+            raise ValueError(f"not a hex modulus: {text!r}") from None
     return field.binary_field(args.r, modulus)
 
 
@@ -297,6 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    lift = getattr(sys, "set_int_max_str_digits", None)  # absent before Python 3.10.7
+    if lift is not None:
+        lift(0)  # exact results are printed in full, however many digits they have
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "ksum" and args.subcommand is None:

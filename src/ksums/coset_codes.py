@@ -41,7 +41,7 @@ from ksums.combinat import binom, stirling2
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
-FULL_DISTRIBUTION_CAP = 10 ** 4  # single-coefficient queries stay available above
+FULL_DISTRIBUTION_CAP = 10 ** 4  # cap on min(j_max, length), the coefficients computed
 
 FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")
 
@@ -232,18 +232,15 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     Entry j counts binary vectors that pick nu_beta ones among the count(beta)
     positions of each beta with sum of nu_beta equal to j and sum of
     nu_beta * beta zero in F_q. Truncate with j_max for single-coefficient
-    queries on astronomically long codes.
+    queries on astronomically long codes; either way at most
+    FULL_DISTRIBUTION_CAP coefficients past the first are computed.
     """
     weights = walsh_weights(counts)  # checks every key and count first
     total = sum(counts.values())
-    if j_max is None:
-        if total > FULL_DISTRIBUTION_CAP:
-            raise BudgetError(
-                f"full distribution of length {total} exceeds cap {FULL_DISTRIBUTION_CAP}; "
-                "query single coefficients via j_max")
-        cap = total
-    else:
-        cap = min(field.check_int("j_max", j_max, 0), total)
+    cap = total if j_max is None else min(field.check_int("j_max", j_max, 0), total)
+    if cap > FULL_DISTRIBUTION_CAP:
+        raise BudgetError(f"coefficients up to j = {cap} of a length-{total} code exceed cap "
+                          f"{FULL_DISTRIBUTION_CAP}; query a smaller j_max")
     return krawtchouk_sum(weights, total, cap)
 
 

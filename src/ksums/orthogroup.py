@@ -9,23 +9,25 @@ alternating, and the group is the disjoint union over r = 0..n of the
 double cosets (Bruhat cells) P+ s_r P+ for involutions s_r swapping the
 first r hyperbolic coordinate pairs.
 
-Cells are materialized by deduplicating the |P+|^2 products p1 s_r p2, so
-their sizes stay an enumeration-side oracle for the closed-form order
-bookkeeping in group_counts (which is never consulted while enumerating).
-Dedup exploits only that P+ is multiplicatively closed: the accumulated set
-is always a union of complete left cosets x P+, so a product already seen
-lets the whole inner loop be skipped without changing the result set.
+P+ and the cells come from one kernel on keys, _coset_products, which
+lists the deduplicated products of left factors with a group G. P+ = L U
+is the Levi factors [[A, 0], [0, tA^-1]] times the group U of
+[[1, B], [0, 1]], B alternating; a cell is the |P+|^2 products p1 s_r p2,
+left factors p1 s_r times G = P+, so its size stays an enumeration-side
+oracle for the closed-form order bookkeeping in group_counts (which is
+never consulted while enumerating). Dedup exploits only that G is
+multiplicatively closed: the accumulated set is always a union of complete
+left cosets x G, so a product already seen lets the whole inner loop be
+skipped without changing the result set.
 
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
-Every product is read from field.mul_table. Matrices, P+ among them,
-multiply through matgf.mat_mul; cells are built on keys alone. Row i of x p
-xors the rows k of p scaled by x_ik, so _coset_products keeps, per pair
-(k, s), the list S_(k,s) of the packed rows k of P+ scaled by s, and reads
-the keys of a whole coset x P+ as the xor of each S_(k,s) times a
-multiplier that copies a row into the row slots where x has s: one chain of
+Every product is read from field.mul_table. Only the elements of L and U
+are packed from matrices; matgf.mat_mul serves the membership oracles
+alone. The keys of a whole coset x G are an xor of G's packed rows, scaled
+and copied into row slots by one integer multiplication: one chain of
 C-level maps per coset.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
@@ -167,68 +169,58 @@ def _check_enum_budget(fp: FieldParams, n: int):
 
 
 @lru_cache(maxsize=None, typed=True)
-def parabolic_matrices(fp: FieldParams, n: int) -> tuple:
-    """All elements [[A, AB], [0, tA^-1]] of P+(2n,q), as matrices, sorted by key."""
-    field.check_int("n", n, 1)
-    _check_enum_budget(fp, n)
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    alts = tuple(_alternating_matrices(fp, n))
-    out = []
-    for a, ainv in matgf.gl_matrices(fp, n):
-        lower = matgf.mat_transpose(ainv)
-        for b in alts:
-            ab = matgf.mat_mul(fp, a, b)
-            m = tuple(ra + rb for ra, rb in zip(a, ab)) + tuple(
-                rz + rl for rz, rl in zip(zero, lower))
-            out.append(m)
-    out.sort(key=lambda m: matgf.pack_mat(fp, m))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None, typed=True)
 def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
-    """Packed keys of P+(2n,q), sorted ascending."""
-    return tuple(matgf.pack_mat(fp, m) for m in parabolic_matrices(fp, n))
+    """Packed keys of P+(2n,q) = L U, sorted ascending.
+
+    L holds the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), and U the
+    unipotent [[1, B], [0, 1]], B alternating; [[A, 0], [0, tA^-1]] times
+    [[1, B], [0, 1]] is [[A, AB], [0, tA^-1]], so each element arises once.
+    """
+    _check_enum_budget(fp, n)  # checks n through parabolic_order
+    zero, one = (0,) * n, matgf.mat_identity(n)
+    levi = [matgf.pack_mat(fp, [ra + zero for ra in a] + [zero + rl for rl in zip(*ainv)])
+            for a, ainv in matgf.gl_matrices(fp, n)]
+    unipotent = [matgf.pack_mat(fp, [e + rb for e, rb in zip(one, b)] + [zero + e for e in one])
+                 for b in _alternating_matrices(fp, n)]
+    return tuple(sorted(_coset_products(fp, n, levi, unipotent)))
 
 
 # -- packed-key kernels ------------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)
-def _scaled_rows(fp: FieldParams, n: int, k: int, s: int) -> list:
-    """S_(k,s): packed row k of each P+ element in key order, each lane times s.
+def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
+    """Deduplicated keys of {x g : x in left_keys, g in G}, G the keys group_keys.
 
-    Cached because the n+1 cells of one (q, n) read the same lists.
-    """
-    r, nn = fp.r, 2 * n
-    rowbits = r * nn
-    shift, rowmask = rowbits * (nn - 1 - k), (1 << rowbits) - 1
-    rows = [(key >> shift) & rowmask for key in enumerate_parabolic(fp, n)]
-    if s == 1:
-        return rows
-    scale, mask = field.mul_table(fp)[s], fp.q - 1
-    scaled = {}
-    for v in set(rows):
-        acc = 0
-        for sh in range(rowbits - r, -1, -r):
-            acc = (acc << r) | scale[(v >> sh) & mask]
-        scaled[v] = acc
-    return list(map(scaled.__getitem__, rows))
-
-
-def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
-    """Deduplicated keys of {x p : x in left_keys, p in P+(2n,q)}.
-
-    Row i of x p is the sum over k of x_ik times row k of p, so the key of
-    x p is the xor over the pairs (k, s) occurring in x of S_(k,s)[p] * M,
-    where M has a 1 at the low bit of each row slot i with x_ik = s: the
-    product copies the packed row into those slots, rowbits apart, so no
-    carries occur. Each new coset x P+ is one chain of C-level maps.
+    G must be a group: the set built so far is then a union of whole cosets
+    x G, so a left factor already in it opens no new coset and is skipped.
+    Row i of x g is the sum over k of x_ik times row k of g, so the key of
+    x g is the xor over the pairs (k, s) occurring in x of S_(k,s)[g] * M.
+    S_(k,s) lists packed row k of each element of G, in the order of
+    group_keys, with each lane times s; M has a 1 at the low bit of each
+    row slot i with x_ik = s, so the product copies the packed row into
+    those slots, rowbits apart, and no carries occur. Each new coset x G is
+    one chain of C-level maps; each S_(k,s) is built when first read.
     """
     r, nn = fp.r, 2 * n
     rowbits, mask = r * nn, fp.q - 1
+    rowmask = (1 << rowbits) - 1
+    mt = field.mul_table(fp)
+    lists = {}
+
+    def scaled_rows(k, s):
+        rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in group_keys]
+        if s == 1:
+            return rows
+        scale, scaled = mt[s], {}
+        for v in set(rows):
+            acc = 0
+            for sh in range(rowbits - r, -1, -r):
+                acc = (acc << r) | scale[(v >> sh) & mask]
+            scaled[v] = acc
+        return list(map(scaled.__getitem__, rows))
+
     seen = set()
     for x in left_keys:
-        if x in seen:  # x = x' p' with x' already expanded, so x P+ = x' P+
+        if x in seen:  # x = x' g' with x' already expanded, so x G = x' G
             continue
         mults = {}
         for i in range(nn):
@@ -237,7 +229,8 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
                 s = (x >> r * (nn * nn - 1 - i * nn - k)) & mask
                 if s:
                     mults[k, s] = mults.get((k, s), 0) | slot
-        terms = [map(mul, _scaled_rows(fp, n, k, s), repeat(m)) for (k, s), m in mults.items()]
+        terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
+                 for ks, m in mults.items()]
         seen.update(reduce(partial(map, xor), terms))
     return seen
 
@@ -264,8 +257,8 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     """Materialize the double coset P+ s_r P+ by deduplicating products."""
     _check_cell(n, r)
     _check_enum_budget(fp, n)
-    left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
-    keys = _coset_products(fp, n, left)
+    pkeys = enumerate_parabolic(fp, n)
+    keys = _coset_products(fp, n, _swap_lanes(fp, n, r, pkeys, rows=False), pkeys)
     return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
 
 

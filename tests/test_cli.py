@@ -58,6 +58,9 @@ def test_field_table_modulus_override(capsys):
     assert code == 2
     assert "degree" in err
     assert out == ""
+    for text in ("", "zz"):  # "" is not the default modulus
+        code, out, err = run(capsys, "field", "table", "--r", "3", "--modulus", text)
+        assert (code, out, err) == (2, "", f"error: not a hex modulus: {text!r}\n")
 
 
 def test_kloosterman_table_budget_refuses_fast(capsys):
@@ -274,6 +277,43 @@ def test_code_dist_full_and_single(capsys):
                        "--r", "3", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["j", "coefficient"] and rows[1] == ["0", "1"]
+
+
+def test_single_coefficient_budget_refuses_fast(capsys):
+    # 20,000 coefficients of a length-2.8e14 code: refused before the recurrence
+    start = time.perf_counter()
+    code, out, err = run(capsys, "code", "dist", "--family", "dc1+", "--n", "2", "--r", "8",
+                         "--j", "20000")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+
+
+def test_exact_integers_of_any_length_print():
+    # a coefficient of 12,785 digits, past Python's default 4,300-digit
+    # limit on int -> str; the CLI lifts that limit for its whole process, so
+    # it runs in a process of its own
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ksums.cli", "code", "dist", "--family", "dc1+",
+                           "--n", "30", "--r", "8", "--j", "3"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    coefficient = json.loads(proc.stdout)["coefficient"]
+    fam = coset_codes.parse_family("dc1+", 30, field.binary_field(8))
+    expect = coset_codes.weight_distribution(coset_codes.trace_multiplicities(fam), j_max=3)[3]
+    assert len(coefficient) > 4300
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # no limit before Python 3.10.7
+        assert coefficient == str(expect)
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert coefficient == str(expect)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_all_tier1(capsys):

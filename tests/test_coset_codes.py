@@ -274,6 +274,9 @@ def test_weight_distribution_budget():
     with pytest.raises(BudgetError):
         cc.weight_distribution({0: 10 ** 4 + 1})
     assert cc.weight_distribution({0: 10 ** 4 + 1}, j_max=1) == [1, 10 ** 4 + 1]
+    with pytest.raises(BudgetError):  # the cap bounds min(j_max, length), not the length
+        cc.weight_distribution({0: 10 ** 4 + 1}, j_max=10 ** 4 + 1)
+    assert cc.weight_distribution({0: 3}, j_max=10 ** 6) == [1, 3, 3, 1]
     with pytest.raises(ValueError):
         cc.weight_distribution({0: -1})
     with pytest.raises(ValueError):

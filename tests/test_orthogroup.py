@@ -70,18 +70,27 @@ def test_membership_equals_isometry_exhaustively():
             assert og.is_in_oplus(fp, m) == og.preserves_theta_plus(fp, m, vectors)
 
 
+def _pplus_matrices(fp, n):
+    return [matgf.unpack_mat(fp, 2 * n, k) for k in og.enumerate_parabolic(fp, n)]
+
+
 def test_parabolic_enumeration():
+    # P+ is {g in O+(2n,q) : lower-left block C = 0}; with the order this pins it
     assert len(og.enumerate_parabolic(GF4, 1)) == 3
     assert len(og.enumerate_parabolic(GF2, 2)) == 12
     assert len(og.enumerate_parabolic(GF4, 2)) == 720
-    for fp, n in [(GF4, 1), (GF2, 2), (GF4, 2)]:
-        mats = og.parabolic_matrices(fp, n)
-        assert len(mats) == og.parabolic_order(n, fp.q)
-        assert all(og.is_in_oplus(fp, m) for m in mats)
+    gf128_alt = binary_field(7, ALT_MODULI[7])
+    for fp, n in [(GF4, 1), (GF2, 2), (GF4, 2), (GF2, 3), (gf128_alt, 1)]:
+        keys = og.enumerate_parabolic(fp, n)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == og.parabolic_order(n, fp.q)
+        for m in _pplus_matrices(fp, n):
+            assert og._split_blocks(m)[2] == ((0,) * n,) * n
+            assert og.is_in_oplus(fp, m)
 
 
 def test_parabolic_diag_form_n1():
-    mats = og.parabolic_matrices(GF4, 1)
+    mats = _pplus_matrices(GF4, 1)
     assert set(mats) == {((a, 0), (0, field.inv(GF4, a))) for a in field.units(GF4)}
 
 
@@ -119,7 +128,7 @@ def test_cell_matches_unskipped_product_set():
     gf128_alt = binary_field(7, ALT_MODULI[7])
     for fp, n, r in [(GF2, 2, 1), (GF2, 2, 2), (GF4, 1, 1),
                      (gf64, 1, 0), (gf64, 1, 1), (gf128, 1, 1), (gf128_alt, 1, 1)]:
-        pplus = og.parabolic_matrices(fp, n)
+        pplus = _pplus_matrices(fp, n)
         sigma = og.sigma_plus(n, r)
         raw = {matgf.pack_mat(fp, matgf.mat_mul(fp, matgf.mat_mul(fp, p1, sigma), p2))
                for p1 in pplus for p2 in pplus}
@@ -131,19 +140,19 @@ def test_coset_products_kernel_matches_mat_mul():
     # lane there; random left factors reach every scalar
     rng = random.Random(7)
     for fp, n, count in [(GF4, 2, 30), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
-        pplus = og.parabolic_matrices(fp, n)
+        pplus = _pplus_matrices(fp, n)
         left = [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
                 for _ in range(count)]
         expect = {matgf.pack_mat(fp, matgf.mat_mul(fp, x, p)) for x in left for p in pplus}
         left_keys = [matgf.pack_mat(fp, x) for x in left]
-        assert og._coset_products(fp, n, left_keys) == expect
+        assert og._coset_products(fp, n, left_keys, og.enumerate_parabolic(fp, n)) == expect
 
 
 def test_lane_swaps_match_permuted_matrices():
     # K s_r, s_r K and s_r K s_r on keys against permuting the matrix, then pack_mat
     gf128_alt = binary_field(7, ALT_MODULI[7])
     for fp, n in [(GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1), (GF4, 2), (gf128_alt, 1)]:
-        pplus = og.parabolic_matrices(fp, n)
+        pplus = _pplus_matrices(fp, n)
         keys = og.enumerate_parabolic(fp, n)
         for r in range(n + 1):
             perm = og._sigma_perm(n, r)

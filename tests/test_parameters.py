@@ -43,7 +43,7 @@ CASES = {
     "a_r_subgroup-r": (lambda v: og.a_r_subgroup(GF2, 1, v), 1, (-1, 2)),
     "sigma_plus-n": (lambda v: og.sigma_plus(v, 0), 1, (0,)),
     "sigma_plus-r": (lambda v: og.sigma_plus(1, v), 1, (-1, 2)),
-    "parabolic_matrices-n": (lambda v: og.parabolic_matrices(GF2, v), 1, (0,)),
+    "enumerate_parabolic-n": (lambda v: og.enumerate_parabolic(GF2, v), 1, (0,)),
     "group_counts-n": (lambda v: og.group_counts(v, 8), 1, (0,)),
     "group_counts-q": (lambda v: og.group_counts(1, v), 2, Q_OUTSIDE),
     "group_order-n": (lambda v: og.group_order(v, 4), 1, (0, -1, 1.5)),
