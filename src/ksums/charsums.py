@@ -14,11 +14,11 @@ The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
 costs one pass over it. A unit u sends w to u w and the pair to
 (u Tr w, u^-1 Tr w^-1), and scalars act freely on GL(t,q), so the histogram
-counts the pairs matgf.gl_matrices yields with scalar_classes, one matrix of
-each class and |GL(t,q)|/(q-1) in all, and spreads each count over the q-1
-scaled pairs. The closed form's inner sum over weakly decreasing tuples
-j_1 >= ... >= j_(l-1) is taken level by level through suffix sums, O(t^2)
-terms per l instead of one per tuple.
+reads the traces of the packed key pairs that matgf.gl_matrices streams with
+scalar_classes, one matrix of each class and |GL(t,q)|/(q-1) in all, and
+spreads each count over the q-1 scaled pairs. The closed form's inner sum
+over weakly decreasing tuples j_1 >= ... >= j_(l-1) is taken level by level
+through suffix sums, O(t^2) terms per l instead of one per tuple.
 
 All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
@@ -29,7 +29,8 @@ BudgetError instead of degrading; gl_routes names the GL routes that fit.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, tee
+from operator import itemgetter
 
 from ksums import combinat, field, matgf
 from ksums.errors import BudgetError, ConsistencyError
@@ -164,10 +165,13 @@ def _gl_trace_histogram(fp, t):
     """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries; every a and c reads it.
 
     One matrix per scalar class is enumerated; u w for the q-1 units u
-    carries (Tr w, Tr w^-1) to (u Tr w, u^-1 Tr w^-1).
+    carries (Tr w, Tr w^-1) to (u Tr w, u^-1 Tr w^-1). The traces are read
+    from the packed keys as the search yields them, in lockstep, so no list
+    of the |GL(t,q)|/(q-1) keys is ever held.
     """
-    classes = Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
-                      for m, minv in matgf.gl_matrices(fp, t, scalar_classes=True))
+    mats, invs = tee(matgf.gl_matrices(fp, t, scalar_classes=True))
+    classes = Counter(zip(matgf.key_traces(fp, t, map(itemgetter(0), mats)),
+                          matgf.key_traces(fp, t, map(itemgetter(1), invs))))
     mt, invt = field.mul_table(fp), field.inv_table(fp)
     hist = Counter()
     for (tr, trinv), count in classes.items():

@@ -42,6 +42,13 @@ from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
 FULL_DISTRIBUTION_CAP = 10 ** 4  # cap on min(j_max, length), the coefficients computed
+# cap on the bits the Krawtchouk recurrence writes per weight: coefficient j
+# of a length-N code has at most min(j bitlen(N), N) bits, so a truncation at
+# j writes at most j min(j bitlen(N), N) >= min(j, N)^2. That is N^2 for a
+# full distribution, so every full one within the coefficient cap fits, and
+# the budget enforces that cap too; the cap alone let the work of a
+# truncated query on a long code grow with j^2.
+TRANSFORM_BIT_BUDGET = FULL_DISTRIBUTION_CAP ** 2
 
 FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")
 
@@ -232,15 +239,20 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     Entry j counts binary vectors that pick nu_beta ones among the count(beta)
     positions of each beta with sum of nu_beta equal to j and sum of
     nu_beta * beta zero in F_q. Truncate with j_max for single-coefficient
-    queries on astronomically long codes; either way at most
-    FULL_DISTRIBUTION_CAP coefficients past the first are computed.
+    queries on astronomically long codes; either way the bits the
+    recurrence takes, bounded as at TRANSFORM_BIT_BUDGET, must fit that
+    budget, so at most FULL_DISTRIBUTION_CAP coefficients past the first are
+    computed.
     """
     weights = walsh_weights(counts)  # checks every key and count first
     total = sum(counts.values())
     cap = total if j_max is None else min(field.check_int("j_max", j_max, 0), total)
-    if cap > FULL_DISTRIBUTION_CAP:
-        raise BudgetError(f"coefficients up to j = {cap} of a length-{total} code exceed cap "
-                          f"{FULL_DISTRIBUTION_CAP}; query a smaller j_max")
+    bits = cap * min(cap * total.bit_length(), total)
+    if bits > TRANSFORM_BIT_BUDGET:
+        raise BudgetError(f"coefficients up to j = {cap} of a length-{total} code take up to "
+                          f"{bits} bits per weight, over budget {TRANSFORM_BIT_BUDGET} (the "
+                          f"cap of {FULL_DISTRIBUTION_CAP} coefficients, squared); "
+                          "query a smaller j_max")
     return krawtchouk_sum(weights, total, cap)
 
 

@@ -24,15 +24,15 @@ Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
-Every product is read from field.mul_table. Only the elements of L and U
-are packed from matrices; matgf.mat_mul serves the membership oracles
-alone. The keys of a whole coset x G are an xor of G's packed rows, scaled
-and copied into row slots by one integer multiplication: one chain of
-C-level maps per coset.
+Every product is read from field.mul_table. The Levi factors are built
+from the (A, A^-1) key pairs matgf.gl_matrices yields, by moving lanes; only
+the elements of U are packed from matrices, and matgf.mat_mul serves the
+membership oracles alone. The keys of a whole coset x G are an xor of G's
+packed rows, scaled and copied into row slots by one integer
+multiplication: one chain of C-level maps per coset.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
-Bit b of Tr w is the parity of bit b over the diagonal lanes, one
-int.bit_count per key and bit (cell_traces).
+Tr w is read from the diagonal lanes by matgf.key_traces (cell_traces).
 
 Inputs are validated once, where they enter, by field.check_int and
 field.check_unit (n >= 1 and 0 <= r <= n in _check_cell, which the closed
@@ -46,7 +46,8 @@ rather than served the entry of 1.
 from collections import Counter
 from functools import lru_cache, partial, reduce
 from itertools import product, repeat
-from operator import and_, lshift, mul, or_, xor
+from operator import mul, xor
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, combinat, field, matgf
@@ -177,9 +178,21 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
     [[1, B], [0, 1]] is [[A, AB], [0, tA^-1]], so each element arises once.
     """
     _check_enum_budget(fp, n)  # checks n through parabolic_order
+    r, w = fp.r, fp.r * n  # w bits per row of A, 2w per row of a P+ key
+    rowmask, lane = (1 << w) - 1, fp.q - 1
+    levi = []
+    for a, ainv in matgf.gl_matrices(fp, n):
+        top = bottom = 0
+        for i in range(n):
+            # row i is row i of A, then n zero lanes; row n+i is n zero
+            # lanes, then column i of A^-1, whose entry j sits at lane j n + i
+            top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
+            col = 0
+            for j in range(n):
+                col = (col << r) | ((ainv >> r * (n * n - 1 - j * n - i)) & lane)
+            bottom = (bottom << 2 * w) | col
+        levi.append((top << 2 * w * n) | bottom)
     zero, one = (0,) * n, matgf.mat_identity(n)
-    levi = [matgf.pack_mat(fp, [ra + zero for ra in a] + [zero + rl for rl in zip(*ainv)])
-            for a, ainv in matgf.gl_matrices(fp, n)]
     unipotent = [matgf.pack_mat(fp, [e + rb for e, rb in zip(one, b)] + [zero + e for e in one])
                  for b in _alternating_matrices(fp, n)]
     return tuple(sorted(_coset_products(fp, n, levi, unipotent)))
@@ -273,24 +286,18 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
 
 @lru_cache(maxsize=None, typed=True)
 def cell_traces(fp: FieldParams, n: int, r: int) -> tuple:
-    """Tr w for the cell elements in canonical (packed-key) order.
+    """Tr w for the cell elements in canonical (packed-key) order."""
+    return tuple(matgf.key_traces(fp, 2 * n, bruhat_cell(fp, n, r).elements))
 
-    Bit b of Tr w is the parity of bit b over the 2n diagonal lanes.
+
+@lru_cache(maxsize=None, typed=True)
+def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
+    """Counts of Tr(w) over the materialized cell, as {beta: count}.
+
+    Cached because brute-mode exp_sum_cell reads it once per unit c, and
+    gauss_sum_oplus once per cell again; hence read-only.
     """
-    nn = 2 * n
-    keys = bruhat_cell(fp, n, r).elements
-    diag = sum(1 << fp.r * (nn * nn - 1 - i * (nn + 1)) for i in range(nn))
-    out = repeat(0, len(keys))
-    for b in range(fp.r):
-        bit = map(and_, map(lshift, map(int.bit_count, map(and_, keys, repeat(diag << b))),
-                            repeat(b)), repeat(1 << b))
-        out = map(or_, out, bit)
-    return tuple(out)
-
-
-def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> dict:
-    """Counts of Tr(w) over the materialized cell, as {beta: count}."""
-    return dict(Counter(cell_traces(fp, n, r)))
+    return MappingProxyType(dict(Counter(cell_traces(fp, n, r))))
 
 
 def group_order(n: int, q: int) -> int:

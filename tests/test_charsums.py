@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -165,11 +166,26 @@ def test_gl_brute_histogram_matches_recursion():
 
 def test_gl_histogram_over_scalar_classes_matches_full_enumeration():
     # spreading the class counts over (u Tr w, u^-1 Tr w^-1) gives the counts
-    # over every matrix of GL(t,q)
+    # over every matrix of GL(t,q), traced as tuple matrices
     for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2)]:
-        full = Counter((matgf.mat_trace(m), matgf.mat_trace(minv))
+        full = Counter((matgf.mat_trace(matgf.unpack_mat(fp, t, m)),
+                        matgf.mat_trace(matgf.unpack_mat(fp, t, minv)))
                        for m, minv in matgf.gl_matrices(fp, t))
         assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, t)
+
+
+def test_gl_histogram_streams_the_search():
+    # the traces are read as the search yields its keys: no list of the
+    # 20,160 keys of GL(4,2) is held, which alone would take 8 bytes a key
+    charsums._gl_trace_histogram(GF2, 4)  # the field tables, built outside the trace
+    tracemalloc.start()
+    try:
+        hist = charsums._gl_trace_histogram.__wrapped__(GF2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist == charsums._gl_trace_histogram(GF2, 4)
+    assert peak < 8 * combinat.gl_order(4, 2)
 
 
 def test_gl_closed_form_matches_recursion_at_the_cap():

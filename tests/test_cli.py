@@ -290,6 +290,23 @@ def test_single_coefficient_budget_refuses_fast(capsys):
     assert out == ""
 
 
+def test_truncated_distribution_work_budget_refuses_fast(capsys):
+    # 10,000 coefficients are within the cap, but each of them has up to
+    # 10,000 x 48 bits at length 2.8e14, so the recurrence's work is refused
+    # before it starts; the largest j within the budget still answers
+    start = time.perf_counter()
+    code, out, err = run(capsys, "code", "dist", "--family", "dc1+", "--n", "2", "--r", "8",
+                         "--j", "10000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
+    code, out, _ = run(capsys, "code", "dist", "--family", "dc1+", "--n", "2", "--r", "8",
+                       "--j", "1443")
+    assert code == 0
+    assert json.loads(out)["j"] == 1443
+
+
 def test_exact_integers_of_any_length_print():
     # a coefficient of 12,785 digits, past Python's default 4,300-digit
     # limit on int -> str; the CLI lifts that limit for its whole process, so

@@ -277,6 +277,14 @@ def test_weight_distribution_budget():
     with pytest.raises(BudgetError):  # the cap bounds min(j_max, length), not the length
         cc.weight_distribution({0: 10 ** 4 + 1}, j_max=10 ** 4 + 1)
     assert cc.weight_distribution({0: 3}, j_max=10 ** 6) == [1, 3, 3, 1]
+    # the work budget: j min(j bitlen(N), N) bits per weight; a full
+    # distribution at the cap needs N^2 and fits, a long code's truncation
+    # at j = 1000 needs 1000 x 1000 x 101 and does not
+    full = cc.weight_distribution({0: 10 ** 4})
+    assert len(full) == 10 ** 4 + 1 and full[5000] == binom(10 ** 4, 5000)
+    with pytest.raises(BudgetError, match="budget"):
+        cc.weight_distribution({0: 2 ** 100}, j_max=1000)
+    assert cc.weight_distribution({0: 2 ** 100}, j_max=995)[995] == binom(2 ** 100, 995)
     with pytest.raises(ValueError):
         cc.weight_distribution({0: -1})
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ksums import combinat, field, matgf
 from ksums.field import binary_field
+from ksums.verify import ALT_MODULI
 
 GF2 = binary_field(1)
 GF4 = binary_field(2)
@@ -36,37 +37,90 @@ def test_mul_identity_neutral():
     assert matgf.mat_mul(GF4, i3, m) == m
 
 
+def _invertible_keys(fp, n):
+    """pack_mat keys of the invertible n x n matrices, scanning itertools.product.
+
+    A matrix is singular iff some row lies in the span of the rows above it;
+    the span of each prefix of rows is built once, by closure.
+    """
+    mt = field.mul_table(fp)
+    spans = {(): frozenset([(0,) * n])}
+
+    def span(rows):
+        if rows not in spans:
+            v = rows[-1]
+            spans[rows] = frozenset(tuple(x ^ mt[c][y] for x, y in zip(s, v))
+                                    for s in span(rows[:-1]) for c in range(fp.q))
+        return spans[rows]
+
+    return [matgf.pack_mat(fp, m) for m in product(product(range(fp.q), repeat=n), repeat=n)
+            if all(m[i] not in span(m[:i]) for i in range(n))]
+
+
+GL_SHAPES = [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF2, 4), (GF4, 1), (GF4, 2), (GF8, 2),
+             (binary_field(3, ALT_MODULI[3]), 2), (binary_field(4, ALT_MODULI[4]), 2)]
+
+
+@pytest.mark.parametrize("fp,n", GL_SHAPES)
+def test_gl_matrices_against_product_scan(fp, n):
+    # the keys are exactly those of the invertible matrices, in increasing
+    # order, and each inverse key unpacks to the inverse (a sample of about
+    # 2000 pairs at the largest shapes)
+    pairs = list(matgf.gl_matrices(fp, n))
+    assert [key for key, _ in pairs] == _invertible_keys(fp, n)
+    assert len(pairs) == combinat.gl_order(n, fp.q)
+    for key, inv in pairs[::max(1, len(pairs) // 2000)]:
+        m, minv = matgf.unpack_mat(fp, n, key), matgf.unpack_mat(fp, n, inv)
+        assert matgf.mat_mul(fp, m, minv) == matgf.mat_identity(n)
+
+
 def test_inverse_round_trip_full_gl():
-    # inverses, strictly increasing row-major order and |GL(n,q)| pairs pin the
-    # same pairs in the same order as inverting every matrix would
+    # inverses, strictly increasing keys and |GL(n,q)| pairs pin the same
+    # pairs in the same order as inverting every matrix would
     for fp, n in [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1), (GF4, 2), (GF8, 2)]:
         pairs = list(matgf.gl_matrices(fp, n))
-        for m, minv in pairs:
-            assert matgf.mat_mul(fp, m, minv) == matgf.mat_identity(n), (fp.q, n)
-        mats = [m for m, _ in pairs]
-        assert all(a < b for a, b in zip(mats, mats[1:])), (fp.q, n)
+        for key, inv in pairs:
+            m, minv = matgf.unpack_mat(fp, n, key), matgf.unpack_mat(fp, n, inv)
+            assert matgf.mat_mul(fp, minv, m) == matgf.mat_identity(n), (fp.q, n)
+        keys = [key for key, _ in pairs]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (fp.q, n)
         assert len(pairs) == combinat.gl_order(n, fp.q), (fp.q, n)
 
 
 def test_scalar_classes_cover_gl_once():
     # one matrix per class {u m : u != 0}: its first row leads with 1, and the
     # q-1 multiples of the representatives are all of GL(2,q), each once
-    for fp in (GF4, GF8):
+    for fp in (GF4, GF8, binary_field(4)):
         mt = field.mul_table(fp)
-        reps = list(matgf.gl_matrices(fp, 2, scalar_classes=True))
+        reps = [(matgf.unpack_mat(fp, 2, key), matgf.unpack_mat(fp, 2, inv))
+                for key, inv in matgf.gl_matrices(fp, 2, scalar_classes=True)]
         assert len(reps) == combinat.gl_order(2, fp.q) // (fp.q - 1)
         assert all(next(filter(None, m[0])) == 1 for m, _ in reps)
         for m, minv in reps:
             assert matgf.mat_mul(fp, m, minv) == matgf.mat_identity(2)
-        multiples = [tuple(tuple(mt[u][x] for x in row) for row in m)
+        multiples = [matgf.pack_mat(fp, [[mt[u][x] for x in row] for row in m])
                      for m, _ in reps for u in field.units(fp)]
-        full = [m for m, _ in matgf.gl_matrices(fp, 2)]
+        full = [key for key, _ in matgf.gl_matrices(fp, 2)]
         assert len(multiples) == len(set(multiples)) == len(full)
         assert set(multiples) == set(full)
 
 
 def test_gl_matrices_count_gl42():
     assert sum(1 for _ in matgf.gl_matrices(GF2, 4)) == combinat.gl_order(4, 2)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_key_traces_match_mat_trace(r):
+    fp = binary_field(r)
+    rng = random.Random(r)
+    for n in (1, 2, 3, 4):
+        keys = [0, (1 << (r * n * n)) - 1] + [rng.getrandbits(r * n * n) for _ in range(50)]
+        expected = [matgf.mat_trace(matgf.unpack_mat(fp, n, k)) for k in keys]
+        assert list(matgf.key_traces(fp, n, keys)) == expected, n
+        assert list(matgf.key_traces(fp, n, iter(keys))) == expected, n  # a stream is read once
+    # the empty matrix: one trace 0 per key, and a finite stream
+    expected = [matgf.mat_trace(matgf.unpack_mat(fp, 0, 0))] * 2
+    assert list(matgf.key_traces(fp, 0, [0, 0])) == expected == [0, 0]
 
 
 def test_alternating_detector():

@@ -166,7 +166,7 @@ def test_lane_swaps_match_permuted_matrices():
 
 
 def test_cell_traces_match_mat_trace():
-    # bit parity over the diagonal lanes against the trace of the unpacked matrix
+    # the diagonal lanes of each key against the trace of the unpacked matrix
     cases = [(binary_field(r), 1, 1) for r in range(1, 9)] + [(GF4, 2, 1), (GF2, 3, 97)]
     for fp, n, stride in cases:
         for r in range(n + 1):
@@ -303,8 +303,8 @@ def test_products_stay_in_group():
         for b in mats[::11]:
             assert matgf.pack_mat(GF2, matgf.mat_mul(GF2, a, b)) in union
     inverse = dict(matgf.gl_matrices(GF2, 4))
-    for m in mats:
-        assert matgf.pack_mat(GF2, inverse[m]) in union
+    for key in union:
+        assert inverse[key] in union
     for fp, n, s1, s2 in [(GF4, 2, 301, 443), (GF2, 3, 1201, 1999)]:
         union = _cell_union(fp, n)
         keys = sorted(union)
@@ -317,3 +317,5 @@ def test_products_stay_in_group():
 
 def test_trace_histogram_example():
     assert og.cell_trace_histogram(GF2, 2, 1) == {0: 24, 1: 12}
+    # counted once per cell, however many c and cells read it
+    assert og.cell_trace_histogram(GF2, 2, 1) is og.cell_trace_histogram(GF2, 2, 1)

@@ -117,7 +117,8 @@ def test_messages_name_the_parameter():
 
 
 def test_cached_mappings_are_read_only():
-    for hist in (cc.dual_weight_histogram(DC1), moments._code_weights(DC1)):
+    for hist in (cc.dual_weight_histogram(DC1), moments._code_weights(DC1),
+                 og.cell_trace_histogram(GF2, 2, 1)):
         with pytest.raises(TypeError):
             hist[0] = 5
         with pytest.raises(TypeError):
