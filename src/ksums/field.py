@@ -22,6 +22,7 @@ and `check_unit` (a nonzero element), the package's one parameter rule.
 """
 
 from functools import lru_cache
+from operator import xor
 from typing import NamedTuple
 
 from ksums.errors import ConsistencyError
@@ -211,17 +212,18 @@ def mul_table(fp: FieldParams) -> tuple:
 
     The package's only product-forming code; at most 64K entries at r = 8.
     Row 1 is the identity; row 2k is row k times the polynomial x, i.e.
-    each entry shifted left one bit and reduced by the modulus; an odd row
-    2k + 1 is row 2k xor row 1.
+    each entry shifted left one bit and reduced by the modulus, read from a
+    q-entry doubling table; an odd row 2k + 1 is row 2k xor row 1. Each
+    row is one C-level map.
     """
     q, modulus, top = fp.q, fp.modulus, fp.q >> 1
+    double = [(v << 1) ^ modulus if v & top else v << 1 for v in range(q)]
     rows = [(0,) * q, tuple(range(q))]
     for x in range(2, q):
         if x & 1:
-            rows.append(tuple(v ^ y for y, v in enumerate(rows[x - 1])))
+            rows.append(tuple(map(xor, rows[x - 1], range(q))))
         else:
-            rows.append(tuple((v << 1) ^ modulus if v & top else v << 1
-                              for v in rows[x >> 1]))
+            rows.append(tuple(map(double.__getitem__, rows[x >> 1])))
     return tuple(rows)
 
 

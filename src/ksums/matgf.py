@@ -2,12 +2,13 @@
 
 Entries are field ints (see ksums.field). The tuple matrices here, immutable
 tuples of row tuples (mat_mul, mat_trace, mat_transpose, ...), are the
-oracles that tests and verify read. The production routes exchange packed
-keys instead: pack_mat's row-major big-endian layout, fp.r bits per entry,
-so a row of n entries is an n-lane int and lex order of the rows is int
-order of the key. The canonical serialization (keys_hex) is the row-major
-concatenation of fixed-width lowercase hex entries, read straight from the
-key, and sorting by the key agrees with sorting by the hex string.
+oracles that tests and orthogroup.preserves_theta_plus read. The
+production routes, verify's included, exchange packed keys instead:
+pack_mat's row-major big-endian layout, fp.r bits per entry, so a row of n
+entries is an n-lane int and lex order of the rows is int order of the key.
+The canonical serialization (keys_hex) is the row-major concatenation of
+fixed-width lowercase hex entries, read straight from the key, and sorting
+by the key agrees with sorting by the hex string.
 key_traces reads Tr of each key from its diagonal lanes.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
@@ -36,10 +37,6 @@ def mat_transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x ^ y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_trace(m: Mat) -> int:
     t = 0
     for i, row in enumerate(m):
@@ -59,18 +56,6 @@ def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
                 acc = [v ^ scale[e] for v, e in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_is_alternating(m: Mat) -> bool:
-    """Symmetric with zero diagonal (the characteristic-2 convention)."""
-    n = len(m)
-    for i in range(n):
-        if m[i][i]:
-            return False
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                return False
-    return True
 
 
 def pack_mat(fp: FieldParams, m: Mat) -> int:

@@ -1,13 +1,15 @@
 """The split orthogonal group O+(2n,q) in characteristic 2.
 
 The quadratic form is theta+(x) = x_1 x_(n+1) + ... + x_n x_(2n) on column
-vectors of length 2n. Membership is decided by block conditions on
-[[A,B],[C,D]]: tA C and tB D alternating and tA D + tC B = 1 (is_in_oplus),
-whose oracle is the definition itself, preserves_theta_plus. The maximal
-parabolic P+ consists of [[A, AB], [0, tA^-1]] with A in GL(n,q) and B
-alternating, and the group is the disjoint union over r = 0..n of the
-double cosets (Bruhat cells) P+ s_r P+ for involutions s_r swapping the
-first r hyperbolic coordinate pairs.
+vectors of length 2n. Membership is decided on packed keys by one
+Gram-matrix pass per key (outside_oplus): with T the top and D the bottom n
+rows, G = tT D needs a zero diagonal and G + tG = J, the polar form's
+matrix; in blocks [[A,B],[C,D]] that is tA C and tB D alternating and
+tA D + tC B = 1. Its oracle is the definition itself, preserves_theta_plus,
+on tuple matrices. The maximal parabolic P+ consists of [[A, AB], [0, tA^-1]]
+with A in GL(n,q) and B alternating, and the group is the disjoint union
+over r = 0..n of the double cosets (Bruhat cells) P+ s_r P+ for involutions
+s_r swapping the first r hyperbolic coordinate pairs.
 
 P+ and the cells come from one kernel on keys, _coset_products, which
 lists the deduplicated products of left factors with a group G. P+ = L U
@@ -26,10 +28,12 @@ ksums.matgf.
 
 Every product is read from field.mul_table. The Levi factors are built
 from the (A, A^-1) key pairs matgf.gl_matrices yields, by moving lanes; only
-the elements of U are packed from matrices, and matgf.mat_mul serves the
-membership oracles alone. The keys of a whole coset x G are an xor of G's
+the elements of U are packed from matrices, and here matgf.mat_mul serves
+only preserves_theta_plus. The keys of a whole coset x G are an xor of G's
 packed rows, scaled and copied into row slots by one integer
-multiplication: one chain of C-level maps per coset.
+multiplication: one chain of C-level maps per coset. A packed row times a
+field element is built by one lane loop, _scale_row, which the kernel and
+outside_oplus share.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
 Tr w is read from the diagonal lanes by matgf.key_traces (cell_traces).
@@ -108,27 +112,58 @@ def _permute_cols(m, perm):
     return tuple(tuple(row[j] for j in perm) for row in m)
 
 
-def _split_blocks(m):
-    n = len(m) // 2
-    a = tuple(row[:n] for row in m[:n])
-    b = tuple(row[n:] for row in m[:n])
-    c = tuple(row[:n] for row in m[n:])
-    d = tuple(row[n:] for row in m[n:])
-    return a, b, c, d
+def outside_oplus(fp: FieldParams, n: int, keys) -> list:
+    """The packed 2n x 2n keys that are not in O+(2n,q), in input order.
 
+    With T the top n rows and D the bottom n rows of M, let G = tT D, so
+    theta+(M v) = sum over j, k of G_jk v_j v_k. M is in O+ exactly when
+    diag G = 0 (theta+ vanishes on each column) and G + tG = J, J_jk =
+    [|j - k| = n] (the polar form is kept); in blocks, tA C and tB D
+    alternating and tA D + tC B = 1. Row j of G is the xor over i of packed
+    row n+i times M_ij, row j of tG that of row i times M_(n+i)j; each
+    scaled row is built once per distinct (scale, row). A key outside
+    [0, q^(4n^2)) encodes no 2n x 2n matrix and is reported too.
+    Preserving theta+ keeps its nondegenerate polar form, so members are
+    invertible. The oracle for this is preserves_theta_plus.
+    """
+    field.check_int("n", n, 1)
+    r, nn, mask = fp.r, 2 * n, fp.q - 1
+    rowbits = r * nn
+    rowmask, keybits = (1 << rowbits) - 1, rowbits * nn
+    mt = field.mul_table(fp)
+    shifts = range(rowbits - r, -1, -r)  # lane j of a row, j = 0..2n-1
+    # row j of J: a 1 in lane j+n mod 2n
+    polar = [1 << r * (nn - 1 - (j + n) % nn) for j in range(nn)]
+    scaled = {}
 
-def is_in_oplus(fp: FieldParams, m) -> bool:
-    """Membership by the (tA C, tB D, tA D + tC B) block conditions."""
-    if len(m) % 2:
-        return False
-    a, b, c, d = _split_blocks(m)
-    at, bt, ct = matgf.mat_transpose(a), matgf.mat_transpose(b), matgf.mat_transpose(c)
-    if not matgf.mat_is_alternating(matgf.mat_mul(fp, at, c)):
-        return False
-    if not matgf.mat_is_alternating(matgf.mat_mul(fp, bt, d)):
-        return False
-    lhs = matgf.mat_add(matgf.mat_mul(fp, at, d), matgf.mat_mul(fp, ct, b))
-    return lhs == matgf.mat_identity(len(a))
+    def times(s, v):
+        if s == 1:
+            return v
+        sv = scaled.get((s, v))
+        if sv is None:
+            sv = scaled[s, v] = _scale_row(mt[s], r, nn, v)
+        return sv
+
+    out = []
+    for key in keys:
+        if key >> keybits:
+            out.append(key)
+            continue
+        rows = [(key >> sh) & rowmask for sh in range(keybits - rowbits, -1, -rowbits)]
+        top, bottom = rows[:n], rows[n:]
+        for sh, unit in zip(shifts, polar):
+            g = gt = 0  # row j of G and of tG
+            for t, d in zip(top, bottom):
+                s = (t >> sh) & mask
+                if s:
+                    g ^= times(s, d)
+                s = (d >> sh) & mask
+                if s:
+                    gt ^= times(s, t)
+            if (g >> sh) & mask or g ^ gt != unit:
+                out.append(key)
+                break
+    return out
 
 
 def preserves_theta_plus(fp: FieldParams, m, vectors=None) -> bool:
@@ -200,6 +235,17 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
 
 # -- packed-key kernels ------------------------------------------------------
 
+def _scale_row(scale, r: int, lanes: int, v: int) -> int:
+    """The packed row v of `lanes` r-bit lanes, each lane e replaced by scale[e].
+
+    With scale the mul_table row of s, this is v times s.
+    """
+    mask, acc = len(scale) - 1, 0
+    for sh in range(r * (lanes - 1), -1, -r):
+        acc = (acc << r) | scale[(v >> sh) & mask]
+    return acc
+
+
 def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
     """Deduplicated keys of {x g : x in left_keys, g in G}, G the keys group_keys.
 
@@ -223,12 +269,7 @@ def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
         rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in group_keys]
         if s == 1:
             return rows
-        scale, scaled = mt[s], {}
-        for v in set(rows):
-            acc = 0
-            for sh in range(rowbits - r, -1, -r):
-                acc = (acc << r) | scale[(v >> sh) & mask]
-            scaled[v] = acc
+        scaled = {v: _scale_row(mt[s], r, nn, v) for v in set(rows)}
         return list(map(scaled.__getitem__, rows))
 
     seen = set()

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ksums import charsums, combinat, coset_codes, field, matgf, moments, orthogroup
+from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
 from ksums.coset_codes import parse_family
 
 # second irreducible of each degree, for basis-independence checks
@@ -125,8 +125,7 @@ def _group_checks(rep, fps, max_n):
             rep.add("group.parabolic_order", {"n": n, "q": q},
                     counts["parabolic_order"], len(pkeys))
             rep.add("group.parabolic_in_group", {"n": n, "q": q}, "[]",
-                    [k for k in pkeys
-                     if not orthogroup.is_in_oplus(fp, matgf.unpack_mat(fp, 2 * n, k))])
+                    orthogroup.outside_oplus(fp, n, pkeys))
             union = set()
             for r in range(n + 1):
                 cell = orthogroup.bruhat_cell(fp, n, r)

@@ -49,25 +49,53 @@ def test_sigma_plus():
     for n, r in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         s = og.sigma_plus(n, r)
         assert matgf.mat_mul(GF2, s, s) == matgf.mat_identity(2 * n)
-        assert og.is_in_oplus(GF2, s)
-        assert og.is_in_oplus(GF4, s)
+        for fp in (GF2, GF4):
+            assert og.outside_oplus(fp, n, [matgf.pack_mat(fp, s)]) == []
     with pytest.raises(ValueError):
         og.sigma_plus(2, 3)
 
 
-def test_is_in_oplus_examples():
-    assert og.is_in_oplus(GF4, matgf.mat_identity(4))
-    for a in field.units(GF4):
-        assert og.is_in_oplus(GF4, ((a, 0), (0, field.inv(GF4, a))))
-    assert not og.is_in_oplus(GF4, ((1, 1), (0, 1)))  # tBD = 1 not alternating
+def test_outside_oplus_examples():
+    inside = [matgf.mat_identity(4)] + [((a, 0, 0, 0), (0, 1, 0, 0), (0, 0, field.inv(GF4, a), 0),
+                                         (0, 0, 0, 1)) for a in field.units(GF4)]
+    outside = [((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # tB D = B not alternating
+               ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (0, 1, 0, 1)),  # tA C = C not alternating
+               ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1))]  # tA D != 1
+    keys = [matgf.pack_mat(GF4, m) for m in inside + outside]
+    assert og.outside_oplus(GF4, 2, keys) == keys[len(inside):]
+    torus = [matgf.pack_mat(GF4, ((a, 0), (0, field.inv(GF4, a)))) for a in field.units(GF4)]
+    shear = matgf.pack_mat(GF4, ((1, 1), (0, 1)))  # tB D = 1 not alternating
+    assert og.outside_oplus(GF4, 1, torus + [shear]) == [shear]
+    # a key that encodes no 4 x 4 matrix over GF(4) is not a member either
+    assert og.outside_oplus(GF4, 2, [-1, GF4.q ** 16]) == [-1, GF4.q ** 16]
+    with pytest.raises(ValueError):
+        og.outside_oplus(GF4, 0, [0])
 
 
 def test_membership_equals_isometry_exhaustively():
-    # block conditions == quadratic-form preservation, over every 2x2 matrix
-    for fp in (GF2, GF4):
+    # the Gram-matrix conditions == quadratic-form preservation, over every 2x2 matrix
+    for fp in (GF2, GF4, GF8):
         vectors = list(product(range(fp.q), repeat=2))
-        for m in product(product(range(fp.q), repeat=2), repeat=2):
-            assert og.is_in_oplus(fp, m) == og.preserves_theta_plus(fp, m, vectors)
+        mats = list(product(product(range(fp.q), repeat=2), repeat=2))
+        outside = set(og.outside_oplus(fp, 1, [matgf.pack_mat(fp, m) for m in mats]))
+        for m in mats:
+            assert (matgf.pack_mat(fp, m) not in outside) == og.preserves_theta_plus(fp, m, vectors)
+
+
+def test_perturbed_parabolic_keys_leave_oplus():
+    # a single-entry change is a rank-one change; keeping theta+ would need
+    # a reflection about some e_j, and theta+(e_j) = 0, so none stays inside
+    for fp, n in [(GF4, 2), (GF2, 3)]:
+        shifts = range(0, fp.r * 4 * n * n, fp.r)
+        keys = og.enumerate_parabolic(fp, n)
+        perturbed = [k ^ (d << sh) for k in keys for sh in shifts for d in field.units(fp)]
+        assert og.outside_oplus(fp, n, perturbed) == perturbed
+
+
+def test_cell_elements_are_in_oplus():
+    for fp, n in [(GF2, 2), (GF4, 2), (GF2, 3)]:
+        for r in range(n + 1):
+            assert og.outside_oplus(fp, n, og.bruhat_cell(fp, n, r).elements) == []
 
 
 def _pplus_matrices(fp, n):
@@ -84,9 +112,11 @@ def test_parabolic_enumeration():
         keys = og.enumerate_parabolic(fp, n)
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(keys) == og.parabolic_order(n, fp.q)
-        for m in _pplus_matrices(fp, n):
-            assert og._split_blocks(m)[2] == ((0,) * n,) * n
-            assert og.is_in_oplus(fp, m)
+        # the lower-left lanes of the bottom n rows hold C
+        w = fp.r * n
+        c_lanes = sum(((1 << w) - 1) << (2 * w * i + w) for i in range(n))
+        assert all(k & c_lanes == 0 for k in keys)
+        assert og.outside_oplus(fp, n, keys) == []
 
 
 def test_parabolic_diag_form_n1():
