@@ -98,8 +98,8 @@ def _cmd_moments_recursive(args):
     table = []
     all_match = True
     for kind in moments.kinds(fam.codim):
-        for h in range(args.h_max + 1):
-            row = {"kind": kind.name, "h": h, "recursive": str(kind.recursive(fam, h))}
+        for h, value in enumerate(kind.sequence(fam, args.h_max)):
+            row = {"kind": kind.name, "h": h, "recursive": str(value)}
             if args.compare_oracle:
                 row["oracle"] = str(kind.oracle(fp, h))
                 row["match"] = row["recursive"] == row["oracle"]

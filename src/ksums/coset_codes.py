@@ -26,10 +26,10 @@ Walsh-Hadamard transform of the multiplicity map yields every E(u); the
 coefficients of x^j follow from the Krawtchouk three-term recurrence, so a
 truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
 MacWilliams route feeds the formula-mode dual weights, which come from the
-cell character sum instead of multiplicities, to the same kernel.
+cell character sum instead of multiplicities, to the same kernel. pless_sums
+gives the Pless identity's right side for all h <= h_max in one pass.
 """
 
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
-from ksums.combinat import binom, stirling2
+from ksums.combinat import binom
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
@@ -298,22 +298,31 @@ def dual_weight_distribution(f: DoubleCosetFamily) -> list:
     return out
 
 
-def pless_sum(weights, n: int, h: int) -> int:
-    """P(w, n, h) = sum_(j <= min(n,h)) (-1)^j w_j sum_(t=j..h) t! S(h,t) 2^(h-t) C(n-j, n-t).
+def pless_sums(weights, n: int, h_max: int) -> list:
+    """P(w, n, h) for h <= h_max: sum_j j^h B_j = 2^(k-h) P(w, n, h) (MacWilliams-Sloane, ch. 5).
 
-    The Pless power-moment identity (MacWilliams-Sloane, ch. 5) for a binary
-    [n, k] code whose dual has weight distribution w reads
-    sum_j j^h B_j = 2^(k-h) P(w, n, h). Only w_j for j <= min(n, h) are
-    read, so a truncated distribution suffices; terms with t > n vanish.
+    For a binary [n, k] code whose dual has weights w, P(w, n, h) is
+    sum_(t <= min(n,h)) t! S(h,t) 2^(h-t) G_t, where G_t = sum_(j<=t) (-1)^j w_j C(n-j, t-j)
+    is built once, each binomial a ratio step from the last. b(h,t) = t! S(h,t) 2^(h-t)
+    = 2t b(h-1,t) + t b(h-1,t-1) is (M b(h-1))_t for a bidiagonal M, so P(w, n, h) is
+    entry 0 of (M^T)^h G: per h, g_t <- 2t g_t + (t+1) g_(t+1) for the t <= h_max - h
+    still read, with no product of two big ints. Only w_j, j <= min(n, h_max), are read.
     """
-    top = min(n, h)
-    coef = [math.factorial(t) * stirling2(h, t) * 2 ** (h - t) for t in range(top + 1)]
-    total = 0
+    field.check_int("n", n, 0)
+    field.check_int("h_max", h_max, 0)
+    top = min(n, h_max)
+    g = [0] * (top + 2)  # G_(top+1) is 0 when top = n and never read otherwise
     for j in range(top + 1):
-        if weights[j]:
-            total += (-1) ** j * weights[j] * sum(coef[t] * binom(n - j, n - t)
-                                                  for t in range(j, top + 1))
-    return total
+        term = (-1) ** j * weights[j]  # (-1)^j w_j C(n-j, t-j) at t = j
+        for t in range(j, top + 1):
+            g[t] += term
+            term = term * (n - t) // (t - j + 1)
+    out = [g[0]]
+    for h in range(1, h_max + 1):
+        for t in range(min(top, h_max - h) + 1):
+            g[t] = 2 * t * g[t] + (t + 1) * g[t + 1]
+        out.append(g[0])
+    return out
 
 
 def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
@@ -327,6 +336,6 @@ def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
     field.check_int("h", h, 0)
     n = len(code_weights) - 1
     lhs = sum(j ** h * bj for j, bj in enumerate(code_weights))
-    rhs = pless_sum(dual_weights, n, h) * Fraction(2) ** (k - h)
+    rhs = pless_sums(dual_weights, n, h)[h] * Fraction(2) ** (k - h)
     ok = rhs.denominator == 1 and lhs == int(rhs)
     return {"h": h, "lhs": lhs, "rhs": rhs if rhs.denominator != 1 else int(rhs), "ok": ok}

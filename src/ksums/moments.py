@@ -10,7 +10,7 @@ multiplying through by (-2/A)^h,
 
     MK^h = sum_(l<h) (-1)^(h+l+1) C(h,l) B^(h-l) MK^l + q A^(-h) (-1)^h P(C, N, h)
 
-seeded by MK^0 = q - 1, where P is the Pless sum coset_codes.pless_sum. The
+seeded by MK^0 = q - 1, where P is the Pless sum of coset_codes.pless_sums. The
 codim-2 families produce the same shape for the 2-dimensional moments MK2^h
 (base B - q^2) and for the even moments MK^(2h) (base B - q^2 + q); KINDS
 lists every sequence with its base and its oracle. The left side sums
@@ -20,20 +20,19 @@ injective a -> c(a): it applies to every family of its codimension.
 All arithmetic is exact: B and A^(-h) are Fractions, and every final moment
 is checked to be integral, raising ConsistencyError otherwise; when B is
 itself an integer the stronger per-step fact that q times the Pless sum is
-divisible by A^h is checked too.
-One Walsh-Hadamard transform per family serves every h, and each h's
-Pless sum serves both codim-2 kinds.
+divisible by A^h is checked too. A request up to h_max is one pass
+(MomentKind.sequence), budgeted before any work; both codim-2 kinds share its
+Pless sums, and mk_recursive and its siblings read entry h of a pass up to h.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from ksums import charsums, coset_codes, field
 from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
-from ksums.errors import ConsistencyError
+from ksums.errors import BudgetError, ConsistencyError
 
 
 class MomentKind(NamedTuple):
@@ -60,9 +59,26 @@ class MomentKind(NamedTuple):
         # checked before the product: step * True would pass as an int
         return charsums.moment(fp, self.m, self.step * field.check_int("h", h, 0))
 
-    def recursive(self, f: DoubleCosetFamily, h: int) -> int:
-        """The cached module-level <name>_recursive, looked up at call time."""
-        return globals()[f"{self.name}_recursive"](f, h)
+    def sequence(self, f: DoubleCosetFamily, h_max: int) -> list:
+        """MK^0..MK^h_max of this kind, in one pass over f's Pless sums."""
+        field.check_int("h_max", h_max, 0)
+        q = f.fp.q
+        if f.codim != self.codim:
+            raise ValueError(f"{self.name} needs a codim-{self.codim} family, got {f.label}")
+        consts = coset_codes.family_constants(f)
+        base = self.base(f)
+        seq = [q - 1]
+        for h, dsum in enumerate(_pless_sums(f, h_max)[1:], 1):
+            lead = (-1) ** (h + 1) * _expand(base, h, seq)
+            if consts.cofactor.denominator == 1 and (q * dsum) % consts.scale ** h:
+                raise ConsistencyError("double sum not divisible by scale^h",
+                                       family=f.label, n=f.n, q=q, h=h, dsum=dsum)
+            total = lead + Fraction(q * dsum, consts.scale ** h)
+            if total.denominator != 1:
+                raise ConsistencyError("moment recursion produced a non-integer", family=f.label,
+                                       n=f.n, q=q, h=h, lead=lead, dsum=dsum)
+            seq.append(int(total))
+        return seq
 
 
 KINDS = (
@@ -83,63 +99,45 @@ def kinds(codim: int) -> tuple:
 def _expand(base: Fraction, h: int, ms) -> Fraction:
     """sum_l (-1)^l C(h,l) base^(h-l) ms[l] over the supplied l <= h, in ints over d^h."""
     p, d = base.numerator, base.denominator
-    return Fraction(sum((-1) ** l * binom(h, l) * p ** (h - l) * d ** l * m
-                        for l, m in enumerate(ms)), d ** h)
-
-
-def _recursive(kind: MomentKind, f: DoubleCosetFamily, h: int) -> int:
-    """The h-th moment of `kind`, its lower ones read from the cached functions."""
-    field.check_int("h", h, 0)
-    q = f.fp.q
-    if f.codim != kind.codim:
-        raise ValueError(f"{kind.name}_recursive needs a codim-{kind.codim} family, got {f.label}")
-    if h == 0:
-        return q - 1
-    consts = coset_codes.family_constants(f)
-    lead = (-1) ** (h + 1) * _expand(kind.base(f), h, [kind.recursive(f, l) for l in range(h)])
-    dsum = _pless_sum(f, h)
-    if consts.cofactor.denominator == 1 and (q * dsum) % consts.scale ** h:
-        raise ConsistencyError("double sum not divisible by scale^h",
-                               family=f.label, n=f.n, q=q, h=h, dsum=dsum)
-    total = lead + Fraction(q * dsum, consts.scale ** h)
-    if total.denominator != 1:
-        raise ConsistencyError("moment recursion produced a non-integer",
-                               family=f.label, n=f.n, q=q, h=h,
-                               lead=lead, dsum=dsum)
-    return int(total)
+    acc = 0
+    for l, m in enumerate(ms):  # Horner's rule in p: no big power of p per term
+        acc = acc * p + (-1) ** l * binom(h, l) * d ** l * m
+    return Fraction(acc * p ** (h + 1 - len(ms)), d ** h)
 
 
 @lru_cache(maxsize=None)
-def _code_weights(f: DoubleCosetFamily) -> MappingProxyType:
-    """walsh_weights of f's trace multiplicities, read by every h, hence read-only."""
-    return MappingProxyType(coset_codes.walsh_weights(coset_codes.trace_multiplicities(f)))
+def _pless_sums(f: DoubleCosetFamily, h_max: int) -> tuple:
+    """(-1)^h P(C, N, h) for h <= h_max of f's code; the two codim-2 kinds share it.
 
-
-@lru_cache(maxsize=None)
-def _pless_sum(f: DoubleCosetFamily, h: int) -> int:
-    """(-1)^h P(C, N, h) for f's code; the two codim-2 kinds share it."""
+    Charged before any work to TRANSFORM_BIT_BUDGET as h_max^2 (h_max + bitlen N) bits, a
+    proxy for the pass's big-int work that bounds the transform's own h_max^2 bitlen N.
+    """
     size = coset_codes.family_constants(f).size
-    coeffs = coset_codes.krawtchouk_sum(_code_weights(f), size, min(size, h))
-    return (-1) ** h * coset_codes.pless_sum(coeffs, size, h)
+    bits = h_max ** 2 * (h_max + size.bit_length())
+    if bits > coset_codes.TRANSFORM_BIT_BUDGET:
+        raise BudgetError(f"moments up to h = {h_max} of a length-{size} code take about {bits} "
+                          f"bits, over budget {coset_codes.TRANSFORM_BIT_BUDGET}; lower h_max")
+    dist = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=h_max)
+    return tuple((-1) ** h * p for h, p in enumerate(coset_codes.pless_sums(dist, size, h_max)))
 
 
-# typed: True or 1.0 must be refused by _recursive, not read h = 1's entry
+# typed: True or 1.0 must be refused by sequence, not read h = 1's entry
 @lru_cache(maxsize=None, typed=True)
 def mk_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^h from a codim-1 family's weight distribution."""
-    return _recursive(MK, f, h)
+    return MK.sequence(f, h)[h]
 
 
 @lru_cache(maxsize=None, typed=True)
 def mk2_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK_2^h (2-dimensional Kloosterman moments) from a codim-2 family."""
-    return _recursive(MK2, f, h)
+    return MK2.sequence(f, h)[h]
 
 
 @lru_cache(maxsize=None, typed=True)
 def mk_even_recursive(f: DoubleCosetFamily, h: int) -> int:
     """MK^(2h) (even Kloosterman moments) from a codim-2 family."""
-    return _recursive(MK_EVEN, f, h)
+    return MK_EVEN.sequence(f, h)[h]
 
 
 def verify_lhs_expansion(f: DoubleCosetFamily, h: int) -> dict:

@@ -27,9 +27,10 @@ entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
 Every product is read from field.mul_table. The Levi factors are built
-from the (A, A^-1) key pairs matgf.gl_matrices yields, by moving lanes; only
-the elements of U are packed from matrices, and here matgf.mat_mul serves
-only preserves_theta_plus. The keys of a whole coset x G are an xor of G's
+from the (A, A^-1) key pairs matgf.gl_matrices yields, by moving lanes, and
+the elements of U are sums of lane bits times the entries of B; no
+production route builds a tuple matrix, and here matgf.mat_mul serves only
+preserves_theta_plus. The keys of a whole coset x G are an xor of G's
 packed rows, scaled and copied into row slots by one integer
 multiplication: one chain of C-level maps per coset. A packed row times a
 field element is built by one lane loop, _scale_row, which the kernel and
@@ -183,16 +184,6 @@ def parabolic_order(n: int, q: int) -> int:
     return q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
 
 
-def _alternating_matrices(fp: FieldParams, n: int):
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for vals in product(range(fp.q), repeat=len(slots)):
-        m = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(slots, vals):
-            m[i][j] = v
-            m[j][i] = v
-        yield tuple(tuple(row) for row in m)
-
-
 def enumerable(fp: FieldParams, n: int) -> bool:
     """True iff |P+(2n,q)|^2 fits PRODUCT_BUDGET, so cells may be materialized."""
     return parabolic_order(n, fp.q) ** 2 <= PRODUCT_BUDGET
@@ -227,9 +218,12 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
                 col = (col << r) | ((ainv >> r * (n * n - 1 - j * n - i)) & lane)
             bottom = (bottom << 2 * w) | col
         levi.append((top << 2 * w * n) | bottom)
-    zero, one = (0,) * n, matgf.mat_identity(n)
-    unipotent = [matgf.pack_mat(fp, [e + rb for e, rb in zip(one, b)] + [zero + e for e in one])
-                 for b in _alternating_matrices(fp, n)]
+    # [[1, B], [0, 1]]: 1 at each diagonal lane, b_ij at lanes (i, n+j) and (j, n+i)
+    nn = 2 * n
+    low = [1 << r * e for e in range(nn * nn - 1, -1, -1)]  # lane (i, k)'s low bit at nn i + k
+    one = sum(low[(nn + 1) * i] for i in range(nn))
+    slots = [low[nn * i + n + j] | low[nn * j + n + i] for i in range(n) for j in range(i + 1, n)]
+    unipotent = [sum(map(mul, b, slots), one) for b in product(range(fp.q), repeat=len(slots))]
     return tuple(sorted(_coset_products(fp, n, levi, unipotent)))
 
 

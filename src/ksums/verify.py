@@ -232,9 +232,8 @@ def _moment_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
         params = {"family": f.label, "n": f.n, "q": f.fp.q}
         for kind in moments.kinds(f.codim):
-            rep.add(kind.check, params,
-                    [kind.oracle(f.fp, h) for h in range(h_max + 1)],
-                    [kind.recursive(f, h) for h in range(h_max + 1)])
+            rep.add(kind.check, params, [kind.oracle(f.fp, h) for h in range(h_max + 1)],
+                    kind.sequence(f, h_max))
         rep.add("moments.weight_power_sum_expansion", params, "[]",
                 [h for h in range(h_max + 1) if not moments.verify_lhs_expansion(f, h)["ok"]])
 

@@ -307,6 +307,18 @@ def test_truncated_distribution_work_budget_refuses_fast(capsys):
     assert json.loads(out)["j"] == 1443
 
 
+def test_moment_pass_budget_refuses_fast(capsys):
+    # h_max^2 (h_max + 48) bits at length 2.8e14 are refused before the
+    # truncated distribution is read, and before any row is printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "moments", "recursive", "--family", "dc1+", "--n", "2",
+                         "--r", "8", "--h-max", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
+
+
 def test_exact_integers_of_any_length_print():
     # a coefficient of 12,785 digits, past Python's default 4,300-digit
     # limit on int -> str; the CLI lifts that limit for its whole process, so

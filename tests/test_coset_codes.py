@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksums import charsums, coset_codes as cc, field, orthogroup, verify
-from ksums.combinat import binom
+from ksums.combinat import binom, stirling2
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 
@@ -383,6 +384,27 @@ def test_pless_parameter_errors():
         cc.pless_check([1, 0], [1, 0, 1], 1, 1)
     with pytest.raises(ValueError):
         cc.pless_check([1, 0, 1], [1, 0, 1], 1, -1)
+
+
+@st.composite
+def truncated_distributions(draw):
+    """(n, h_max, w_0..w_min(n,h_max)): short codes and codes as long as q = 256's."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(10 ** 12, 10 ** 15)))
+    h_max = draw(st.integers(0, 16))
+    size = min(n, h_max) + 1
+    return n, h_max, draw(st.lists(st.integers(0, 10 ** 6), min_size=size, max_size=size))
+
+
+@given(truncated_distributions())
+@example((3, 10, [1, 0, 2, 5]))  # h_max > n: terms with t > n vanish
+@example((10 ** 14, 0, [1]))
+def test_pless_sums_match_the_stirling_double_sum(case):
+    n, h_max, w = case
+    expected = [sum((-1) ** j * w[j] * sum(math.factorial(t) * stirling2(h, t) * 2 ** (h - t)
+                                           * binom(n - j, n - t) for t in range(j, h + 1))
+                    for j in range(min(n, h) + 1))
+                for h in range(h_max + 1)]
+    assert cc.pless_sums(w, n, h_max) == expected
 
 
 def test_codim2_multiplicities_group_by_kloosterman_value():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ksums import charsums, coset_codes as cc, field, moments
+from ksums.errors import BudgetError
 from ksums.field import binary_field
 
 GF2 = binary_field(1)
@@ -40,8 +41,8 @@ def test_every_kind_applies_at_small_q():
         f = fam(label, n, fp)
         for kind in moments.kinds(f.codim):
             pairs += 1
-            for h in range(13):
-                assert kind.recursive(f, h) == kind.oracle(fp, h), (label, n, fp.q, kind.name, h)
+            assert kind.sequence(f, 12) == [kind.oracle(fp, h) for h in range(13)], (
+                label, n, fp.q, kind.name)
         for h in range(13):
             assert moments.verify_lhs_expansion(f, h)["ok"], (label, n, fp.q, h)
     assert pairs == 16
@@ -180,15 +181,21 @@ def test_code_data_computed_once_per_family(monkeypatch):
         return real(f, *args)
 
     monkeypatch.setattr(cc, "trace_multiplicities", counting)
-    for cached in (moments.mk2_recursive, moments.mk_even_recursive,
-                   moments._code_weights, moments._pless_sum):
-        cached.cache_clear()
+    moments._pless_sums.cache_clear()
     fams = [fam("dc2+", 2, GF8), fam("dc2-", 3, GF4)]
     for f in fams:
-        for h in range(H_MAX + 1):
-            moments.mk2_recursive(f, h)
-            moments.mk_even_recursive(f, h)
+        for kind in moments.kinds(f.codim):
+            kind.sequence(f, H_MAX)
     assert calls == fams
+
+
+def test_pass_budget_boundary():
+    # a length-1 code: the pass costs h_max^2 (h_max + 1) bits, so 463 is the
+    # largest h_max within TRANSFORM_BIT_BUDGET
+    f = fam("dc1-", 1, GF2)
+    assert moments.MK.sequence(f, 463)[-1] == charsums.moment(GF2, 1, 463)
+    with pytest.raises(BudgetError, match="h = 464 .* over budget 100000000"):
+        moments.MK.sequence(f, 464)
 
 
 def test_lhs_expansion():

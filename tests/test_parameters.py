@@ -70,8 +70,11 @@ CASES = {
     "weight_distribution-count": (lambda v: cc.weight_distribution({1: v, 3: 1}), 1, (-1,)),
     "walsh_weights-key": (lambda v: cc.walsh_weights({v: 1, 3: 1}), 1, (-1, 1.5, 256, 1 << 40)),
     "walsh_weights-count": (lambda v: cc.walsh_weights({1: v, 3: 1}), 1, (-1,)),
+    "pless_sums-n": (lambda v: cc.pless_sums([1, 1], v, 1), 1, (-1,)),
+    "pless_sums-h_max": (lambda v: cc.pless_sums([1, 1], 1, v), 1, (-1,)),
     "pless_check-h": (lambda v: cc.pless_check([1, 0], [1, 1], 0, v), 1, (-1,)),
     "MK_EVEN.oracle-h": (lambda v: moments.MK_EVEN.oracle(GF8, v), 1, (-1,)),
+    "MK.sequence-h_max": (lambda v: moments.MK.sequence(DC1, v), 1, (-1,)),
     "mk_recursive-h": (lambda v: moments.mk_recursive(DC1, v), 1, (-1,)),
     "mk2_recursive-h": (lambda v: moments.mk2_recursive(DC2, v), 1, (-1,)),
     "mk_even_recursive-h": (lambda v: moments.mk_even_recursive(DC2, v), 1, (-1,)),
@@ -117,8 +120,7 @@ def test_messages_name_the_parameter():
 
 
 def test_cached_mappings_are_read_only():
-    for hist in (cc.dual_weight_histogram(DC1), moments._code_weights(DC1),
-                 og.cell_trace_histogram(GF2, 2, 1)):
+    for hist in (cc.dual_weight_histogram(DC1), og.cell_trace_histogram(GF2, 2, 1)):
         with pytest.raises(TypeError):
             hist[0] = 5
         with pytest.raises(TypeError):
