@@ -33,10 +33,9 @@ gives the Pless identity's right side for all h <= h_max in one pass.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
-from ksums import charsums, field, orthogroup
+from ksums import charsums, field, matgf, orthogroup
 from ksums.combinat import binom
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
@@ -96,19 +95,12 @@ class FamilyConstants(NamedTuple):
 
 @lru_cache(maxsize=None)
 def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
-    """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale."""
+    """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale;
+    cached, read per dual weight and moment of f (verify (6,3,10): 1,122 hits)."""
     q = f.fp.q
     scale = orthogroup.cell_sum_coefficient(f.n, f.cell_index, q) * q ** binom(f.codim, 2)
     size = orthogroup.cell_order(f.n, f.cell_index, q)
     return FamilyConstants(scale=scale, cofactor=Fraction(size, scale), size=size)
-
-
-def enumerable(f: DoubleCosetFamily) -> bool:
-    return orthogroup.enumerable(f.fp, f.n)
-
-
-def family_cell(f: DoubleCosetFamily) -> orthogroup.BruhatCell:
-    return orthogroup.bruhat_cell(f.fp, f.n, f.cell_index)
 
 
 def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
@@ -144,8 +136,9 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
 
 
 def ordered_traces(f: DoubleCosetFamily) -> tuple:
-    """Tr g_j for the cell elements in canonical (packed-key) order."""
-    return orthogroup.cell_traces(f.fp, f.n, f.cell_index)
+    """Tr g_j for the cell elements in canonical (packed-key) order, built on each call."""
+    keys = orthogroup.bruhat_cell(f.fp, f.n, f.cell_index).elements
+    return tuple(matgf.key_traces(f.fp, 2 * f.n, keys))
 
 
 def dual_codeword(f: DoubleCosetFamily, a: int) -> tuple:
@@ -169,13 +162,15 @@ def dual_kernel(f: DoubleCosetFamily) -> frozenset:
 def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     """Hamming weight of the dual codeword at a != 0.
 
-    direct mode counts ones in the materialized vector; formula mode
-    evaluates (size - S(a))/2 with S(a) the cell's character sum at a.
+    direct mode counts the w with tr(a Tr w) = 1 in the cell's trace histogram; formula
+    mode evaluates (size - S(a))/2 with S(a) the cell's character sum at a.
     """
     fp = f.fp
     field.check_unit(fp, a, "a")
     if mode == "direct":
-        return sum(dual_codeword(f, a))
+        trt, arow = field.trace_table(fp), field.mul_table(fp)[a]
+        hist = orthogroup.cell_trace_histogram(fp, f.n, f.cell_index)
+        return sum(cnt for beta, cnt in hist.items() if trt[arow[beta]])
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
     num = family_constants(f).size - orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a)
@@ -194,6 +189,8 @@ def krawtchouk_sum(weights, length: int, cap: int) -> list:
     (j+1) p_(j+1) = (length - 2w) p_j - (length - j + 1) p_(j-1), so a weight
     costs O(cap); every quotient by denom must be an exact nonnegative int.
     """
+    field.check_int("length", length, 0)
+    field.check_int("cap", cap, 0)
     denom = sum(weights.values())
     acc = [0] * (cap + 1)
     for w, mult in weights.items():
@@ -247,24 +244,25 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
     weights = walsh_weights(counts)  # checks every key and count first
     total = sum(counts.values())
     cap = total if j_max is None else min(field.check_int("j_max", j_max, 0), total)
-    bits = cap * min(cap * total.bit_length(), total)
-    if bits > TRANSFORM_BIT_BUDGET:
-        raise BudgetError(f"coefficients up to j = {cap} of a length-{total} code take up to "
-                          f"{bits} bits per weight, over budget {TRANSFORM_BIT_BUDGET} (the "
-                          f"cap of {FULL_DISTRIBUTION_CAP} coefficients, squared); "
-                          "query a smaller j_max")
+    _charge_transform(cap, total)
     return krawtchouk_sum(weights, total, cap)
 
 
-@lru_cache(maxsize=None)
-def dual_weight_histogram(f: DoubleCosetFamily) -> MappingProxyType:
-    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0).
+def _charge_transform(cap: int, length: int):
+    """Refuse coefficients j <= cap of a length-`length` code over TRANSFORM_BIT_BUDGET."""
+    bits = cap * min(cap * length.bit_length(), length)
+    if bits > TRANSFORM_BIT_BUDGET:
+        raise BudgetError(f"coefficients up to j = {cap} of a length-{length} code take up to "
+                          f"{bits} bits per weight, over budget {TRANSFORM_BIT_BUDGET} (the "
+                          f"cap of {FULL_DISTRIBUTION_CAP} coefficients, squared); "
+                          "query a smaller j_max")
 
-    Cached for every h of moments.verify_lhs_expansion, hence read-only.
-    """
+
+def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
+    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0)."""
     weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
     weights[0] += 1
-    return MappingProxyType(weights)
+    return weights
 
 
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
@@ -273,11 +271,11 @@ def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
     Feeds the formula-mode dual weight histogram to the same Krawtchouk
     kernel; the division by q is exact whether or not a -> c(a) is
     injective, because a kernel of size 2 double-counts a dual code of half
-    the size.
+    the size. A full transform charges N^2 bits to TRANSFORM_BIT_BUDGET, as
+    in weight_distribution.
     """
     n = family_constants(f).size
-    if n > FULL_DISTRIBUTION_CAP:
-        raise BudgetError(f"length {n} exceeds cap {FULL_DISTRIBUTION_CAP}")
+    _charge_transform(n, n)
     return krawtchouk_sum(dual_weight_histogram(f), n, n)
 
 
@@ -335,6 +333,7 @@ def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
         raise ValueError("code and dual weight lists must have equal length")
     field.check_int("h", h, 0)
     n = len(code_weights) - 1
+    field.check_int("k", k, 0, n)
     lhs = sum(j ** h * bj for j, bj in enumerate(code_weights))
     rhs = pless_sums(dual_weights, n, h)[h] * Fraction(2) ** (k - h)
     ok = rhs.denominator == 1 and lhs == int(rhs)

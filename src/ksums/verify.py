@@ -198,7 +198,7 @@ def _code_checks(rep, fps, max_n, h_max):
             if cnt % 2:
                 weighted ^= beta
         rep.add("codes.multiplicities_weighted_sum", params, 0, weighted)
-        if coset_codes.enumerable(f):
+        if orthogroup.enumerable(fp, f.n):
             rep.add("codes.multiplicities_formula_vs_enumeration", params,
                     sorted(counts.items()),
                     sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
@@ -206,7 +206,7 @@ def _code_checks(rep, fps, max_n, h_max):
                     [a for a in field.units(fp)
                      if coset_codes.dual_weight(f, a, "direct")
                      != coset_codes.dual_weight(f, a, "formula")])
-            size = len(coset_codes.family_cell(f).elements)
+            size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
             lam, mt = field.char_table(fp), field.mul_table(fp)
             sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
                     for a in field.units(fp)]
@@ -232,10 +232,9 @@ def _moment_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
         params = {"family": f.label, "n": f.n, "q": f.fp.q}
         for kind in moments.kinds(f.codim):
-            rep.add(kind.check, params, [kind.oracle(f.fp, h) for h in range(h_max + 1)],
-                    kind.sequence(f, h_max))
+            rep.add(kind.check, params, kind.oracles(f.fp, h_max), kind.sequence(f, h_max))
         rep.add("moments.weight_power_sum_expansion", params, "[]",
-                [h for h in range(h_max + 1) if not moments.verify_lhs_expansion(f, h)["ok"]])
+                moments.verify_lhs_expansion(f, h_max))
 
 
 def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:

@@ -41,10 +41,8 @@ def test_every_kind_applies_at_small_q():
         f = fam(label, n, fp)
         for kind in moments.kinds(f.codim):
             pairs += 1
-            assert kind.sequence(f, 12) == [kind.oracle(fp, h) for h in range(13)], (
-                label, n, fp.q, kind.name)
-        for h in range(13):
-            assert moments.verify_lhs_expansion(f, h)["ok"], (label, n, fp.q, h)
+            assert kind.sequence(f, 12) == kind.oracles(fp, 12), (label, n, fp.q, kind.name)
+        assert moments.verify_lhs_expansion(f, 12) == [], (label, n, fp.q)
     assert pairs == 16
 
 
@@ -199,12 +197,27 @@ def test_pass_budget_boundary():
 
 
 def test_lhs_expansion():
-    rep = moments.verify_lhs_expansion(fam("dc1-", 1, GF8), 3)
-    assert rep["ok"]
-    rep = moments.verify_lhs_expansion(fam("dc2+", 2, GF4), 2)
-    assert rep["ok"] and rep["rhs_even"] == rep["rhs_two_dimensional"] == rep["lhs"]
-    rep = moments.verify_lhs_expansion(fam("dc1+", 2, GF4), 0)
-    assert rep["ok"] and rep["lhs"] == GF4.q - 1
-    for h in range(6):
-        assert moments.verify_lhs_expansion(fam("dc1-", 3, GF4), h)["ok"]
-        assert moments.verify_lhs_expansion(fam("dc2-", 3, GF4), h)["ok"]
+    assert moments.verify_lhs_expansion(fam("dc1-", 1, GF8), 3) == []
+    # codim 2: both the 2-dimensional and the even expansion must match
+    assert moments.verify_lhs_expansion(fam("dc2+", 2, GF4), 2) == []
+    assert moments.verify_lhs_expansion(fam("dc1+", 2, GF4), 0) == []
+    assert moments.verify_lhs_expansion(fam("dc1-", 3, GF4), 5) == []
+    assert moments.verify_lhs_expansion(fam("dc2-", 3, GF4), 5) == []
+
+
+@pytest.mark.parametrize("label, n, fp", [("dc1-", 1, GF8), ("dc2+", 2, GF4)])
+def test_lhs_expansion_reports_a_wrong_oracle(monkeypatch, label, n, fp):
+    # one moment of one kind off by one at h = 3: the h below it still match
+    f = fam(label, n, fp)
+    wrong = moments.kinds(f.codim)[-1]
+    real = moments.MomentKind.oracles
+
+    def off_at_3(kind, fp, h_max):
+        out = real(kind, fp, h_max)
+        if kind is wrong:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(moments.MomentKind, "oracles", off_at_3)
+    bad = moments.verify_lhs_expansion(f, 6)
+    assert bad and bad[0] == 3, bad

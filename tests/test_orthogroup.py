@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ksums import charsums, field, matgf, orthogroup as og
+from ksums import charsums, coset_codes as cc, field, matgf, orthogroup as og
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 from ksums.verify import ALT_MODULI
@@ -196,14 +196,18 @@ def test_lane_swaps_match_permuted_matrices():
 
 
 def test_cell_traces_match_mat_trace():
-    # the diagonal lanes of each key against the trace of the unpacked matrix
+    # the diagonal lanes of each key against the trace of the unpacked matrix,
+    # read through ordered_traces on the family cells (codim 1 and 2)
     cases = [(binary_field(r), 1, 1) for r in range(1, 9)] + [(GF4, 2, 1), (GF2, 3, 97)]
     for fp, n, stride in cases:
         for r in range(n + 1):
             keys = og.bruhat_cell(fp, n, r).elements
-            traces = og.cell_traces(fp, n, r)
+            traces = tuple(matgf.key_traces(fp, 2 * n, keys))
             assert traces[::stride] == tuple(
                 matgf.mat_trace(matgf.unpack_mat(fp, 2 * n, k)) for k in keys[::stride])
+            if 1 <= n - r <= 2:
+                f = cc.parse_family(f"dc{n - r}{'+-'[n % 2]}", n, fp)
+                assert cc.ordered_traces(f) == traces
 
 
 def test_a_r_subgroup():
