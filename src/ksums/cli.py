@@ -4,14 +4,16 @@ Subcommands: field, ksum, moments, group, code, verify. Output is JSON on
 stdout (CSV with --format csv); computed integers are serialized as decimal
 strings so consumers never lose precision. Field elements are read and
 written as lowercase hex in the package's fixed polynomial basis (see
-ksums.field.DEFAULT_MODULI). Exit codes: 0 success, 1 failed verification or
-internal inconsistency, 2 usage/parameter/budget error. Everything is
-deterministic; there is no seed.
+ksums.field.DEFAULT_MODULI). Exit codes: 0 success, 1 failed verification,
+internal inconsistency or a stdout pipe closed by its reader (nothing on
+stderr then), 2 usage/parameter/budget error. Everything is deterministic;
+there is no seed.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from ksums import charsums, coset_codes, field, matgf, moments, orthogroup, verify
@@ -127,7 +129,7 @@ def _cmd_group_enum(args):
                                 for b, c in sorted(hist.items())},
         }
         if args.elements:
-            entry["elements"] = matgf.keys_hex(fp, 2 * args.n, cell.elements)
+            entry["elements"] = matgf.keys_hex(fp, 2 * args.n, sorted(cell.elements))
         out.append(entry)
     payload = {"r": fp.r, "n": args.n, "cells": out}
     rows = [("cell", "order", "beta_hex", "count")]
@@ -311,7 +313,15 @@ def main(argv=None) -> int:
         if args.r is None or args.a is None:
             parser.error("ksum requires --r and --a")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the exit flush writes what is still buffered; point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

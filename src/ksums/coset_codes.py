@@ -137,7 +137,7 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
 
 def ordered_traces(f: DoubleCosetFamily) -> tuple:
     """Tr g_j for the cell elements in canonical (packed-key) order, built on each call."""
-    keys = orthogroup.bruhat_cell(f.fp, f.n, f.cell_index).elements
+    keys = sorted(orthogroup.bruhat_cell(f.fp, f.n, f.cell_index).elements)
     return tuple(matgf.key_traces(f.fp, 2 * f.n, keys))
 
 

@@ -12,29 +12,32 @@ over r = 0..n of the double cosets (Bruhat cells) P+ s_r P+ for involutions
 s_r swapping the first r hyperbolic coordinate pairs.
 
 P+ and the cells come from one kernel on keys, _coset_products, which
-lists the deduplicated products of left factors with a group G. P+ = L U
-is the Levi factors [[A, 0], [0, tA^-1]] times the group U of
-[[1, B], [0, 1]], B alternating; a cell is the |P+|^2 products p1 s_r p2,
-left factors p1 s_r times G = P+, so its size stays an enumeration-side
-oracle for the closed-form order bookkeeping in group_counts (which is
-never consulted while enumerating). Dedup exploits only that G is
-multiplicatively closed: the accumulated set is always a union of complete
-left cosets x G, so a product already seen lets the whole inner loop be
-skipped without changing the result set.
+lists the cosets x P+ of left factors x. P+ = L U is the Levi factors
+[[A, 0], [0, tA^-1]] times the group U of [[1, B], [0, 1]], B alternating,
+so a coset is (x L) U: the |GL(n,q)| products x l, then U by lane moves.
+P+ itself is the coset of the identity; a cell is the products p1 s_r p2,
+the cosets of the left factors p1 s_r, so its size stays an
+enumeration-side oracle for the closed-form order bookkeeping in
+group_counts (which is never consulted while enumerating). The set built
+so far is always a union of whole cosets, so a left factor already in it
+opens no new coset and is skipped. Cells keep the kernel's set order:
+only --elements output and coset_codes.ordered_traces sort them.
 
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
 Every product is read from field.mul_table. The Levi factors are built
-from the (A, A^-1) key pairs matgf.gl_matrices yields, by moving lanes, and
-the elements of U are sums of lane bits times the entries of B; no
-production route builds a tuple matrix, and here matgf.mat_mul serves only
-preserves_theta_plus. The keys of a whole coset x G are an xor of G's
-packed rows, scaled and copied into row slots by one integer
-multiplication: one chain of C-level maps per coset. A packed row times a
-field element is built by one lane loop, _scale_row, which the kernel and
-outside_oplus share.
+from the (A, A^-1) key pairs of matgf.gl_matrices' scalar-class
+representatives, scaled by each unit and placed by moving lanes
+(_levi_blocks); no production route builds a tuple matrix, and here
+matgf.mat_mul serves only preserves_theta_plus. The keys of x L are an
+xor of the Levi keys' packed rows, scaled and copied into row slots by one
+integer multiplication: one chain of C-level maps per coset. Then
+y [[1, B], [0, 1]] is y plus an offset made of y's own lanes, moved by
+masks and shifts, so each element of y U costs one C-level xor. A packed
+row times a field element is built by one lane loop, _scale_row, which the
+kernel, _levi_blocks and outside_oplus share.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
 Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
@@ -51,8 +54,8 @@ rather than served the entry of 1.
 
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import product, repeat
-from operator import mul, xor
+from itertools import chain, cycle, product, repeat
+from operator import and_, mul, or_, rshift, xor
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -69,7 +72,7 @@ class BruhatCell(NamedTuple):
     fp: FieldParams
     n: int
     r: int
-    elements: tuple  # packed keys, sorted ascending
+    elements: tuple  # packed keys, in no particular order
 
 
 def theta_plus(fp: FieldParams, v) -> int:
@@ -198,35 +201,14 @@ def _check_enum_budget(fp: FieldParams, n: int):
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
-    """Packed keys of P+(2n,q) = L U, sorted ascending.
+    """Packed keys of P+(2n,q) = L U, sorted ascending: the coset 1 P+ of the kernel.
 
-    L holds the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), and U the
-    unipotent [[1, B], [0, 1]], B alternating; [[A, 0], [0, tA^-1]] times
-    [[1, B], [0, 1]] is [[A, AB], [0, tA^-1]], so each element arises once.
     Cached for every cell and A_r of (q, n) (verify (6,3,10): 44 hits).
     """
     _check_enum_budget(fp, n)  # checks n through parabolic_order
-    r, w = fp.r, fp.r * n  # w bits per row of A, 2w per row of a P+ key
-    rowmask, lane = (1 << w) - 1, fp.q - 1
-    levi = []
-    for a, ainv in matgf.gl_matrices(fp, n):
-        top = bottom = 0
-        for i in range(n):
-            # row i is row i of A, then n zero lanes; row n+i is n zero
-            # lanes, then column i of A^-1, whose entry j sits at lane j n + i
-            top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
-            col = 0
-            for j in range(n):
-                col = (col << r) | ((ainv >> r * (n * n - 1 - j * n - i)) & lane)
-            bottom = (bottom << 2 * w) | col
-        levi.append((top << 2 * w * n) | bottom)
-    # [[1, B], [0, 1]]: 1 at each diagonal lane, b_ij at lanes (i, n+j) and (j, n+i)
     nn = 2 * n
-    low = [1 << r * e for e in range(nn * nn - 1, -1, -1)]  # lane (i, k)'s low bit at nn i + k
-    one = sum(low[(nn + 1) * i] for i in range(nn))
-    slots = [low[nn * i + n + j] | low[nn * j + n + i] for i in range(n) for j in range(i + 1, n)]
-    unipotent = [sum(map(mul, b, slots), one) for b in product(range(fp.q), repeat=len(slots))]
-    return tuple(sorted(_coset_products(fp, n, levi, unipotent)))
+    one = sum(1 << fp.r * (nn * nn - 1 - (nn + 1) * i) for i in range(nn))
+    return tuple(sorted(_coset_products(fp, n, [one])))
 
 
 # -- packed-key kernels ------------------------------------------------------
@@ -242,27 +224,83 @@ def _scale_row(scale, r: int, lanes: int, v: int) -> int:
     return acc
 
 
-def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
-    """Deduplicated keys of {x g : x in left_keys, g in G}, G the keys group_keys.
+@lru_cache(maxsize=None, typed=True)
+def _levi_blocks(fp: FieldParams, n: int) -> tuple:
+    """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), in q - 1 blocks.
 
-    G must be a group: the set built so far is then a union of whole cosets
-    x G, so a left factor already in it opens no new coset and is skipped.
-    Row i of x g is the sum over k of x_ik times row k of g, so the key of
-    x g is the xor over the pairs (k, s) occurring in x of S_(k,s)[g] * M.
-    S_(k,s) lists packed row k of each element of G, in the order of
-    group_keys, with each lane times s; M has a 1 at the low bit of each
-    row slot i with x_ik = s, so the product copies the packed row into
-    those slots, rowbits apart, and no carries occur. Each new coset x G is
-    one chain of C-level maps; each S_(k,s) is built when first read.
+    Block u - 1 holds the factors of u A0 for the scalar-class representatives
+    A0 of matgf.gl_matrices, in the same order in every block; together the
+    blocks are the Levi subgroup, |GL(n,q)| keys. (u A0)^-1 = u^-1 A0^-1, so
+    both keys of a representative are scaled lane by lane. Cached because
+    P+ and every cell of (q, n) expand their cosets over it, about 1 ms a
+    build at (256,1), (2,3) and (4,2) (verify (6,3,10): 22 hits).
+    """
+    r, w, lanes = fp.r, fp.r * n, n * n
+    rowmask, lane = (1 << w) - 1, fp.q - 1
+    mt, invt = field.mul_table(fp), field.inv_table(fp)
+    reps = list(matgf.gl_matrices(fp, n, scalar_classes=True))
+    blocks = []
+    for u in field.units(fp):
+        block = []
+        for a, ainv in reps:
+            if u != 1:
+                a = _scale_row(mt[u], r, lanes, a)
+                ainv = _scale_row(mt[invt[u]], r, lanes, ainv)
+            top = bottom = 0
+            for i in range(n):
+                # row i is row i of A, then n zero lanes; row n+i is n zero
+                # lanes, then column i of A^-1, whose entry j sits at lane j n + i
+                top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
+                col = 0
+                for j in range(n):
+                    col = (col << r) | ((ainv >> r * (lanes - 1 - j * n - i)) & lane)
+                bottom = (bottom << 2 * w) | col
+            block.append((top << 2 * w * n) | bottom)
+        blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
+    """Deduplicated keys of the cosets x P+, x in left_keys.
+
+    The set built so far is a union of whole cosets x P+, so a left factor
+    already in it opens no new coset and is skipped. A new coset is
+    expanded as (x L) U. Row i of x l is the sum over k of x_ik times row k
+    of l, so the key of x l is the xor over the pairs (k, s) occurring in x
+    of S_(k,s)[l] * M: S_(k,s) lists packed row k of each Levi key, in the
+    order of _levi_blocks, with each lane times s, and M has a 1 at the low
+    bit of each row slot i with x_ik = s, so the product copies the packed
+    row into those slots, rowbits apart, and no carries occur. Each S_(k,s)
+    is built when first read.
+
+    Then y [[1, B], [0, 1]] = y + [0 | y_L B], y_L the left n columns of y.
+    For the alternating E_ij (i < j), y_L E_ij moves lane i of each row of y
+    to lane n+j and lane j to lane n+i: two masks and two right shifts,
+    with no field product. For b != 0, b y_L = (x levi(b A))_L, so the
+    offset of b E_ij at position p of block u is the unit offset at
+    position p of block b u. Adding the q^C(n,2) sums of offsets doubles
+    the list move by move (q-fold over q > 2), one C-level xor per element,
+    and y U keeps y_L, so one offset list per move serves every level. The
+    last level streams into the set.
     """
     r, nn = fp.r, 2 * n
     rowbits, mask = r * nn, fp.q - 1
     rowmask = (1 << rowbits) - 1
     mt = field.mul_table(fp)
+    blocks = _levi_blocks(fp, n)
+    levi = [k for block in blocks for k in block]
+    size = len(blocks[0])
+    column = sum(mask << rowbits * i for i in range(nn))  # the last lane of every row
+    lanes = [column << r * (nn - 1 - k) for k in range(n)]  # lane k < n of every row
+    moves = [(lanes[i], r * (n + j - i), lanes[j], r * (n + i - j))
+             for i in range(n) for j in range(i + 1, n)]
+    # b E_ij, b = 2..q-1: block u's offsets are block b u's unit offsets
+    # (only n >= 2 has moves, and there q <= 4)
+    cuts = [[slice((c - 1) * size, c * size) for c in brow[1:]] for brow in mt[2:]] if moves else []
     lists = {}
 
     def scaled_rows(k, s):
-        rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in group_keys]
+        rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in levi]
         if s == 1:
             return rows
         scaled = {v: _scale_row(mt[s], r, nn, v) for v in set(rows)}
@@ -270,7 +308,7 @@ def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
 
     seen = set()
     for x in left_keys:
-        if x in seen:  # x = x' g' with x' already expanded, so x G = x' G
+        if x in seen:  # x = x' p with x' already expanded, so x P+ = x' P+
             continue
         mults = {}
         for i in range(nn):
@@ -281,7 +319,15 @@ def _coset_products(fp: FieldParams, n: int, left_keys, group_keys) -> set:
                     mults[k, s] = mults.get((k, s), 0) | slot
         terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
                  for ks, m in mults.items()]
-        seen.update(reduce(partial(map, xor), terms))
+        ys = list(reduce(partial(map, xor), terms))  # x L, in the order of levi
+        level = ys
+        for t, (mi, si, mj, sj) in enumerate(moves, 1):
+            off = list(map(or_, map(rshift, map(and_, ys, repeat(mi)), repeat(si)),
+                           map(rshift, map(and_, ys, repeat(mj)), repeat(sj))))
+            offsets = [off] + [list(chain.from_iterable(off[c] for c in cut)) for cut in cuts]
+            more = [map(xor, level, cycle(o)) for o in offsets]
+            level = chain(level, *more) if t == len(moves) else list(chain(level, *more))
+        seen.update(level)
     return seen
 
 
@@ -308,9 +354,8 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     read again by its trace histogram and the group rows (verify (6,3,10): 34 hits)."""
     _check_cell(n, r)
     _check_enum_budget(fp, n)
-    pkeys = enumerate_parabolic(fp, n)
-    keys = _coset_products(fp, n, _swap_lanes(fp, n, r, pkeys, rows=False), pkeys)
-    return BruhatCell(fp=fp, n=n, r=r, elements=tuple(sorted(keys)))
+    left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
+    return BruhatCell(fp=fp, n=n, r=r, elements=tuple(_coset_products(fp, n, left)))
 
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:

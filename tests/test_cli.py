@@ -224,6 +224,37 @@ def test_group_enum_elements_serialized(capsys):
     assert payload["cells"][1]["elements"] == ["0110"]
 
 
+def test_group_enum_elements_listed_ascending(capsys):
+    # cells are stored in no particular order; --elements sorts each one
+    code, out, _ = run(capsys, "group", "enum", "--r", "2", "--n", "2", "--elements")
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert [len(c["elements"]) for c in cells] == [720, 3600, 2880]
+    for c in cells:
+        assert all(a < b for a, b in zip(c["elements"], c["elements"][1:])), c["cell"]
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # a reader that stops early closes the pipe; the CLI exits 1 with no traceback
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "ksums.cli", "group", "enum", "--r", "1",
+                             "--n", "3", "--elements"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert len(head) == 64
+    assert code == 1
+    assert err == ""  # no BrokenPipeError traceback
+
+
 def test_group_enum_budget_exceeded(capsys):
     code, _, err = run(capsys, "group", "enum", "--r", "3", "--n", "2")
     assert code == 2

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ksums import charsums, coset_codes as cc, field, matgf, orthogroup as og
+from ksums import charsums, combinat, coset_codes as cc, field, matgf, orthogroup as og
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 from ksums.verify import ALT_MODULI
@@ -141,13 +141,13 @@ def test_bruhat_cells_2_2():
         union |= set(cell.elements)
     assert sizes == [12, 36, 24]
     assert len(union) == 72 == og.group_order(2, 2)
-    assert og.bruhat_cell(GF2, 2, 0).elements == og.enumerate_parabolic(GF2, 2)
+    assert tuple(sorted(og.bruhat_cell(GF2, 2, 0).elements)) == og.enumerate_parabolic(GF2, 2)
 
 
 def test_bruhat_cell_n1():
     for fp in (GF2, GF4, GF8):
         cell0 = og.bruhat_cell(fp, 1, 0)
-        assert cell0.elements == og.enumerate_parabolic(fp, 1)
+        assert tuple(sorted(cell0.elements)) == og.enumerate_parabolic(fp, 1)
         assert len(og.bruhat_cell(fp, 1, 1).elements) == fp.q - 1
 
 
@@ -162,20 +162,61 @@ def test_cell_matches_unskipped_product_set():
         sigma = og.sigma_plus(n, r)
         raw = {matgf.pack_mat(fp, matgf.mat_mul(fp, matgf.mat_mul(fp, p1, sigma), p2))
                for p1 in pplus for p2 in pplus}
-        assert tuple(sorted(raw)) == og.bruhat_cell(fp, n, r).elements
+        assert tuple(sorted(raw)) == tuple(sorted(og.bruhat_cell(fp, n, r).elements))
 
 
 def test_coset_products_kernel_matches_mat_mul():
     # an n=1 cell is one left coset sigma P+, so the kernel never scales a
-    # lane there; random left factors reach every scalar
+    # lane there; random left factors reach every scalar. Over GF(4) at n = 2
+    # the unipotent offsets of b E_12, b = 2, 3, come from other Levi blocks
     rng = random.Random(7)
-    for fp, n, count in [(GF4, 2, 30), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
+    for fp, n, count in [(GF4, 2, 30), (GF2, 3, 6), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
         pplus = _pplus_matrices(fp, n)
         left = [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
                 for _ in range(count)]
         expect = {matgf.pack_mat(fp, matgf.mat_mul(fp, x, p)) for x in left for p in pplus}
         left_keys = [matgf.pack_mat(fp, x) for x in left]
-        assert og._coset_products(fp, n, left_keys, og.enumerate_parabolic(fp, n)) == expect
+        assert og._coset_products(fp, n, left_keys) == expect
+
+
+def test_levi_blocks():
+    # block u - 1 is [[u A, 0], [0, (u A)^-T]] over the scalar-class
+    # representatives A, assembled from tuple matrices; the blocks together
+    # are the Levi subgroup, one key per A in GL(n,q)
+    def levi(fp, n, a, ainv):
+        zero = (0,) * n
+        return matgf.pack_mat(fp, tuple(row + zero for row in a)
+                              + tuple(zero + row for row in matgf.mat_transpose(ainv)))
+
+    def scaled(fp, u, m):
+        return tuple(tuple(field.mul(fp, u, e) for e in row) for row in m)
+
+    for fp, n in [(GF2, 3), (GF4, 2), (GF8, 1), (binary_field(7, ALT_MODULI[7]), 1)]:
+        reps = [(matgf.unpack_mat(fp, n, a), matgf.unpack_mat(fp, n, ainv))
+                for a, ainv in matgf.gl_matrices(fp, n, scalar_classes=True)]
+        blocks = og._levi_blocks(fp, n)
+        assert len(blocks) == fp.q - 1
+        for u, block in zip(field.units(fp), blocks):
+            uinv = field.inv(fp, u)
+            assert list(block) == [levi(fp, n, scaled(fp, u, a), scaled(fp, uinv, ainv))
+                                   for a, ainv in reps]
+        pairs = [(matgf.unpack_mat(fp, n, a), matgf.unpack_mat(fp, n, ainv))
+                 for a, ainv in matgf.gl_matrices(fp, n)]
+        assert all(matgf.mat_mul(fp, a, ainv) == matgf.mat_identity(n) for a, ainv in pairs)
+        union = [k for block in blocks for k in block]
+        assert len(union) == combinat.gl_order(n, fp.q)
+        assert set(union) == {levi(fp, n, a, ainv) for a, ainv in pairs}
+
+
+def test_cells_list_distinct_elements():
+    # every enumerable (q, n): n = 1 up to q = 256, and (2,2), (4,2), (2,3)
+    cases = [(binary_field(r), 1) for r in range(1, 9)] + [(GF2, 2), (GF4, 2), (GF2, 3)]
+    for fp, n in cases:
+        for r in range(n + 1):
+            elements = og.bruhat_cell(fp, n, r).elements
+            assert len(set(elements)) == len(elements) == og.cell_order(n, r, fp.q)
+    assert not og.enumerable(GF8, 2) and not og.enumerable(GF4, 3)
+    assert not og.enumerable(GF2, 4)
 
 
 def test_lane_swaps_match_permuted_matrices():
@@ -197,11 +238,12 @@ def test_lane_swaps_match_permuted_matrices():
 
 def test_cell_traces_match_mat_trace():
     # the diagonal lanes of each key against the trace of the unpacked matrix,
-    # read through ordered_traces on the family cells (codim 1 and 2)
+    # read through ordered_traces, in ascending key order, on the family
+    # cells (codim 1 and 2)
     cases = [(binary_field(r), 1, 1) for r in range(1, 9)] + [(GF4, 2, 1), (GF2, 3, 97)]
     for fp, n, stride in cases:
         for r in range(n + 1):
-            keys = og.bruhat_cell(fp, n, r).elements
+            keys = sorted(og.bruhat_cell(fp, n, r).elements)
             traces = tuple(matgf.key_traces(fp, 2 * n, keys))
             assert traces[::stride] == tuple(
                 matgf.mat_trace(matgf.unpack_mat(fp, 2 * n, k)) for k in keys[::stride])
@@ -315,10 +357,10 @@ def test_enumerated_elements_are_isometries():
             m = matgf.unpack_mat(GF2, 4, key)
             assert og.preserves_theta_plus(GF2, m, vectors2)
     vectors4 = list(product(range(4), repeat=4))
-    for key in og.bruhat_cell(GF4, 2, 1).elements[::37]:
+    for key in sorted(og.bruhat_cell(GF4, 2, 1).elements)[::37]:
         assert og.preserves_theta_plus(GF4, matgf.unpack_mat(GF4, 4, key), vectors4)
     vectors6 = list(product(range(2), repeat=6))
-    for key in og.bruhat_cell(GF2, 3, 2).elements[::601]:
+    for key in sorted(og.bruhat_cell(GF2, 3, 2).elements)[::601]:
         assert og.preserves_theta_plus(GF2, matgf.unpack_mat(GF2, 6, key), vectors6)
 
 
