@@ -146,9 +146,7 @@ def _cmd_group_counts(args):
     payload = {k: ([str(x) for x in v] if isinstance(v, list) else
                    (str(v) if k not in ("n", "q") else v))
                for k, v in counts.items()}
-    rows = [("key", "value")] + [(k, json.dumps(v) if isinstance(v, list) else v)
-                                 for k, v in payload.items()]
-    _emit(args, payload, rows)
+    _emit(args, payload)
     return 0
 
 

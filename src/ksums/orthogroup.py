@@ -27,17 +27,17 @@ Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
-Every product is read from field.mul_table. The Levi factors are built
-from the (A, A^-1) key pairs of matgf.gl_matrices' scalar-class
-representatives, scaled by each unit and placed by moving lanes
-(_levi_blocks); no production route builds a tuple matrix, and here
+Every product is read from field.mul_table. The Levi factors are placed
+by moving lanes from the (A, A^-1) key pairs of matgf.gl_matrices
+(_levi_keys); no production route builds a tuple matrix, and here
 matgf.mat_mul serves only preserves_theta_plus. The keys of x L are an
 xor of the Levi keys' packed rows, scaled and copied into row slots by one
-integer multiplication: one chain of C-level maps per coset. Then
-y [[1, B], [0, 1]] is y plus an offset made of y's own lanes, moved by
-masks and shifts, so each element of y U costs one C-level xor. A packed
-row times a field element is built by one lane loop, _scale_row, which the
-kernel, _levi_blocks and outside_oplus share.
+integer multiplication: one chain of C-level maps per coset. Then U is
+walked over its F_2-basis: y [[1, B], [0, 1]] is y plus an offset made of
+lanes of y, or of the same chain scaled by a monomial X^t, moved by masks
+and shifts, so each element of y U costs one C-level xor. A packed row
+times a field element is built by one lane loop, _scale_row, which the
+kernel and outside_oplus share.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
 Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
@@ -225,39 +225,28 @@ def _scale_row(scale, r: int, lanes: int, v: int) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _levi_blocks(fp: FieldParams, n: int) -> tuple:
-    """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), in q - 1 blocks.
+def _levi_keys(fp: FieldParams, n: int) -> tuple:
+    """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), |GL(n,q)| of them.
 
-    Block u - 1 holds the factors of u A0 for the scalar-class representatives
-    A0 of matgf.gl_matrices, in the same order in every block; together the
-    blocks are the Levi subgroup, |GL(n,q)| keys. (u A0)^-1 = u^-1 A0^-1, so
-    both keys of a representative are scaled lane by lane. Cached because
-    P+ and every cell of (q, n) expand their cosets over it, about 1 ms a
-    build at (256,1), (2,3) and (4,2) (verify (6,3,10): 22 hits).
+    One key per (A, A^-1) pair of matgf.gl_matrices, in its order, placed by
+    moving lanes. Cached because P+ and every cell of (q, n) expand their
+    cosets over it (verify (6,3,10): 22 hits, 9 misses).
     """
     r, w, lanes = fp.r, fp.r * n, n * n
     rowmask, lane = (1 << w) - 1, fp.q - 1
-    mt, invt = field.mul_table(fp), field.inv_table(fp)
-    reps = list(matgf.gl_matrices(fp, n, scalar_classes=True))
-    blocks = []
-    for u in field.units(fp):
-        block = []
-        for a, ainv in reps:
-            if u != 1:
-                a = _scale_row(mt[u], r, lanes, a)
-                ainv = _scale_row(mt[invt[u]], r, lanes, ainv)
-            top = bottom = 0
-            for i in range(n):
-                # row i is row i of A, then n zero lanes; row n+i is n zero
-                # lanes, then column i of A^-1, whose entry j sits at lane j n + i
-                top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
-                col = 0
-                for j in range(n):
-                    col = (col << r) | ((ainv >> r * (lanes - 1 - j * n - i)) & lane)
-                bottom = (bottom << 2 * w) | col
-            block.append((top << 2 * w * n) | bottom)
-        blocks.append(tuple(block))
-    return tuple(blocks)
+    keys = []
+    for a, ainv in matgf.gl_matrices(fp, n):
+        top = bottom = 0
+        for i in range(n):
+            # row i is row i of A, then n zero lanes; row n+i is n zero
+            # lanes, then column i of A^-1, whose entry j sits at lane j n + i
+            top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
+            col = 0
+            for j in range(n):
+                col = (col << r) | ((ainv >> r * (lanes - 1 - j * n - i)) & lane)
+            bottom = (bottom << 2 * w) | col
+        keys.append((top << 2 * w * n) | bottom)
+    return tuple(keys)
 
 
 def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
@@ -268,35 +257,31 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
     expanded as (x L) U. Row i of x l is the sum over k of x_ik times row k
     of l, so the key of x l is the xor over the pairs (k, s) occurring in x
     of S_(k,s)[l] * M: S_(k,s) lists packed row k of each Levi key, in the
-    order of _levi_blocks, with each lane times s, and M has a 1 at the low
+    order of _levi_keys, with each lane times s, and M has a 1 at the low
     bit of each row slot i with x_ik = s, so the product copies the packed
     row into those slots, rowbits apart, and no carries occur. Each S_(k,s)
     is built when first read.
 
-    Then y [[1, B], [0, 1]] = y + [0 | y_L B], y_L the left n columns of y.
-    For the alternating E_ij (i < j), y_L E_ij moves lane i of each row of y
-    to lane n+j and lane j to lane n+i: two masks and two right shifts,
-    with no field product. For b != 0, b y_L = (x levi(b A))_L, so the
-    offset of b E_ij at position p of block u is the unit offset at
-    position p of block b u. Adding the q^C(n,2) sums of offsets doubles
-    the list move by move (q-fold over q > 2), one C-level xor per element,
-    and y U keeps y_L, so one offset list per move serves every level. The
-    last level streams into the set.
+    Then y [[1, B], [0, 1]] = y + [0 | y_L B], y_L the left n columns of y,
+    and U is walked over its F_2-basis e_t E_ij (i < j, t < fp.r, e_t = 1 << t
+    the monomial X^t). y_L E_ij moves lane i of each row of y to lane n+j
+    and lane j to lane n+i: two masks and two right shifts, with no field
+    product. So the offset of e_t E_ij is that move on e_t y_L =
+    ((e_t x) L)_L, which the same chain builds with each s replaced by
+    e_t s and only the pairs with k < n, the rows that reach the left
+    lanes. Each basis element doubles the list, one C-level xor per
+    element, and y U keeps y_L, so one offset list per basis element serves
+    every level. The last level streams into the set.
     """
     r, nn = fp.r, 2 * n
     rowbits, mask = r * nn, fp.q - 1
     rowmask = (1 << rowbits) - 1
     mt = field.mul_table(fp)
-    blocks = _levi_blocks(fp, n)
-    levi = [k for block in blocks for k in block]
-    size = len(blocks[0])
+    levi = _levi_keys(fp, n)
     column = sum(mask << rowbits * i for i in range(nn))  # the last lane of every row
     lanes = [column << r * (nn - 1 - k) for k in range(n)]  # lane k < n of every row
     moves = [(lanes[i], r * (n + j - i), lanes[j], r * (n + i - j))
              for i in range(n) for j in range(i + 1, n)]
-    # b E_ij, b = 2..q-1: block u's offsets are block b u's unit offsets
-    # (only n >= 2 has moves, and there q <= 4)
-    cuts = [[slice((c - 1) * size, c * size) for c in brow[1:]] for brow in mt[2:]] if moves else []
     lists = {}
 
     def scaled_rows(k, s):
@@ -305,6 +290,11 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
             return rows
         scaled = {v: _scale_row(mt[s], r, nn, v) for v in set(rows)}
         return list(map(scaled.__getitem__, rows))
+
+    def products(mults):  # the keys x l over the Levi keys, for x given by mults
+        terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
+                 for ks, m in mults.items()]
+        return list(reduce(partial(map, xor), terms))
 
     seen = set()
     for x in left_keys:
@@ -317,16 +307,18 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
                 s = (x >> r * (nn * nn - 1 - i * nn - k)) & mask
                 if s:
                     mults[k, s] = mults.get((k, s), 0) | slot
-        terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
-                 for ks, m in mults.items()]
-        ys = list(reduce(partial(map, xor), terms))  # x L, in the order of levi
+        ys = products(mults)  # x L, in the order of levi
+        offsets = []
+        for t in range(r if moves else 0):
+            et = mt[1 << t]
+            zs = ys if t == 0 else products({(k, et[s]): m for (k, s), m in mults.items() if k < n})
+            offsets += [list(map(or_, map(rshift, map(and_, zs, repeat(mi)), repeat(si)),
+                                 map(rshift, map(and_, zs, repeat(mj)), repeat(sj))))
+                        for mi, si, mj, sj in moves]
         level = ys
-        for t, (mi, si, mj, sj) in enumerate(moves, 1):
-            off = list(map(or_, map(rshift, map(and_, ys, repeat(mi)), repeat(si)),
-                           map(rshift, map(and_, ys, repeat(mj)), repeat(sj))))
-            offsets = [off] + [list(chain.from_iterable(off[c] for c in cut)) for cut in cuts]
-            more = [map(xor, level, cycle(o)) for o in offsets]
-            level = chain(level, *more) if t == len(moves) else list(chain(level, *more))
+        for b, off in enumerate(offsets, 1):
+            more = map(xor, level, cycle(off))
+            level = chain(level, more) if b == len(offsets) else list(chain(level, more))
         seen.update(level)
     return seen
 

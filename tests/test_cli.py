@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -232,6 +233,17 @@ def test_group_enum_elements_listed_ascending(capsys):
     assert [len(c["elements"]) for c in cells] == [720, 3600, 2880]
     for c in cells:
         assert all(a < b for a, b in zip(c["elements"], c["elements"][1:])), c["cell"]
+
+
+@pytest.mark.parametrize("r,n,digest", [
+    (2, 2, "ebd67f46252ba3ab0e95d66b9ac96252b3f988f44916675ac5eba9926a62cc08"),
+    (1, 3, "2b1b11ce1cef8989bccd748db8311c257793eecbfb526fba929d2f4cd4917275"),
+], ids=["2-2", "1-3"])
+def test_group_enum_elements_bytes_pinned(capsys, r, n, digest):
+    # the exact element lists, which the coset kernel builds and --elements sorts
+    code, out, _ = run(capsys, "group", "enum", "--r", str(r), "--n", str(n), "--elements")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -168,7 +168,7 @@ def test_cell_matches_unskipped_product_set():
 def test_coset_products_kernel_matches_mat_mul():
     # an n=1 cell is one left coset sigma P+, so the kernel never scales a
     # lane there; random left factors reach every scalar. Over GF(4) at n = 2
-    # the unipotent offsets of b E_12, b = 2, 3, come from other Levi blocks
+    # U's basis has X E_12, whose offsets come from the chain scaled by X
     rng = random.Random(7)
     for fp, n, count in [(GF4, 2, 30), (GF2, 3, 6), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
         pplus = _pplus_matrices(fp, n)
@@ -179,33 +179,32 @@ def test_coset_products_kernel_matches_mat_mul():
         assert og._coset_products(fp, n, left_keys) == expect
 
 
-def test_levi_blocks():
-    # block u - 1 is [[u A, 0], [0, (u A)^-T]] over the scalar-class
-    # representatives A, assembled from tuple matrices; the blocks together
-    # are the Levi subgroup, one key per A in GL(n,q)
+def test_levi_keys():
+    # the key of [[A, 0], [0, A^-T]] for each (A, A^-1) of gl_matrices, in its
+    # order, assembled from tuple matrices: the Levi subgroup, one key per A
     def levi(fp, n, a, ainv):
         zero = (0,) * n
         return matgf.pack_mat(fp, tuple(row + zero for row in a)
                               + tuple(zero + row for row in matgf.mat_transpose(ainv)))
 
-    def scaled(fp, u, m):
-        return tuple(tuple(field.mul(fp, u, e) for e in row) for row in m)
-
     for fp, n in [(GF2, 3), (GF4, 2), (GF8, 1), (binary_field(7, ALT_MODULI[7]), 1)]:
-        reps = [(matgf.unpack_mat(fp, n, a), matgf.unpack_mat(fp, n, ainv))
-                for a, ainv in matgf.gl_matrices(fp, n, scalar_classes=True)]
-        blocks = og._levi_blocks(fp, n)
-        assert len(blocks) == fp.q - 1
-        for u, block in zip(field.units(fp), blocks):
-            uinv = field.inv(fp, u)
-            assert list(block) == [levi(fp, n, scaled(fp, u, a), scaled(fp, uinv, ainv))
-                                   for a, ainv in reps]
         pairs = [(matgf.unpack_mat(fp, n, a), matgf.unpack_mat(fp, n, ainv))
                  for a, ainv in matgf.gl_matrices(fp, n)]
         assert all(matgf.mat_mul(fp, a, ainv) == matgf.mat_identity(n) for a, ainv in pairs)
-        union = [k for block in blocks for k in block]
-        assert len(union) == combinat.gl_order(n, fp.q)
-        assert set(union) == {levi(fp, n, a, ainv) for a, ainv in pairs}
+        keys = og._levi_keys(fp, n)
+        assert list(keys) == [levi(fp, n, a, ainv) for a, ainv in pairs]
+        assert len(set(keys)) == combinat.gl_order(n, fp.q)
+
+
+def test_coset_products_basis_offsets_at_t2():
+    # (8,2) is over PRODUCT_BUDGET, so only here does U's basis reach
+    # X^2 E_12; a walk that skipped t >= 2 would list 14,112 keys
+    one = sum(1 << 3 * (16 - 1 - 5 * i) for i in range(4))
+    keys = og._coset_products(GF8, 2, [one])
+    assert len(keys) == og.parabolic_order(2, 8) == 28224
+    assert og.outside_oplus(GF8, 2, keys) == []
+    c_lanes = sum(((1 << 6) - 1) << (12 * i + 6) for i in range(2))  # lower-left block C
+    assert all(k & c_lanes == 0 for k in keys)
 
 
 def test_cells_list_distinct_elements():
