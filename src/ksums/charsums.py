@@ -20,10 +20,15 @@ spreads each count over the q-1 scaled pairs. The closed form's inner sum
 over weakly decreasing tuples j_1 >= ... >= j_(l-1) is taken level by level
 through suffix sums, O(t^2) terms per l instead of one per tuple.
 
+The oracle moments of a request come from one pass (power_moments) over
+the values table, every h up to h_max at once; moment gives one h.
+
 All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
 field.check_unit before any work. Enumerations carry hard budgets and raise
 BudgetError instead of degrading; gl_routes names the GL routes that fit.
+The big-int passes, power_moments and the GL sums, are charged their bits
+against errors.TRANSFORM_BIT_BUDGET before they start.
 """
 
 from collections import Counter
@@ -33,7 +38,7 @@ from itertools import product, tee
 from operator import itemgetter
 
 from ksums import combinat, field, matgf
-from ksums.errors import BudgetError, ConsistencyError
+from ksums.errors import TRANSFORM_BIT_BUDGET, BudgetError, ConsistencyError, charge
 from ksums.field import FieldParams
 
 ENUM_BITS = 24
@@ -109,6 +114,29 @@ def moment(fp: FieldParams, m: int, h: int, c: int = 1) -> int:
     field.check_int("h", h, 0)
     vals = kloosterman_values(fp, m, c)
     return sum(v ** h for v in vals[1:])
+
+
+def power_moments(fp: FieldParams, m: int, h_max: int, step: int = 1, c: int = 1) -> list:
+    """The oracle pass: sum of K_m(psi;a)^(step h) over a in F_q^*, for h = 0..h_max.
+
+    psi = lambda(c .). The values of kloosterman_values repeat, so each
+    distinct value is raised by one product per h. Charged before the table
+    is built: h_max^2 (h_max + m r) bits, the shape of the recursion's pass
+    charge (moments._pless_sums) with m r in place of bitlen N. Every
+    family's length has bitlen N >= m r for each kind it generates, so the
+    oracle of a moment request whose pass fits fits too.
+    """
+    field.check_int("m", m, 1)
+    field.check_int("h_max", h_max, 0)
+    charge(h_max ** 2 * (h_max + m * fp.r),
+           f"oracle moments up to h = {h_max} of K_{m} over GF({fp.q})", "lower h_max")
+    out = [0] * (h_max + 1)
+    for v, mult in Counter(kloosterman_values(fp, m, c)[1:]).items():
+        power = v ** step
+        for h in range(h_max + 1):
+            out[h] += mult
+            mult *= power
+    return out
 
 
 def _kloosterman_gl_recursion(fp, t, k1):
@@ -193,8 +221,20 @@ def _kloosterman_gl_brute(fp, t, a, c):
                for (tr, trinv), count in _gl_trace_histogram(fp, t))
 
 
+def _gl_bits(t, q):
+    # t steps of the recursion over values of about r t^2 bits
+    return (q.bit_length() - 1) * t ** 3
+
+
 def gl_routes(t: int, q: int) -> tuple:
-    """The GL_METHODS whose work at (t, q) fits GL_BRUTE_BUDGET; the recursion always does."""
+    """The GL_METHODS whose work at (t, q) fits its budget.
+
+    None once r t^3 bits are over TRANSFORM_BIT_BUDGET, the charge
+    kloosterman_gl makes before any route runs; below it the recursion
+    always fits.
+    """
+    if _gl_bits(t, q) > TRANSFORM_BIT_BUDGET:
+        return ()
     fits = {
         "recursion": True,
         "closed_form": _closed_form_tuples(t) <= GL_BRUTE_BUDGET,
@@ -208,7 +248,9 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
 
     method selects the recursion, the closed form, or direct enumeration;
     "all" runs every route gl_routes names at this size and insists they
-    agree.
+    agree. Any method is first charged r t^3 bits against
+    TRANSFORM_BIT_BUDGET: the recursion takes t steps over values of about
+    r t^2 bits.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
     field.check_unit(fp, a, "a")
@@ -216,6 +258,8 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     field.check_int("t", t, 0)
     if method not in GL_METHODS + ("all",):
         raise ValueError(f"unknown method {method!r}")
+    charge(_gl_bits(t, fp.q), f"K_GL({t}) over GF({fp.q}), {t} steps over values of about "
+           "r t^2 bits", "lower t")
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
     mt = field.mul_table(fp)
     k1 = kloosterman_values(fp)[mt[mt[c][c]][a]]

@@ -86,8 +86,8 @@ def _cmd_ksum_gl(args):
 def _cmd_moments_oracle(args):
     fp = _parse_field(args)
     c = field.parse_element(fp, args.c)
-    table = [{"h": h, "value": str(charsums.moment(fp, args.m, h, c))}
-             for h in range(args.h_max + 1)]
+    table = [{"h": h, "value": str(value)}
+             for h, value in enumerate(charsums.power_moments(fp, args.m, args.h_max, c=c))]
     payload = {"r": fp.r, "m": args.m, "c": field.element_hex(fp, c), "moments": table}
     rows = [("h", "value")] + [(row["h"], row["value"]) for row in table]
     _emit(args, payload, rows)

@@ -1,4 +1,4 @@
-"""Exact combinatorial quantities: binomials, Stirling numbers, q-analogues.
+"""Exact combinatorial quantities: binomials, q-analogues, group orders.
 
 Everything returns Python ints (arbitrary precision). Binomial coefficients
 follow the convention C(n, k) = 0 for k < 0 or k > n, which the moment
@@ -15,23 +15,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, min(k, n - k))
-
-
-def stirling2(h: int, t: int) -> int:
-    """Stirling number of the second kind S(h, t).
-
-    Computed from the alternating-binomial sum (1/t!) * sum_j (-1)^(t-j) C(t,j) j^h;
-    the division by t! is exact.
-    """
-    if h < 0 or t < 0:
-        return 0
-    if t > h:
-        return 0
-    total = sum((-1) ** (t - j) * binom(t, j) * j ** h for j in range(t + 1))
-    num, rem = divmod(total, math.factorial(t))
-    if rem:
-        raise ArithmeticError(f"stirling2({h},{t}): non-exact division")
-    return num
 
 
 def q_binomial(n: int, r: int, q: int) -> int:

@@ -30,24 +30,26 @@ cell character sum instead of multiplicities, to the same kernel. pless_sums
 gives the Pless identity's right side for all h <= h_max in one pass.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ksums import charsums, field, matgf, orthogroup
+from ksums import charsums, field, orthogroup
 from ksums.combinat import binom
-from ksums.errors import BudgetError, ConsistencyError
+from ksums.errors import TRANSFORM_BIT_BUDGET, ConsistencyError, charge
 from ksums.field import FieldParams
 
-FULL_DISTRIBUTION_CAP = 10 ** 4  # cap on min(j_max, length), the coefficients computed
-# cap on the bits the Krawtchouk recurrence writes per weight: coefficient j
-# of a length-N code has at most min(j bitlen(N), N) bits, so a truncation at
-# j writes at most j min(j bitlen(N), N) >= min(j, N)^2. That is N^2 for a
-# full distribution, so every full one within the coefficient cap fits, and
-# the budget enforces that cap too; the cap alone let the work of a
-# truncated query on a long code grow with j^2.
-TRANSFORM_BIT_BUDGET = FULL_DISTRIBUTION_CAP ** 2
+# The Krawtchouk recurrence is charged the bits it writes per weight against
+# TRANSFORM_BIT_BUDGET: coefficient j of a length-N code has at most
+# min(j bitlen(N), N) bits, so a truncation at j writes at most
+# j min(j bitlen(N), N) >= min(j, N)^2. That is N^2 for a full distribution,
+# so the budget caps min(j_max, length), the coefficients computed, at its
+# square root, and every full distribution within that cap fits; a cap on
+# coefficients alone let the work of a truncated query on a long code grow
+# with j^2.
+FULL_DISTRIBUTION_CAP = math.isqrt(TRANSFORM_BIT_BUDGET)
 
 FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")
 
@@ -133,21 +135,6 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
                                    family=f.label, n=f.n, q=q, beta=beta, num=num)
         out[beta] = cnt
     return out
-
-
-def ordered_traces(f: DoubleCosetFamily) -> tuple:
-    """Tr g_j for the cell elements in canonical (packed-key) order, built on each call."""
-    keys = sorted(orthogroup.bruhat_cell(f.fp, f.n, f.cell_index).elements)
-    return tuple(matgf.key_traces(f.fp, 2 * f.n, keys))
-
-
-def dual_codeword(f: DoubleCosetFamily, a: int) -> tuple:
-    """The bit vector (tr(a Tr g_1), ..., tr(a Tr g_N)); additive in a."""
-    fp = f.fp
-    field.check_element(fp, a)
-    trt = field.trace_table(fp)
-    arow = field.mul_table(fp)[a]
-    return tuple(trt[arow[t]] for t in ordered_traces(f))
 
 
 def dual_kernel(f: DoubleCosetFamily) -> frozenset:
@@ -250,12 +237,9 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
 
 def _charge_transform(cap: int, length: int):
     """Refuse coefficients j <= cap of a length-`length` code over TRANSFORM_BIT_BUDGET."""
-    bits = cap * min(cap * length.bit_length(), length)
-    if bits > TRANSFORM_BIT_BUDGET:
-        raise BudgetError(f"coefficients up to j = {cap} of a length-{length} code take up to "
-                          f"{bits} bits per weight, over budget {TRANSFORM_BIT_BUDGET} (the "
-                          f"cap of {FULL_DISTRIBUTION_CAP} coefficients, squared); "
-                          "query a smaller j_max")
+    charge(cap * min(cap * length.bit_length(), length),
+           f"coefficients up to j = {cap} of a length-{length} code, per weight",
+           f"the cap of {FULL_DISTRIBUTION_CAP} coefficients, squared; query a smaller j_max")
 
 
 def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:

@@ -126,13 +126,6 @@ def units(fp: FieldParams) -> range:
     return range(1, fp.q)
 
 
-def add(fp: FieldParams, x: int, y: int) -> int:
-    """x + y (= x - y in characteristic 2)."""
-    check_element(fp, x)
-    check_element(fp, y)
-    return x ^ y
-
-
 def mul(fp: FieldParams, x: int, y: int) -> int:
     """x * y, read from mul_table."""
     check_element(fp, x)

@@ -1,12 +1,9 @@
-"""Square matrices over GF(2^r): tuple oracles and packed-int keys.
+"""Square matrices over GF(2^r) as packed-int keys.
 
-Entries are field ints (see ksums.field). The tuple matrices here, immutable
-tuples of row tuples (mat_mul, mat_trace, mat_transpose, ...), are the
-oracles that tests and orthogroup.preserves_theta_plus read. The
-production routes, verify's included, exchange packed keys instead:
-pack_mat's row-major big-endian layout, fp.r bits per entry, so a row of n
-entries is an n-lane int and lex order of the rows is int order of the key.
-The canonical serialization (keys_hex) is the row-major concatenation of
+Entries are field ints (see ksums.field). A matrix is exchanged as one key:
+row-major and big-endian, fp.r bits per entry, so a row of n entries is an
+n-lane int and lex order of the rows is int order of the key. The
+canonical serialization (keys_hex) is the row-major concatenation of
 fixed-width lowercase hex entries, read straight from the key, and sorting
 by the key agrees with sorting by the hex string.
 key_traces reads Tr of each key from its diagonal lanes.
@@ -25,56 +22,6 @@ from operator import and_, rshift, xor
 
 from ksums import field
 from ksums.field import FieldParams
-
-Mat = tuple
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def mat_trace(m: Mat) -> int:
-    t = 0
-    for i, row in enumerate(m):
-        t ^= row[i]
-    return t
-
-
-def mat_mul(fp: FieldParams, a: Mat, b: Mat) -> Mat:
-    """a b, each row of which sums the rows of b scaled by mul_table rows."""
-    mt = field.mul_table(fp)
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                scale = mt[x]
-                acc = [v ^ scale[e] for v, e in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def pack_mat(fp: FieldParams, m: Mat) -> int:
-    """Row-major big-endian packing, fp.r bits per entry."""
-    key = 0
-    r = fp.r
-    for row in m:
-        for e in row:
-            key = (key << r) | e
-    return key
-
-
-def unpack_mat(fp: FieldParams, n: int, key: int) -> Mat:
-    r = fp.r
-    mask = fp.q - 1
-    flat = []
-    for shift in range(r * (n * n - 1), -1, -r):
-        flat.append((key >> shift) & mask)
-    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
 def keys_hex(fp: FieldParams, n: int, keys) -> list:
@@ -137,7 +84,7 @@ def _lane_scales(fp: FieldParams, n: int):
 def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
     """Yield (key, inverse_key) over all of GL(n, q), keys strictly increasing.
 
-    Keys are in pack_mat's layout. A depth-first search over rows, each
+    Keys are in the packed layout above. A depth-first search over rows, each
     level trying the rows 1 .. q^n - 1 in increasing order, so keys arrive
     in row-major lex order. The rows chosen so far carry one Gauss-Jordan
     state, shared by every matrix that starts with them: per chosen row the

@@ -23,8 +23,9 @@ itself an integer the stronger per-step fact that q times the Pless sum is
 divisible by A^h is checked too. A request up to h_max is one pass
 (MomentKind.sequence), budgeted before any work; both codim-2 kinds share its
 Pless sums, and mk_recursive and its siblings read entry h of a pass up to h.
-The oracles are sequences too (MomentKind.oracles), and verify_lhs_expansion
-reads the dual-weight histogram and each kind's oracle list once for all h.
+The oracles are sequences too (MomentKind.oracles, one charsums.power_moments
+pass, charged like the recursion's), and verify_lhs_expansion reads the
+dual-weight histogram and each kind's oracle list once for all h.
 """
 
 from fractions import Fraction
@@ -34,14 +35,14 @@ from typing import Callable, NamedTuple
 from ksums import charsums, coset_codes, field
 from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
-from ksums.errors import BudgetError, ConsistencyError
+from ksums.errors import ConsistencyError, charge
 
 
 class MomentKind(NamedTuple):
     """One moment sequence the recursion generates, with its oracle.
 
     The recursion runs on base = cofactor - shift(q) over every codim-`codim`
-    family; the oracle of MK^h is charsums.moment(fp, m, step * h).
+    family; the oracle of MK^h is the sum over a of K_m(lambda;a)^(step h).
     `check` names verify's comparison.
     """
 
@@ -56,9 +57,8 @@ class MomentKind(NamedTuple):
         return coset_codes.family_constants(f).cofactor - self.shift(f.fp.q)
 
     def oracles(self, fp, h_max: int) -> list:
-        """MK^0..MK^h_max of this kind from the Kloosterman value table."""
-        field.check_int("h_max", h_max, 0)
-        return [charsums.moment(fp, self.m, self.step * h) for h in range(h_max + 1)]
+        """MK^0..MK^h_max of this kind from the Kloosterman value table, in one charged pass."""
+        return charsums.power_moments(fp, self.m, h_max, self.step)
 
     def sequence(self, f: DoubleCosetFamily, h_max: int) -> list:
         """MK^0..MK^h_max of this kind, in one pass over f's Pless sums."""
@@ -113,10 +113,8 @@ def _pless_sums(f: DoubleCosetFamily, h_max: int) -> tuple:
     proxy for the pass's big-int work that bounds the transform's own h_max^2 bitlen N.
     """
     size = coset_codes.family_constants(f).size
-    bits = h_max ** 2 * (h_max + size.bit_length())
-    if bits > coset_codes.TRANSFORM_BIT_BUDGET:
-        raise BudgetError(f"moments up to h = {h_max} of a length-{size} code take about {bits} "
-                          f"bits, over budget {coset_codes.TRANSFORM_BIT_BUDGET}; lower h_max")
+    charge(h_max ** 2 * (h_max + size.bit_length()),
+           f"moments up to h = {h_max} of a length-{size} code", "lower h_max")
     dist = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=h_max)
     return tuple((-1) ** h * p for h, p in enumerate(coset_codes.pless_sums(dist, size, h_max)))
 

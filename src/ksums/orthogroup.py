@@ -5,11 +5,12 @@ vectors of length 2n. Membership is decided on packed keys by one
 Gram-matrix pass per key (outside_oplus): with T the top and D the bottom n
 rows, G = tT D needs a zero diagonal and G + tG = J, the polar form's
 matrix; in blocks [[A,B],[C,D]] that is tA C and tB D alternating and
-tA D + tC B = 1. Its oracle is the definition itself, preserves_theta_plus,
-on tuple matrices. The maximal parabolic P+ consists of [[A, AB], [0, tA^-1]]
-with A in GL(n,q) and B alternating, and the group is the disjoint union
-over r = 0..n of the double cosets (Bruhat cells) P+ s_r P+ for involutions
-s_r swapping the first r hyperbolic coordinate pairs.
+tA D + tC B = 1. Its oracle, the isometry test theta+(M v) = theta+(v) on
+tuple matrices, lives with the tests. The maximal parabolic P+ consists of
+[[A, AB], [0, tA^-1]] with A in GL(n,q) and B alternating, and the group is
+the disjoint union over r = 0..n of the double cosets (Bruhat cells)
+P+ s_r P+ for involutions s_r swapping the first r hyperbolic coordinate
+pairs.
 
 P+ and the cells come from one kernel on keys, _coset_products, which
 lists the cosets x P+ of left factors x. P+ = L U is the Levi factors
@@ -21,7 +22,7 @@ enumeration-side oracle for the closed-form order bookkeeping in
 group_counts (which is never consulted while enumerating). The set built
 so far is always a union of whole cosets, so a left factor already in it
 opens no new coset and is skipped. Cells keep the kernel's set order:
-only --elements output and coset_codes.ordered_traces sort them.
+only --elements output sorts them.
 
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
@@ -29,13 +30,12 @@ ksums.matgf.
 
 Every product is read from field.mul_table. The Levi factors are placed
 by moving lanes from the (A, A^-1) key pairs of matgf.gl_matrices
-(_levi_keys); no production route builds a tuple matrix, and here
-matgf.mat_mul serves only preserves_theta_plus. The keys of x L are an
-xor of the Levi keys' packed rows, scaled and copied into row slots by one
-integer multiplication: one chain of C-level maps per coset. Then U is
-walked over its F_2-basis: y [[1, B], [0, 1]] is y plus an offset made of
-lanes of y, or of the same chain scaled by a monomial X^t, moved by masks
-and shifts, so each element of y U costs one C-level xor. A packed row
+(_levi_keys). The keys of x L are an xor of the Levi keys' packed rows,
+scaled and copied into row slots by one integer multiplication: one chain
+of C-level maps per coset. Then U is walked over its F_2-basis:
+y [[1, B], [0, 1]] is y plus an offset made of lanes of y, or of the same
+chain scaled by a monomial X^t, moved by masks and shifts, so each element
+of y U costs one C-level xor. A packed row
 times a field element is built by one lane loop, _scale_row, which the
 kernel and outside_oplus share.
 A product with the permutation matrix s_r is no product at all: on a key it
@@ -46,7 +46,7 @@ by cell_trace_histogram.
 Inputs are validated once, where they enter, by field.check_int and
 field.check_unit (n >= 1 and 0 <= r <= n in _check_cell, which the closed
 forms a_r_order, cell_order and cell_sum_coefficient run too; exp_sum_cell's
-c); _sigma_perm, _swap_lanes and the enumeration loops trust them. The
+c); _swap_lanes and the enumeration loops trust them. The
 closed forms take q bare, so _check_q refuses any q that is not an int power
 of two >= 2. Caches keyed by n or r are typed, so True or 1.0 is refused
 rather than served the entry of 1.
@@ -54,7 +54,7 @@ rather than served the entry of 1.
 
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import chain, cycle, product, repeat
+from itertools import chain, cycle, repeat
 from operator import and_, mul, or_, rshift, xor
 from types import MappingProxyType
 from typing import NamedTuple
@@ -75,17 +75,6 @@ class BruhatCell(NamedTuple):
     elements: tuple  # packed keys, in no particular order
 
 
-def theta_plus(fp: FieldParams, v) -> int:
-    """Hyperbolic quadratic form sum x_i x_(n+i) of a length-2n vector."""
-    if len(v) % 2:
-        raise ValueError(f"vector length {len(v)} is odd")
-    n = len(v) // 2
-    acc = 0
-    for i in range(n):
-        acc ^= field.mul(fp, v[i], v[n + i])
-    return acc
-
-
 def _check_cell(n: int, r: int):
     # O+(2n,q) needs n >= 1: group_order(0, q) is 0, not the trivial group's 1
     field.check_int("n", n, 1)
@@ -97,24 +86,6 @@ def _check_q(q: int):
     field.check_int("q", q, 2)
     if q & (q - 1):
         raise ValueError(f"q must be a power of two, got {q}")
-
-
-def _sigma_perm(n: int, r: int) -> tuple:
-    """The involution i <-> n+i for i < r, fixing the other indices of 0..2n-1."""
-    first = tuple(range(n, n + r)) + tuple(range(r, n))
-    return first + tuple(range(r)) + tuple(range(n + r, 2 * n))
-
-
-def sigma_plus(n: int, r: int):
-    """Coset representative swapping e_i <-> e_(n+i) for i <= r; an involution."""
-    _check_cell(n, r)
-    perm = _sigma_perm(n, r)
-    return tuple(tuple(1 if k == j else 0 for k in range(2 * n)) for j in perm)
-
-
-def _permute_cols(m, perm):
-    """m s for the permutation matrix s of perm: column j of m s is column perm[j] of m."""
-    return tuple(tuple(row[j] for j in perm) for row in m)
 
 
 def outside_oplus(fp: FieldParams, n: int, keys) -> list:
@@ -129,7 +100,7 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
     scaled row is built once per distinct (scale, row). A key outside
     [0, q^(4n^2)) encodes no 2n x 2n matrix and is reported too.
     Preserving theta+ keeps its nondegenerate polar form, so members are
-    invertible. The oracle for this is preserves_theta_plus.
+    invertible.
     """
     field.check_int("n", n, 1)
     r, nn, mask = fp.r, 2 * n, fp.q - 1
@@ -169,17 +140,6 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
                 out.append(key)
                 break
     return out
-
-
-def preserves_theta_plus(fp: FieldParams, m, vectors=None) -> bool:
-    """Isometry check theta+(Mv) = theta+(v), exhaustive unless vectors given."""
-    if vectors is None:
-        vectors = product(range(fp.q), repeat=len(m))
-    for v in vectors:
-        mv = [row[0] for row in matgf.mat_mul(fp, m, tuple((e,) for e in v))]
-        if theta_plus(fp, mv) != theta_plus(fp, v):
-            return False
-    return True
 
 
 def parabolic_order(n: int, q: int) -> int:

@@ -7,6 +7,8 @@ from ksums import charsums, combinat, field, matgf, verify
 from ksums.errors import BudgetError
 from ksums.field import binary_field
 
+import oracles
+
 GF2 = binary_field(1)
 GF4 = binary_field(2)
 GF8 = binary_field(3)
@@ -90,6 +92,16 @@ def test_moment_examples():
         charsums.moment(GF4, 1, -1)
 
 
+def test_power_moments_match_moment():
+    # one pass over the values table against one moment per exponent step h
+    for fp in (GF2, GF4, GF8, binary_field(5)):
+        for m in (1, 2, 3):
+            for c in {1, fp.q - 1}:
+                for step in (1, 2):
+                    assert charsums.power_moments(fp, m, 8, step, c) == [
+                        charsums.moment(fp, m, step * h, c) for h in range(9)], (fp.q, m, c, step)
+
+
 def test_moment_scale_invariance():
     for fp in (GF4, GF8):
         for c in field.units(fp):
@@ -168,8 +180,8 @@ def test_gl_histogram_over_scalar_classes_matches_full_enumeration():
     # spreading the class counts over (u Tr w, u^-1 Tr w^-1) gives the counts
     # over every matrix of GL(t,q), traced as tuple matrices
     for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2)]:
-        full = Counter((matgf.mat_trace(matgf.unpack_mat(fp, t, m)),
-                        matgf.mat_trace(matgf.unpack_mat(fp, t, minv)))
+        full = Counter((oracles.mat_trace(oracles.unpack_mat(fp, t, m)),
+                        oracles.mat_trace(oracles.unpack_mat(fp, t, minv)))
                        for m, minv in matgf.gl_matrices(fp, t))
         assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, t)
 
@@ -207,6 +219,19 @@ def test_gl_routes_and_closed_form_budget():
         charsums.kloosterman_gl(GF2, 30, 1, "closed_form")
     assert charsums.kloosterman_gl(GF2, 30, 1, "all") == charsums.kloosterman_gl(
         GF2, 30, 1, "recursion")
+
+
+def test_gl_recursion_charge_boundary():
+    # r t^3 bits against TRANSFORM_BIT_BUDGET: the largest t admitted is 464
+    # at r = 1, 292 at r = 4 and 232 at r = 8; past it no route is listed
+    for q, t in [(2, 464), (16, 292), (256, 232)]:
+        assert charsums.gl_routes(t, q) == ("recursion",)
+        assert charsums.gl_routes(t + 1, q) == ()
+    # CI's t = 29 and the benchmark's t = 24 at r = 8 keep the closed form
+    assert charsums.gl_routes(29, 256) == charsums.gl_routes(24, 256) == ("recursion", "closed_form")
+    for method in charsums.GL_METHODS + ("all",):
+        with pytest.raises(BudgetError, match=r"K_GL\(465\) .* over budget 100000000"):
+            charsums.kloosterman_gl(GF2, 465, 1, method)
 
 
 def test_carlitz_identity():

@@ -362,6 +362,32 @@ def test_moment_pass_budget_refuses_fast(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # h_max^2 (h_max + m r) oracle bits: 464 at r = 1 is the first refused
+    ("moments", "oracle", "--r", "1", "--h-max", "464"),
+    ("moments", "oracle", "--r", "8", "--m", "1", "--h-max", "4000"),
+    # r t^3 bits of the GL recursion: 465 at r = 1 is the first refused
+    ("ksum", "gl", "--r", "1", "--t", "465", "--a", "1"),
+    ("ksum", "gl", "--r", "8", "--t", "1000", "--a", "1"),
+], ids=["oracle-r1", "oracle-r8", "gl-r1", "gl-r8"])
+def test_oracle_and_gl_budgets_refuse_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "budget" in err
+    assert out == ""
+
+
+def test_oracle_and_gl_budgets_admit_their_boundary(capsys):
+    code, out, _ = run(capsys, "moments", "oracle", "--r", "1", "--h-max", "463")
+    assert code == 0
+    assert [row["value"] for row in json.loads(out)["moments"]] == ["1"] * 464  # K(1) = 1 at q = 2
+    code, out, _ = run(capsys, "ksum", "gl", "--r", "1", "--t", "464", "--a", "1")
+    assert code == 0
+    assert list(json.loads(out)["values"]) == ["recursion"]
+
+
 def test_exact_integers_of_any_length_print():
     # a coefficient of 12,785 digits, past Python's default 4,300-digit
     # limit on int -> str; the CLI lifts that limit for its whole process, so

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ksums import charsums, coset_codes as cc, field, orthogroup, verify
-from ksums.combinat import binom, stirling2
+from ksums.combinat import binom
 from ksums.errors import BudgetError
 from ksums.field import binary_field
+
+import oracles
+from oracles import stirling2
 
 GF2 = binary_field(1)
 GF4 = binary_field(2)
@@ -148,7 +151,7 @@ def test_direct_dual_weight_counts_the_codeword(label, n, fp):
     # the trace histogram's count against the ones of the materialized vector
     f = fam(label, n, fp)
     for a in field.units(fp):
-        assert cc.dual_weight(f, a, "direct") == sum(cc.dual_codeword(f, a)), a
+        assert cc.dual_weight(f, a, "direct") == sum(oracles.dual_codeword(f, a)), a
 
 
 def test_dual_weight_examples():
@@ -185,12 +188,12 @@ def test_dual_weight_formula_only_family_runs():
 
 def test_dual_codeword_basics():
     f = fam("dc1-", 1, GF8)
-    assert cc.dual_codeword(f, 0) == (0,) * 7
+    assert oracles.dual_codeword(f, 0) == (0,) * 7
     # additive: c(a) + c(b) = c(a+b)
     for a in field.elements(GF8):
         for b in field.elements(GF8):
-            ca, cb = cc.dual_codeword(f, a), cc.dual_codeword(f, b)
-            assert tuple(x ^ y for x, y in zip(ca, cb)) == cc.dual_codeword(f, a ^ b)
+            ca, cb = oracles.dual_codeword(f, a), oracles.dual_codeword(f, b)
+            assert tuple(x ^ y for x, y in zip(ca, cb)) == oracles.dual_codeword(f, a ^ b)
 
 
 def test_kernels_match_claimed_regimes():
@@ -207,7 +210,7 @@ def test_kernels_match_claimed_regimes():
 def test_nonzero_codewords_under_injectivity():
     f = fam("dc1-", 1, GF8)
     for a in field.units(GF8):
-        assert any(cc.dual_codeword(f, a))
+        assert any(oracles.dual_codeword(f, a))
 
 
 def brute_distribution(vector, j_cap=None):
@@ -241,7 +244,7 @@ def test_weight_distribution_dc1_minus_8():
     counts = cc.trace_multiplicities(f)
     dist = cc.weight_distribution(counts)
     assert dist == [1, 1, 3, 3, 3, 3, 1, 1]
-    assert dist == brute_distribution(cc.ordered_traces(f))
+    assert dist == brute_distribution(oracles.ordered_traces(f))
     assert sum(dist) == 2 ** (7 - 3)
     assert dist == dist[::-1]
     assert cc.weight_distribution(counts, j_max=2) == dist[:3]
@@ -251,7 +254,7 @@ def test_weight_distribution_brute_agreement_small_families():
     for fp in (GF4, GF16):
         f = fam("dc1-", 1, fp)
         dist = cc.weight_distribution(cc.trace_multiplicities(f))
-        assert dist == brute_distribution(cc.ordered_traces(f))
+        assert dist == brute_distribution(oracles.ordered_traces(f))
 
 
 def test_weight_distribution_dc1_plus_2_2():
@@ -275,7 +278,7 @@ def test_weight_distribution_long_code_routes_agree():
 
 def test_weight_distribution_ordering_independence():
     f = fam("dc1-", 1, GF8)
-    vec = list(cc.ordered_traces(f))
+    vec = list(oracles.ordered_traces(f))
     ref = brute_distribution(tuple(vec))
     perm = vec[::-1]
     rot = vec[3:] + vec[:3]
@@ -369,7 +372,7 @@ def test_macwilliams_toy_self_dual():
 def test_dual_weight_distribution_counts_distinct_codewords():
     # dc1-(1,4) has a kernel of size 2, so c(a) takes each value twice
     for f in (fam("dc1-", 1, GF4), fam("dc1-", 1, GF8)):
-        words = {cc.dual_codeword(f, a) for a in field.elements(f.fp)}
+        words = {oracles.dual_codeword(f, a) for a in field.elements(f.fp)}
         expected = [0] * (cc.family_constants(f).size + 1)
         for word in words:
             expected[sum(word)] += 1

@@ -196,6 +196,33 @@ def test_pass_budget_boundary():
         moments.MK.sequence(f, 464)
 
 
+def test_oracle_pass_budget_boundary():
+    # the oracle pass costs h_max^2 (h_max + m r) bits: at r = 1, m = 1 that is
+    # the recursion's charge on the length-1 code above, with the same 463
+    assert moments.MK.oracles(GF2, 463) == [charsums.moment(GF2, 1, h) for h in range(464)]
+    with pytest.raises(BudgetError, match="h = 464 .* over budget 100000000"):
+        moments.MK.oracles(GF2, 464)
+    with pytest.raises(BudgetError, match="h = 464 .* over budget 100000000"):
+        charsums.power_moments(GF2, 1, 464)
+
+
+def test_admitted_passes_have_admitted_oracles():
+    # the pass is charged h^2 (h + bitlen N) bits and the oracle h^2 (h + m r),
+    # so bitlen N >= m r for every kind a family generates keeps every
+    # admitted `moments recursive --compare-oracle` request admitted; dc1- n=1,
+    # of length q - 1, meets it with equality
+    for label in cc.FAMILY_LABELS:
+        codim = int(label[2])
+        for n in range(codim, codim + 12):
+            if "+-"[n % 2] != label[3]:
+                continue
+            for r in range(1, 9):
+                f = fam(label, n, binary_field(r))
+                bits = cc.family_constants(f).size.bit_length()
+                assert all(bits >= kind.m * r for kind in moments.kinds(codim)), (f, bits)
+    assert cc.family_constants(fam("dc1-", 1, GF2)).size == 1
+
+
 def test_lhs_expansion():
     assert moments.verify_lhs_expansion(fam("dc1-", 1, GF8), 3) == []
     # codim 2: both the 2-dimensional and the even expansion must match

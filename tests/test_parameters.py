@@ -41,8 +41,6 @@ CASES = {
     "bruhat_cell-r": (lambda v: og.bruhat_cell(GF2, 1, v), 1, (-1, 2)),
     "a_r_subgroup-n": (lambda v: og.a_r_subgroup(GF2, v, 0), 1, (0,)),
     "a_r_subgroup-r": (lambda v: og.a_r_subgroup(GF2, 1, v), 1, (-1, 2)),
-    "sigma_plus-n": (lambda v: og.sigma_plus(v, 0), 1, (0,)),
-    "sigma_plus-r": (lambda v: og.sigma_plus(1, v), 1, (-1, 2)),
     "enumerate_parabolic-n": (lambda v: og.enumerate_parabolic(GF2, v), 1, (0,)),
     "group_counts-n": (lambda v: og.group_counts(v, 8), 1, (0,)),
     "group_counts-q": (lambda v: og.group_counts(1, v), 2, Q_OUTSIDE),
