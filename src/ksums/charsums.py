@@ -32,7 +32,6 @@ against errors.TRANSFORM_BIT_BUDGET before they start.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product, tee
 from operator import itemgetter
@@ -129,7 +128,7 @@ def power_moments(fp: FieldParams, m: int, h_max: int, step: int = 1, c: int = 1
     field.check_int("m", m, 1)
     field.check_int("h_max", h_max, 0)
     charge(h_max ** 2 * (h_max + m * fp.r),
-           f"oracle moments up to h = {h_max} of K_{m} over GF({fp.q})", "lower h_max")
+           "oracle moments up to h = {} of K_{} over GF({})", "lower h_max", h_max, m, fp.q)
     out = [0] * (h_max + 1)
     for v, mult in Counter(kloosterman_values(fp, m, c)[1:]).items():
         power = v ** step
@@ -183,10 +182,14 @@ def _kloosterman_gl_closed_form(fp, t, k1):
                 suffix += level[i]
                 level[i] = (q ** (lo + i - 2 * nu) - 1) * suffix
         total += q ** l * k1 ** (t + 2 - 2 * l) * sum(level)
-    value = Fraction(q) ** ((t - 2) * (t + 1) // 2) * total
-    if value.denominator != 1:
-        raise ConsistencyError("GL closed form must be an integer", t=t, q=q, k1=k1, value=value)
-    return int(value)
+    e = (t - 2) * (t + 1) // 2  # the factor q^e; e < 0 only at t = 1, where it is 1/q
+    if e >= 0:
+        return q ** e * total
+    value, rest = divmod(total, q ** -e)
+    if rest:
+        raise ConsistencyError("GL closed form must be an integer", t=t, q=q, k1=k1,
+                               value=f"{total}/{q ** -e}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +261,8 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     field.check_int("t", t, 0)
     if method not in GL_METHODS + ("all",):
         raise ValueError(f"unknown method {method!r}")
-    charge(_gl_bits(t, fp.q), f"K_GL({t}) over GF({fp.q}), {t} steps over values of about "
-           "r t^2 bits", "lower t")
+    charge(_gl_bits(t, fp.q), "K_GL({0}) over GF({1}), {0} steps over values of about "
+           "r t^2 bits", "lower t", t, fp.q)
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
     mt = field.mul_table(fp)
     k1 = kloosterman_values(fp)[mt[mt[c][c]][a]]

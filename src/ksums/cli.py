@@ -8,20 +8,27 @@ ksums.field.DEFAULT_MODULI). Exit codes: 0 success, 1 failed verification,
 internal inconsistency or a stdout pipe closed by its reader (nothing on
 stderr then), 2 usage/parameter/budget error. Everything is deterministic;
 there is no seed.
+
+Every request is one cold process, so a subcommand imports only the layers
+it runs. This module loads field, combinat, matgf, charsums and orthogroup
+(the parser's family choices are orthogroup.FAMILY_LABELS), all that
+`field`, `ksum`, `moments oracle` and `group` run. The handlers of
+`moments recursive` and `code` import coset_codes (and moments), that of
+`verify` every layer, and the csv module loads only for --format csv.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 
-from ksums import charsums, coset_codes, field, matgf, moments, orthogroup, verify
+from ksums import charsums, field, matgf, orthogroup
 from ksums.errors import BudgetError, ConsistencyError
 
 
 def _emit(args, payload, rows=None):
     if getattr(args, "format", "json") == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         if rows is None:
             rows = [("key", "value")] + [(k, json.dumps(v) if isinstance(v, (dict, list)) else v)
@@ -95,6 +102,7 @@ def _cmd_moments_oracle(args):
 
 
 def _cmd_moments_recursive(args):
+    from ksums import coset_codes, moments
     fp = _parse_field(args)
     fam = coset_codes.parse_family(args.family, args.n, fp)
     table = []
@@ -151,6 +159,7 @@ def _cmd_group_counts(args):
 
 
 def _cmd_code_weights(args):
+    from ksums import coset_codes
     fp = _parse_field(args)
     fam = coset_codes.parse_family(args.family, args.n, fp)
     table = [{"a": field.element_hex(fp, a),
@@ -165,6 +174,7 @@ def _cmd_code_weights(args):
 
 
 def _cmd_code_dist(args):
+    from ksums import coset_codes
     fp = _parse_field(args)
     fam = coset_codes.parse_family(args.family, args.n, fp)
     counts = coset_codes.trace_multiplicities(fam)
@@ -187,6 +197,7 @@ def _cmd_code_dist(args):
 
 
 def _cmd_verify_all(args):
+    from ksums import verify
     report = verify.run_checks(max_r=args.max_r, max_n=args.max_n, h_max=args.h_max)
     rows = [("name", "params", "pass")] + [
         (c["name"], json.dumps(c["params"], sort_keys=True), c["pass"])
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_oracle)
     p_oracle.set_defaults(handler=_cmd_moments_oracle)
     p_rec = mom_sub.add_parser("recursive", help="recursive moments from code weights")
-    p_rec.add_argument("--family", choices=coset_codes.FAMILY_LABELS, required=True)
+    p_rec.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
     p_rec.add_argument("--n", type=int, required=True)
     p_rec.add_argument("--r", type=int, required=True)
     p_rec.add_argument("--h-max", type=_nonnegative, default=10, dest="h_max")
@@ -275,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_code = sub.add_parser("code", help="double-coset trace codes")
     code_sub = p_code.add_subparsers(dest="subcommand", required=True)
     p_w = code_sub.add_parser("weights", help="dual codeword weights")
-    p_w.add_argument("--family", choices=coset_codes.FAMILY_LABELS, required=True)
+    p_w.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
     p_w.add_argument("--n", type=int, required=True)
     p_w.add_argument("--r", type=int, required=True)
     p_w.add_argument("--mode", choices=("formula", "direct"), default="formula")
     _add_format(p_w)
     p_w.set_defaults(handler=_cmd_code_weights)
     p_d = code_sub.add_parser("dist", help="weight distribution")
-    p_d.add_argument("--family", choices=coset_codes.FAMILY_LABELS, required=True)
+    p_d.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
     p_d.add_argument("--n", type=int, required=True)
     p_d.add_argument("--r", type=int, required=True)
     p_d.add_argument("--j", type=int, help="single coefficient instead of the full table")

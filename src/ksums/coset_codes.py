@@ -28,6 +28,9 @@ truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
 MacWilliams route feeds the formula-mode dual weights, which come from the
 cell character sum instead of multiplicities, to the same kernel. pless_sums
 gives the Pless identity's right side for all h <= h_max in one pass.
+
+The family labels, FAMILY_LABELS, are defined in ksums.orthogroup and
+imported here, so coset_codes.FAMILY_LABELS still names them.
 """
 
 import math
@@ -40,6 +43,7 @@ from ksums import charsums, field, orthogroup
 from ksums.combinat import binom
 from ksums.errors import TRANSFORM_BIT_BUDGET, ConsistencyError, charge
 from ksums.field import FieldParams
+from ksums.orthogroup import FAMILY_LABELS
 
 # The Krawtchouk recurrence is charged the bits it writes per weight against
 # TRANSFORM_BIT_BUDGET: coefficient j of a length-N code has at most
@@ -50,8 +54,6 @@ from ksums.field import FieldParams
 # coefficients alone let the work of a truncated query on a long code grow
 # with j^2.
 FULL_DISTRIBUTION_CAP = math.isqrt(TRANSFORM_BIT_BUDGET)
-
-FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")
 
 
 class DoubleCosetFamily(NamedTuple):
@@ -238,8 +240,9 @@ def weight_distribution(counts, j_max: int | None = None) -> list:
 def _charge_transform(cap: int, length: int):
     """Refuse coefficients j <= cap of a length-`length` code over TRANSFORM_BIT_BUDGET."""
     charge(cap * min(cap * length.bit_length(), length),
-           f"coefficients up to j = {cap} of a length-{length} code, per weight",
-           f"the cap of {FULL_DISTRIBUTION_CAP} coefficients, squared; query a smaller j_max")
+           "coefficients up to j = {} of a length-{} code, per weight",
+           f"the cap of {FULL_DISTRIBUTION_CAP} coefficients, squared; query a smaller j_max",
+           cap, length)
 
 
 def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:

@@ -26,8 +26,14 @@ class ConsistencyError(RuntimeError):
         self.details = details
 
 
-def charge(bits: int, work: str, advice: str):
-    """Refuse `work`, which writes about `bits` bits, if that is over TRANSFORM_BIT_BUDGET."""
+def charge(bits: int, work: str, advice: str, *args):
+    """Refuse `work`, which writes about `bits` bits, if that is over TRANSFORM_BIT_BUDGET.
+
+    `work` is a str.format template filled from `args` only on refusal: a
+    code length can run to thousands of digits, and an admitted request
+    should not pay for (or, at Python's default int -> str digit limit,
+    fail on) a decimal it never shows.
+    """
     if bits > TRANSFORM_BIT_BUDGET:
-        raise BudgetError(f"{work}: about {bits} bits, over budget "
+        raise BudgetError(f"{work.format(*args)}: about {bits} bits, over budget "
                           f"{TRANSFORM_BIT_BUDGET}; {advice}")

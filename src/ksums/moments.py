@@ -114,7 +114,7 @@ def _pless_sums(f: DoubleCosetFamily, h_max: int) -> tuple:
     """
     size = coset_codes.family_constants(f).size
     charge(h_max ** 2 * (h_max + size.bit_length()),
-           f"moments up to h = {h_max} of a length-{size} code", "lower h_max")
+           "moments up to h = {} of a length-{} code", "lower h_max", h_max, size)
     dist = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=h_max)
     return tuple((-1) ** h * p for h, p in enumerate(coset_codes.pless_sums(dist, size, h_max)))
 

@@ -50,6 +50,11 @@ c); _swap_lanes and the enumeration loops trust them. The
 closed forms take q bare, so _check_q refuses any q that is not an int power
 of two >= 2. Caches keyed by n or r are typed, so True or 1.0 is refused
 rather than served the entry of 1.
+
+FAMILY_LABELS, the labels of the four double-coset families that
+ksums.coset_codes builds codes from, is defined here, so that the CLI can
+offer them as choices without importing coset_codes; coset_codes imports it
+from here.
 """
 
 from collections import Counter
@@ -64,6 +69,7 @@ from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import FieldParams
 
 PRODUCT_BUDGET = 10 ** 7  # cap on |P+|^2 before a cell may be materialized
+FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")  # coset_codes' families; see the docstring
 
 
 class BruhatCell(NamedTuple):

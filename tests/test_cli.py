@@ -455,18 +455,57 @@ def test_every_subcommand_emits_valid_json(capsys):
         json.loads(out)
 
 
+COLD_IMPORT_PROBE = """
+import contextlib, io, sys
+import ksums.cli as cli
+def loaded(names):
+    return sorted(set(names) & set(sys.modules))
+print(loaded({"dataclasses", "inspect"}))
+for argv in (["ksum", "--r", "3", "--a", "5"], ["moments", "oracle", "--r", "3", "--h-max", "2"],
+             ["group", "enum", "--r", "1", "--n", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(loaded({"fractions", "csv", "ksums.coset_codes", "ksums.moments", "ksums.verify"}))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["ksum", "--r", "3", "--a", "5", "--format", "csv"]) == 0
+print(loaded({"csv"}))
+"""
+
+
 def test_cold_import_and_record_keys():
     # every request pays the import; records are NamedTuples, so neither
     # dataclasses nor the inspect module it pulls in is loaded (-S keeps
-    # site's .pth imports out of the count)
+    # site's .pth imports out of the count). A ksum, moments oracle or group
+    # request loads neither fractions, csv nor the layers it does not run;
+    # csv loads for --format csv
     src = os.path.dirname(os.path.dirname(ksums.__file__))
-    code = "import sys, ksums.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n['csv']\n"
     # records key the table caches, so equal values must compare and hash equal
     fp, fp2 = field.binary_field(3), field.binary_field(3)
     assert fp == fp2 and hash(fp) == hash(fp2)
     f, f2 = coset_codes.parse_family("dc2-", 3, fp), coset_codes.parse_family("dc2-", 3, fp2)
     assert f == f2 and hash(f) == hash(f2)
+
+
+# sha256 of `--help` at COLUMNS=80: the --family and --method choices come
+# from orthogroup.FAMILY_LABELS and charsums.GL_METHODS, imported without the
+# layers that use them
+HELP_DIGESTS = {
+    ("moments", "recursive"): "e40a70f8c840717353e6cd73948efa4ffdb492fcbc4571bfa9ed75ddcd3f39aa",
+    ("code", "weights"): "db26403cbb065938df9a105009f62583e58aa4cca22f30c5ad5ab7efa34b4185",
+    ("code", "dist"): "e73886d269c95fc4a5dcd3123496225e214919725f5e7eabce445eab440e583d",
+    ("ksum", "gl"): "873edef3ce58fab978c4de209f712b611159add76ac57c9281c872b9a2d0e2fd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=" ".join)
+def test_help_text_of_moved_choices(argv):
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ksums.cli", *argv, "--help"],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[argv], proc.stdout.decode()

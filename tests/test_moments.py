@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,28 @@ def test_admitted_passes_have_admitted_oracles():
                 bits = cc.family_constants(f).size.bit_length()
                 assert all(bits >= kind.m * r for kind in moments.kinds(codim)), (f, bits)
     assert cc.family_constants(fam("dc1-", 1, GF2)).size == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.10.7")
+def test_admitted_passes_run_at_the_default_digit_limit():
+    # dc1+ n=50 over GF(256) is a code of length past 4,300 decimal digits;
+    # only cli.main lifts Python's int -> str limit (for this whole process,
+    # so it is put back here), and an admitted library call must not format
+    # the length for a refusal text it never raises
+    f = fam("dc1+", 50, binary_field(8))
+    assert cc.family_constants(f).size > 10 ** 4300
+    counts = cc.trace_multiplicities(f)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        mk = moments.MK.sequence(f, 1)
+        dist = cc.weight_distribution(counts, j_max=1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert mk == [charsums.moment(f.fp, 1, h) for h in range(2)]
+    # a weight-1 word is one position whose trace is 0
+    assert dist == [1, counts.get(0, 0)]
 
 
 def test_lhs_expansion():
