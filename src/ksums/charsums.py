@@ -5,10 +5,13 @@ every moment identity in this package), Kloosterman sums for GL(t,q) by
 three independent routes, and verification helpers for the classical
 identities relating them.
 
-One value K_m(a) is a direct sum over (F_q^*)^m (`kloosterman`, the `ksum`
-command and the independent side of verify's values_table_vs_direct row).
-A table of all of them (`kloosterman_values`, which moments read) is built
-by multiplicative convolution instead, m levels of (q-1)^2 lookups.
+The table of every K_m(a) (`kloosterman_values`, which the `ksum` command
+and the moments read) is built level by level: in the log coordinates of
+field.exp_log each level is a cyclic convolution of length q-1, taken as
+one big-int product by Kronecker substitution, and no q x q product table
+is read. One value as a direct sum over (F_q^*)^m (`kloosterman`) is its
+oracle, the independent side of verify's values_table_vs_direct row and of
+the tests.
 
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
@@ -27,8 +30,9 @@ All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
 field.check_unit before any work. Enumerations carry hard budgets and raise
 BudgetError instead of degrading; gl_routes names the GL routes that fit.
-The big-int passes, power_moments and the GL sums, are charged their bits
-against errors.TRANSFORM_BIT_BUDGET before they start.
+The big-int passes, the levels of a values table, power_moments and the GL
+sums, are charged their bits against errors.TRANSFORM_BIT_BUDGET before
+they start.
 """
 
 from collections import Counter
@@ -41,7 +45,7 @@ from ksums.errors import TRANSFORM_BIT_BUDGET, BudgetError, ConsistencyError, ch
 from ksums.field import FieldParams
 
 ENUM_BITS = 24
-ENUM_BUDGET = 1 << ENUM_BITS  # max tuples of one direct sum, max lookups of one values table
+ENUM_BUDGET = 1 << ENUM_BITS  # max tuples of one direct sum
 GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max F(t+1) for the closed form
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
@@ -51,13 +55,15 @@ def _scaled_char_table(fp, c):
     lam = field.char_table(fp)
     if c == 1:
         return lam
-    return tuple(lam[cy] for cy in field.mul_table(fp)[c])
+    exp, log = field.exp_log(fp)
+    return (lam[0],) + tuple(lam[exp[(log[c] + log[y]) % (fp.q - 1)]] for y in field.units(fp))
 
 
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     """m-dimensional Kloosterman sum for psi = lambda(c .) at parameter a.
 
-    Direct sum of psi(a1 + ... + am + a/(a1...am)) over (F_q^*)^m.
+    Direct sum of psi(a1 + ... + am + a/(a1...am)) over (F_q^*)^m, read from
+    mul_table: the oracle that kloosterman_values is checked against.
     """
     field.check_unit(fp, a, "a")
     field.check_unit(fp, c, "c")
@@ -82,30 +88,67 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     return total
 
 
+def _table_bits(m, r):
+    """Bits the m levels of a values table write: 2q digits a level, each as wide as
+    4 (q-1) (m+1) q^(m/2), since a folded digit sums q-1 shifted terms of at most
+    4 (m+1) q^(m/2), four times the Weil bound on |K_m|."""
+    return 2 * m * (1 << r) * (2 + r + (m + 1).bit_length() + (r * m + 1) // 2)
+
+
+def _pack(values, width):
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _cyclic_convolution(psi, level):
+    """out[i] = sum over j of psi[j] level[(i - j) mod n], psi in {+1, -1}, by one big-int product.
+
+    Kronecker substitution: each sequence is packed as the digits of an int
+    in base 256^width. The digits are shifted to be nonnegative, psi + 1 in
+    {0, 2} and v + bound in [0, 2 bound] with bound = max |level|, so each
+    of the n terms of a cyclic sum is at most 4 bound and a digit with
+    256^width > 4 bound n never carries. Digits i and i + n of the linear
+    product fold into digit i of low + high, the product mod 256^(width n) - 1.
+    The shifts add bound sum(psi) + sum(level) + n bound to every output,
+    which is taken off exactly.
+    """
+    n = len(psi)
+    bound = max(map(abs, level))
+    width = (4 * bound * n).bit_length() // 8 + 1
+    prod = _pack([s + 1 for s in psi], width) * _pack([v + bound for v in level], width)
+    span = 8 * width * n
+    digits = ((prod & ((1 << span) - 1)) + (prod >> span)).to_bytes(width * n, "little")
+    offset = bound * sum(psi) + sum(level) + n * bound
+    return [int.from_bytes(digits[k:k + width], "little") - offset
+            for k in range(0, width * n, width)]
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit m = 1's table
 def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None.
 
-    Built by multiplicative convolution, not by direct sums:
-    K_m(a) = sum over x != 0 of lambda(c x) K_(m-1)(a/x), with K_0 = lambda(c .).
-    The m levels make m (q-1)^2 lookups; m q^2 must fit ENUM_BUDGET, and it
-    is checked before the first level. Cached for every a and moment (verify
-    (6,3,10): 5,643 hits; `moments oracle --h-max 10`: 10).
+    Built level by level from K_m(a) = sum over x != 0 of lambda(c x)
+    K_(m-1)(a/x), with K_0 = lambda(c .). In the log coordinates of
+    field.exp_log, K_m(g^i) = sum over j of lambda(c g^j) K_(m-1)(g^(i-j)), a
+    cyclic convolution of length q-1, so each level is one big-int product
+    (_cyclic_convolution). The levels are charged before the first one:
+    _table_bits(m, r) bits against TRANSFORM_BIT_BUDGET, which admits m <= 218
+    at r = 8. Cached for every a and moment (verify (6,3,10): 5,643 hits;
+    `moments oracle --h-max 10`: 10).
     """
     field.check_unit(fp, c, "c")
     field.check_int("m", m, 1)
-    if m * fp.q * fp.q > ENUM_BUDGET:
-        raise BudgetError(f"m q^2 = {m * fp.q * fp.q} table lookups exceed "
-                          f"enumeration budget {ENUM_BUDGET}")
+    charge(_table_bits(m, fp.r), "K_m values table at m = {}, q = {}: m big-int products "
+           "of 2q digits as wide as the Weil bound", "lower m", m, fp.q)
+    exp, _ = field.exp_log(fp)
     lamc = _scaled_char_table(fp, c)
-    mt, invt = field.mul_table(fp), field.inv_table(fp)
-    # (lambda(c x), 1/x) for x != 0, so that a/x is mt[a][1/x]
-    terms = [(lamc[x], invt[x]) for x in field.units(fp)]
-    prev = lamc
+    psi = [lamc[x] for x in exp]  # lambda(c g^j)
+    level = psi
     for _ in range(m):
-        prev = (None,) + tuple(sum(s * prev[row[xinv]] for s, xinv in terms)
-                               for row in mt[1:])
-    return prev
+        level = _cyclic_convolution(psi, level)
+    out = [None] * fp.q
+    for x, v in zip(exp, level):
+        out[x] = v
+    return tuple(out)
 
 
 def moment(fp: FieldParams, m: int, h: int, c: int = 1) -> int:
@@ -264,8 +307,8 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     charge(_gl_bits(t, fp.q), "K_GL({0}) over GF({1}), {0} steps over values of about "
            "r t^2 bits", "lower t", t, fp.q)
     # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
-    mt = field.mul_table(fp)
-    k1 = kloosterman_values(fp)[mt[mt[c][c]][a]]
+    exp, log = field.exp_log(fp)
+    k1 = kloosterman_values(fp)[exp[(2 * log[c] + log[a]) % (fp.q - 1)]]
     routes = {
         "recursion": lambda: _kloosterman_gl_recursion(fp, t, k1),
         "closed_form": lambda: _kloosterman_gl_closed_form(fp, t, k1),

@@ -66,9 +66,9 @@ def _cmd_field_table(args):
 
 def _cmd_ksum(args):
     fp = _parse_field(args)
-    a = field.parse_element(fp, args.a)
+    a = field.check_unit(fp, field.parse_element(fp, args.a), "a")
     c = field.parse_element(fp, args.c)
-    value = charsums.kloosterman(fp, a, args.m, c)
+    value = charsums.kloosterman_values(fp, args.m, c)[a]
     _emit(args, {"r": fp.r, "a": field.element_hex(fp, a), "m": args.m,
                  "c": field.element_hex(fp, c), "value": str(value)})
     return 0

@@ -1,9 +1,11 @@
 """Error types and the work budget shared across the package."""
 
+import sys
+
 # bits that one big-int pass of a request may write: the Krawtchouk
 # recurrence of a weight distribution, the Pless pass of a moment request,
-# the oracle moments' powers and the GL recursion are each charged against
-# it, by charge, before they start
+# the oracle moments' powers, the levels of a Kloosterman values table and
+# the GL recursion are each charged against it, by charge, before they start
 TRANSFORM_BIT_BUDGET = 10 ** 8
 
 
@@ -31,9 +33,20 @@ def charge(bits: int, work: str, advice: str, *args):
 
     `work` is a str.format template filled from `args` only on refusal: a
     code length can run to thousands of digits, and an admitted request
-    should not pay for (or, at Python's default int -> str digit limit,
-    fail on) a decimal it never shows.
+    should not pay for a decimal it never shows. A refusal prints it in
+    full, as the CLI does, so Python's int -> str digit limit is lifted
+    while the message is formatted and put back after.
     """
-    if bits > TRANSFORM_BIT_BUDGET:
-        raise BudgetError(f"{work.format(*args)}: about {bits} bits, over budget "
-                          f"{TRANSFORM_BIT_BUDGET}; {advice}")
+    if bits <= TRANSFORM_BIT_BUDGET:
+        return
+    get_limit = getattr(sys, "get_int_max_str_digits", None)  # absent before Python 3.10.7
+    limit = get_limit() if get_limit is not None else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        message = (f"{work.format(*args)}: about {bits} bits, over budget "
+                   f"{TRANSFORM_BIT_BUDGET}; {advice}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    raise BudgetError(message)

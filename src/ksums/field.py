@@ -12,10 +12,16 @@ serialize as lowercase hex of their int value.
 The degree cap exists because everything downstream enumerates F_q or F_q^*
 exhaustively; a too-large r is rejected loudly, never truncated.
 
-Products are formed in one place: `mul_table`, built once per field by row
-xors. Every other product in the package, `mul` included, is a lookup in
-that table. The public functions here validate their operands (ints, not
-bools, in range); inner loops elsewhere read `mul_table`, `inv_table` and
+Products come from two tables, each built once per field with no product
+read from the other. `exp_log` is the pair g^i and log_g x of a primitive
+element g, walked by shift-and-add; the moment chain's tables are built from
+it: `trace_table`, `inv_table` (and so `char_table`), `power`, and in
+charsums the scaled characters and the Kloosterman tables, which are
+cyclic convolutions in log coordinates. `mul_table`, the q x q table built
+by row doubling, serves the enumeration layers (GL(n,q), the cells, the
+codes) and `mul`; the tests tie the two, x y = g^(log x + log y) for every
+pair. The public functions here validate their operands (ints, not bools,
+in range); inner loops elsewhere read `mul_table`, `inv_table` and
 `trace_table` rows directly and rely on their own entry points having
 validated the inputs with `check_int` (an int, not a bool, within bounds)
 and `check_unit` (a nonzero element), the package's one parameter rule.
@@ -134,7 +140,7 @@ def mul(fp: FieldParams, x: int, y: int) -> int:
 
 
 def power(fp: FieldParams, x: int, e: int) -> int:
-    """x^e by square-and-multiply; negative e allowed for x != 0."""
+    """x^e = g^(e log x), read from exp_log; negative e allowed for x != 0."""
     check_element(fp, x)
     if not _is_int(e):
         raise ValueError(f"e must be an int, got {e!r}")
@@ -142,15 +148,8 @@ def power(fp: FieldParams, x: int, e: int) -> int:
         if e < 0:
             raise ZeroDivisionError("0 has no negative powers")
         return 1 if e == 0 else 0
-    e %= fp.q - 1
-    mt = mul_table(fp)
-    out = 1
-    while e:
-        if e & 1:
-            out = mt[out][x]
-        x = mt[x][x]
-        e >>= 1
-    return out
+    exp, log = exp_log(fp)
+    return exp[log[x] * e % (fp.q - 1)]
 
 
 def inv(fp: FieldParams, x: int) -> int:
@@ -179,19 +178,59 @@ def artin_schreier_image(fp: FieldParams) -> frozenset:
 
 
 @lru_cache(maxsize=None)
+def exp_log(fp: FieldParams) -> tuple:
+    """(exp, log) of a primitive element g: exp[i] = g^i for 0 <= i < q-1, log[g^i] = i.
+
+    log[0] is None. g is the least element whose powers return to 1 only
+    after q-1 steps; each step multiplies by g by shift-and-add (v x is a
+    shift reduced by the modulus, and g is a sum of powers of x), so no
+    product table is read. x itself need not be primitive: under the default
+    modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached; every table
+    of the moment chain reads it.
+    """
+    q, modulus, top = fp.q, fp.modulus, fp.q >> 1
+    for g in range(1, q):
+        exp, v = [], 1
+        while True:
+            exp.append(v)
+            acc, bits = 0, g
+            while bits:
+                if bits & 1:
+                    acc ^= v
+                v = (v << 1) ^ modulus if v & top else v << 1
+                bits >>= 1
+            v = acc
+            if v == 1:
+                break
+        if len(exp) == q - 1:
+            break
+    else:
+        raise ConsistencyError("the units of a field are cyclic", field=fp)
+    log = [None] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    return tuple(exp), tuple(log)
+
+
+@lru_cache(maxsize=None)
 def trace_table(fp: FieldParams) -> tuple:
-    """trace over all of F_q; cached, read per dual weight (verify (6,3,10): 150 hits)."""
-    mt = mul_table(fp)
-    out = []
-    for x in elements(fp):
-        acc = t = x
-        for _ in range(fp.r - 1):
-            t = mt[t][t]
-            acc ^= t
+    """trace over all of F_q; cached, read per dual weight (verify (6,3,10): 150 hits).
+
+    The trace is F_2-linear, so the table is spanned from the traces of the
+    basis x^k, each a sum of r squarings read through exp_log: the entries
+    for bit k set are those below 2^k xor tr(x^k).
+    """
+    exp, log = exp_log(fp)
+    out = (0,)
+    for k in range(fp.r):
+        i, acc = log[1 << k], 0
+        for _ in range(fp.r):
+            acc ^= exp[i]
+            i = 2 * i % (fp.q - 1)
         if acc not in (0, 1):
-            raise ConsistencyError("trace must land in F_2", field=fp, x=x, trace=acc)
-        out.append(acc)
-    return tuple(out)
+            raise ConsistencyError("trace must land in F_2", field=fp, x=1 << k, trace=acc)
+        out += tuple(t ^ acc for t in out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +243,7 @@ def char_table(fp: FieldParams) -> tuple:
 def mul_table(fp: FieldParams) -> tuple:
     """Full q x q multiplication table, mul_table(fp)[x][y] = x * y.
 
-    The package's only product-forming code; at most 64K entries at r = 8.
+    The enumeration layers' products; at most 64K entries at r = 8.
     Row 1 is the identity; row 2k is row k times the polynomial x, i.e.
     each entry shifted left one bit and reduced by the modulus, read from a
     q-entry doubling table; an odd row 2k + 1 is row 2k xor row 1. Each
@@ -223,9 +262,15 @@ def mul_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def inv_table(fp: FieldParams) -> tuple:
-    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 1,098 hits)."""
-    mt = mul_table(fp)
-    return (0,) + tuple(mt[x].index(1) for x in units(fp))
+    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 1,098 hits).
+
+    1/g^i = g^-i, read from exp_log.
+    """
+    exp, _ = exp_log(fp)
+    out = [0] * fp.q
+    for i, x in enumerate(exp):
+        out[x] = exp[-i]
+    return tuple(out)
 
 
 def element_hex(fp: FieldParams, x: int) -> str:

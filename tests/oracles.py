@@ -14,7 +14,10 @@ ksums have something independent to be compared with:
 - the literal trace vector and dual codewords of a family's code, built in
   canonical (sorted packed-key) order;
 - the Stirling numbers of the second kind, from their alternating-binomial
-  sum, against which coset_codes.pless_sums is pinned.
+  sum, against which coset_codes.pless_sums is pinned;
+- the Kloosterman values tables by multiplicative convolution over
+  mul_table, m levels of (q-1)^2 lookups, against which the Kronecker
+  products of charsums.kloosterman_values are pinned.
 """
 
 import math
@@ -142,3 +145,19 @@ def stirling2(h: int, t: int) -> int:
     if rem:
         raise ArithmeticError(f"stirling2({h},{t}): non-exact division")
     return num
+
+
+def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
+    """K_m(lambda(c .); a) for a in F_q^*, slot 0 None, level by level over mul_table.
+
+    K_m(a) = sum over x != 0 of lambda(c x) K_(m-1)(a/x), with K_0 = lambda(c .);
+    a/x is mul_table[a][1/x], and 1/x is found in x's row, not read from exp_log.
+    """
+    mt, lam = field.mul_table(fp), field.char_table(fp)
+    lamc = tuple(lam[cy] for cy in mt[c])
+    terms = [(lamc[x], mt[x].index(1)) for x in field.units(fp)]
+    prev = lamc
+    for _ in range(m):
+        prev = (None,) + tuple(sum(s * prev[row[xinv]] for s, xinv in terms)
+                               for row in mt[1:])
+    return prev

@@ -35,7 +35,7 @@ def test_enumeration_budget():
     fp = binary_field(8)
     with pytest.raises(BudgetError, match="m = 4, q = 256"):
         charsums.kloosterman(fp, 1, m=4)  # 256^4 = 2^32 tuples
-    # the convolution table costs m q^2 lookups: 3 * 2^16 fits, 300 * 2^16 does not
+    # the table's m levels are charged their bits: m = 3 fits, m = 300 does not
     assert len(charsums.kloosterman_values(fp, 3)) == fp.q
     with pytest.raises(BudgetError):
         charsums.kloosterman_values(fp, 300)
@@ -71,6 +71,29 @@ def test_values_table_matches_direct_sums_alt_moduli():
         fp = binary_field(r, modulus)
         for m in (1, 2):
             assert charsums.kloosterman_values(fp, m) == _direct_values(fp, m), (r, m)
+
+
+@pytest.mark.parametrize("r, modulus",
+                         sorted(field.DEFAULT_MODULI.items()) + sorted(verify.ALT_MODULI.items()))
+def test_values_table_matches_loop_oracle(r, modulus):
+    # the Kronecker products against m levels of (q-1)^2 mul_table lookups
+    fp = binary_field(r, modulus)
+    for c in sorted({1, 2, fp.q - 1} & set(field.units(fp))):
+        for m in (1, 2, 3):
+            assert charsums.kloosterman_values(fp, m, c) == oracles.kloosterman_values(
+                fp, m, c), (m, c)
+
+
+@pytest.mark.parametrize("r, m_max", [(2, 3527), (8, 218)])
+def test_values_table_charge_boundary(r, m_max):
+    # m levels of 2q digits, each as wide as 4 (q-1) (m+1) q^(m/2), against
+    # TRANSFORM_BIT_BUDGET: m_max is built, m_max + 1 refused before any level
+    fp = binary_field(r)
+    table = charsums.kloosterman_values.__wrapped__(fp, m_max)
+    assert table[0] is None and sum(table[1:]) == (-1) ** (m_max + 1)
+    assert all(v * v <= (m_max + 1) ** 2 * fp.q ** m_max for v in table[1:])
+    with pytest.raises(BudgetError, match=f"m = {m_max + 1}, q = {fp.q}: .* over budget"):
+        charsums.kloosterman_values(fp, m_max + 1)
 
 
 def test_values_table_m3_spot_checks():

@@ -10,7 +10,10 @@ import time
 import pytest
 
 import ksums
-from ksums import cli, coset_codes, field
+from ksums import charsums, cli, coset_codes, field
+from ksums.errors import BudgetError
+
+import oracles
 
 GOLDEN_FIELD_TABLE_R2 = """\
 {
@@ -101,6 +104,47 @@ def test_ksum_value(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "3"
+
+
+def test_ksum_reads_the_table_like_direct_sums(capsys):
+    # `ksum` reads kloosterman_values; the direct sum is its oracle here
+    for r in range(1, 7):
+        fp = field.binary_field(r)
+        for m in (1, 2, 3):
+            for a, c in {(1, 1), (fp.q - 1, 1), (1, fp.q - 1), (fp.q // 2 or 1, fp.q - 1)}:
+                code, out, _ = run(capsys, "ksum", "--r", str(r), "--a", format(a, "x"),
+                                   "--m", str(m), "--c", format(c, "x"))
+                assert code == 0
+                direct = charsums.kloosterman(fp, a, m, c)
+                assert json.loads(out)["value"] == str(direct), (r, m, a, c)
+
+
+def test_ksum_past_the_direct_budget(capsys):
+    # q^m = 2^32 tuples refuse the direct sum; the table's four levels are admitted
+    fp = field.binary_field(8)
+    code, out, _ = run(capsys, "ksum", "--r", "8", "--a", "3", "--m", "4", "--c", "5")
+    assert code == 0
+    assert json.loads(out)["value"] == str(oracles.kloosterman_values(fp, 4, 5)[3])
+
+
+def test_library_refusal_at_the_default_digit_limit(capsys):
+    # the refusal names a code length of 11,921 digits, past Python's default
+    # 4,300-digit limit on int -> str; the library raises BudgetError with
+    # the text the CLI prints, which lifts the limit for its process
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int -> str digit limit before Python 3.10.7")
+    code, out, err = run(capsys, "code", "dist", "--family", "dc1+", "--n", "50", "--r", "8")
+    assert (code, out) == (2, "")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        fam = coset_codes.parse_family("dc1+", 50, field.binary_field(8))
+        with pytest.raises(BudgetError) as exc:
+            coset_codes.weight_distribution(coset_codes.trace_multiplicities(fam))
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert err == f"error: {exc.value}\n"
 
 
 def test_ksum_requires_args(capsys):
@@ -369,7 +413,9 @@ def test_moment_pass_budget_refuses_fast(capsys):
     # r t^3 bits of the GL recursion: 465 at r = 1 is the first refused
     ("ksum", "gl", "--r", "1", "--t", "465", "--a", "1"),
     ("ksum", "gl", "--r", "8", "--t", "1000", "--a", "1"),
-], ids=["oracle-r1", "oracle-r8", "gl-r1", "gl-r8"])
+    # the values table's levels: admitted by m q^2 <= 2^24 before, and ran for minutes
+    ("moments", "oracle", "--r", "2", "--m", "1000000", "--h-max", "1"),
+], ids=["oracle-r1", "oracle-r8", "gl-r1", "gl-r8", "table-r2"])
 def test_oracle_and_gl_budgets_refuse_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)

@@ -77,6 +77,35 @@ def test_mul_table_matches_carryless_product(r, modulus):
         for x in field.units(fp))
 
 
+@pytest.mark.parametrize("r, modulus",
+                         sorted(field.DEFAULT_MODULI.items()) + sorted(ALT_MODULI.items()))
+def test_exp_log_ties_to_mul_table(r, modulus):
+    # the two product sources agree: the primitive element's powers, walked
+    # here through mul_table, first return to 1 at q-1, and x y = g^(log x + log y)
+    fp = binary_field(r, modulus)
+    exp, log = field.exp_log(fp)
+    mt, n = field.mul_table(fp), fp.q - 1
+    g, order, v = exp[1 % n], 1, exp[1 % n]
+    while v != 1:
+        v, order = mt[v][g], order + 1
+    assert order == n
+    assert exp[0] == 1 and sorted(exp) == list(field.units(fp))
+    assert log[0] is None and all(exp[log[x]] == x for x in field.units(fp))
+    for x in field.units(fp):
+        assert mt[x][1:] == tuple(exp[(log[x] + log[y]) % n] for y in field.units(fp)), x
+    # the trace table, spanned from a basis, against x + x^2 + ... by mul_table squares
+    for x in field.elements(fp):
+        acc = t = x
+        for _ in range(r - 1):
+            t = mt[t][t]
+            acc ^= t
+        assert field.trace_table(fp)[x] == acc, x
+    for x in field.units(fp):
+        assert field.power(fp, x, 0) == 1 and field.power(fp, x, 2) == mt[x][x]
+        assert field.power(fp, x, n + 3) == mt[mt[x][x]][x]
+        assert mt[x][field.power(fp, x, -1)] == 1
+
+
 def test_arithmetic_examples():
     w = 0b10
     assert field.mul(GF4, w, w) == 0b11  # x * x = x + 1 mod x^2+x+1
