@@ -37,6 +37,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
@@ -310,18 +311,29 @@ def pless_sums(weights, n: int, h_max: int) -> list:
     return out
 
 
-def pless_check(code_weights, dual_weights, k: int, h: int) -> dict:
-    """Power-moment identity for a binary [n, k] code against its dual.
+def charge_pless(h_max: int, n: int):
+    """Refuse a pless_sums pass up to h_max on a length-n code: h_max^2 (h_max + bitlen n) bits."""
+    charge(h_max ** 2 * (h_max + n.bit_length()),
+           "Pless sums up to h = {} of a length-{} code", "lower h_max", h_max, n)
+
+
+def pless_check(code_weights, dual_weights, k: int, h_max: int) -> dict:
+    """Power-moment identity for a binary [n, k] code against its dual, for all h <= h_max.
 
     code_weights[j] counts codewords of weight j in the code, dual_weights[j]
-    in the dual; both lists have length n+1. Returns both exact sides.
+    in the dual; both lists have length n+1. Returns both exact sides, lists
+    over h, the right from one pless_sums pass charged before any work.
     """
     if len(code_weights) != len(dual_weights):
         raise ValueError("code and dual weight lists must have equal length")
-    field.check_int("h", h, 0)
+    field.check_int("h_max", h_max, 0)
     n = len(code_weights) - 1
     field.check_int("k", k, 0, n)
-    lhs = sum(j ** h * bj for j, bj in enumerate(code_weights))
-    rhs = pless_sums(dual_weights, n, h)[h] * Fraction(2) ** (k - h)
-    ok = rhs.denominator == 1 and lhs == int(rhs)
-    return {"h": h, "lhs": lhs, "rhs": rhs if rhs.denominator != 1 else int(rhs), "ok": ok}
+    charge_pless(h_max, n)
+    lhs, terms = [], list(code_weights)  # terms[j] = j^h B_j
+    for _ in range(h_max + 1):
+        lhs.append(sum(terms))
+        terms = list(map(mul, terms, range(n + 1)))
+    rhs = [p * Fraction(2) ** (k - h) for h, p in enumerate(pless_sums(dual_weights, n, h_max))]
+    rhs = [int(side) if side.denominator == 1 else side for side in rhs]
+    return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}

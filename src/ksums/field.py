@@ -12,23 +12,23 @@ serialize as lowercase hex of their int value.
 The degree cap exists because everything downstream enumerates F_q or F_q^*
 exhaustively; a too-large r is rejected loudly, never truncated.
 
-Products come from two tables, each built once per field with no product
-read from the other. `exp_log` is the pair g^i and log_g x of a primitive
-element g, walked by shift-and-add; the moment chain's tables are built from
-it: `trace_table`, `inv_table` (and so `char_table`), `power`, and in
-charsums the scaled characters and the Kloosterman tables, which are
-cyclic convolutions in log coordinates. `mul_table`, the q x q table built
-by row doubling, serves the enumeration layers (GL(n,q), the cells, the
-codes) and `mul`; the tests tie the two, x y = g^(log x + log y) for every
-pair. The public functions here validate their operands (ints, not bools,
-in range); inner loops elsewhere read `mul_table`, `inv_table` and
-`trace_table` rows directly and rely on their own entry points having
-validated the inputs with `check_int` (an int, not a bool, within bounds)
-and `check_unit` (a nonzero element), the package's one parameter rule.
+Every product comes from one kernel, `exp_log`: the pair g^i and log_g x of
+a primitive element g, walked by shift-and-add, the one place that reduces
+by the modulus. `trace_table`, `inv_table` (and so `char_table`), `power`,
+`mul_table` (row g^i is exp rotated by i, read at log y), and in charsums
+the scaled characters and the Kloosterman tables, cyclic convolutions in
+log coordinates, are read from it. The enumeration layers (GL(n,q), the
+cells, the codes) and `mul` read `mul_table`, which the tests check against
+carryless products, exp/log's independent oracle. The public functions
+here validate their operands (ints, not bools, in range); inner loops
+elsewhere read `mul_table`, `inv_table` and `trace_table` rows directly and
+rely on their own entry points having validated the inputs with `check_int`
+(an int, not a bool, within bounds) and `check_unit` (a nonzero element),
+the package's one parameter rule.
 """
 
 from functools import lru_cache
-from operator import xor
+from operator import itemgetter
 from typing import NamedTuple
 
 from ksums.errors import ConsistencyError
@@ -185,8 +185,9 @@ def exp_log(fp: FieldParams) -> tuple:
     after q-1 steps; each step multiplies by g by shift-and-add (v x is a
     shift reduced by the modulus, and g is a sum of powers of x), so no
     product table is read. x itself need not be primitive: under the default
-    modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached; every table
-    of the moment chain reads it.
+    modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached: every table
+    reads it (verify (6,3,10): 3,597 hits, 10 misses; `moments oracle --r 8
+    --m 2 --c 3`: 2 hits, 1 miss).
     """
     q, modulus, top = fp.q, fp.modulus, fp.q >> 1
     for g in range(1, q):
@@ -214,7 +215,7 @@ def exp_log(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def trace_table(fp: FieldParams) -> tuple:
-    """trace over all of F_q; cached, read per dual weight (verify (6,3,10): 150 hits).
+    """trace over all of F_q; cached, read per dual weight and theta b (verify (6,3,10): 270 hits).
 
     The trace is F_2-linear, so the table is spanned from the traces of the
     basis x^k, each a sum of r squarings read through exp_log: the entries
@@ -243,26 +244,20 @@ def char_table(fp: FieldParams) -> tuple:
 def mul_table(fp: FieldParams) -> tuple:
     """Full q x q multiplication table, mul_table(fp)[x][y] = x * y.
 
-    The enumeration layers' products; at most 64K entries at r = 8.
-    Row 1 is the identity; row 2k is row k times the polynomial x, i.e.
-    each entry shifted left one bit and reduced by the modulus, read from a
-    q-entry doubling table; an odd row 2k + 1 is row 2k xor row 1. Each
-    row is one C-level map. Cached for every product (verify (6,3,10): 5,590 hits).
+    The enumeration layers' products; at most 64K entries at r = 8. Read
+    from exp_log: row g^i is exp rotated by i, read at 1 + log y by one
+    itemgetter, with slot 0 of the rotation holding 0 * g^i (so the getter
+    has q >= 2 indices and returns a tuple even at q = 2). Each row is one
+    C-level call. Cached for every product (verify (6,3,10): 1,869 hits).
     """
-    q, modulus, top = fp.q, fp.modulus, fp.q >> 1
-    double = [(v << 1) ^ modulus if v & top else v << 1 for v in range(q)]
-    rows = [(0,) * q, tuple(range(q))]
-    for x in range(2, q):
-        if x & 1:
-            rows.append(tuple(map(xor, rows[x - 1], range(q))))
-        else:
-            rows.append(tuple(map(double.__getitem__, rows[x >> 1])))
-    return tuple(rows)
+    exp, log = exp_log(fp)
+    get = itemgetter(0, *(1 + i for i in log[1:]))
+    return ((0,) * fp.q,) + tuple(get((0,) + exp[i:] + exp[:i]) for i in log[1:])
 
 
 @lru_cache(maxsize=None)
 def inv_table(fp: FieldParams) -> tuple:
-    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 1,098 hits).
+    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 1,058 hits).
 
     1/g^i = g^-i, read from exp_log.
     """

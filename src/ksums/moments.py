@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 from ksums import charsums, coset_codes, field
 from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
-from ksums.errors import ConsistencyError, charge
+from ksums.errors import ConsistencyError
 
 
 class MomentKind(NamedTuple):
@@ -109,12 +109,11 @@ def _pless_sums(f: DoubleCosetFamily, h_max: int) -> tuple:
     """(-1)^h P(C, N, h) for h <= h_max of f's code; cached: the two codim-2 kinds share it,
     one hit per codim-2 request.
 
-    Charged before any work to TRANSFORM_BIT_BUDGET as h_max^2 (h_max + bitlen N) bits, a
-    proxy for the pass's big-int work that bounds the transform's own h_max^2 bitlen N.
+    Charged before any work by coset_codes.charge_pless, h_max^2 (h_max + bitlen N) bits,
+    which also bounds the truncated transform's h_max^2 bitlen N.
     """
     size = coset_codes.family_constants(f).size
-    charge(h_max ** 2 * (h_max + size.bit_length()),
-           "moments up to h = {} of a length-{} code", "lower h_max", h_max, size)
+    coset_codes.charge_pless(h_max, size)
     dist = coset_codes.weight_distribution(coset_codes.trace_multiplicities(f), j_max=h_max)
     return tuple((-1) ** h * p for h, p in enumerate(coset_codes.pless_sums(dist, size, h_max)))
 

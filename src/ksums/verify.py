@@ -106,10 +106,10 @@ def _charsum_checks(rep, fps, h_max):
                      if charsums.kloosterman_gl(fp, t, a, "recursion")
                      != charsums.kloosterman_gl(fp, t, a, "closed_form")])
         if q > 2:
-            c = 2
             rep.add("charsums.moment_scale_invariance", {"r": fp.r}, "[]",
-                    [(m, h) for m in (1, 2) for h in range(h_max + 1)
-                     if charsums.moment(fp, m, h, c=c) != charsums.moment(fp, m, h)])
+                    [(m, h) for m in (1, 2) for h, (scaled, plain) in enumerate(zip(
+                        charsums.power_moments(fp, m, h_max, c=2),
+                        charsums.power_moments(fp, m, h_max))) if scaled != plain])
 
 
 def _group_checks(rep, fps, max_n):
@@ -223,9 +223,8 @@ def _code_checks(rep, fps, max_n, h_max):
             rep.add("codes.distribution_macwilliams", params, dist,
                     coset_codes.weight_distribution_macwilliams(f))
             dual = coset_codes.dual_weight_distribution(f)
-            sides = [coset_codes.pless_check(dist, dual, k, h) for h in range(h_max + 1)]
-            rep.add("codes.pless_identity", params,
-                    [s["lhs"] for s in sides], [s["rhs"] for s in sides])
+            sides = coset_codes.pless_check(dist, dual, k, h_max)
+            rep.add("codes.pless_identity", params, sides["lhs"], sides["rhs"])
 
 
 def _moment_checks(rep, fps, max_n, h_max):

@@ -176,14 +176,12 @@ def test_criterion_7_weight_distributions():
 @criterion(8, "power-moment identity holds on the toy code and dc1-(1,8)")
 def test_criterion_8_pless():
     toy = [1, 0, 1]
-    for h in range(11):
-        assert cc.pless_check(toy, toy, 1, h)["ok"], h
+    assert cc.pless_check(toy, toy, 1, 10)["ok"]
     f8 = cc.parse_family("dc1-", 1, GF8)
     dist = cc.weight_distribution(cc.trace_multiplicities(f8))
     dual = cc.dual_weight_distribution(f8)
-    for h in range(11):
-        assert cc.pless_check(dist, dual, 4, h)["ok"], h
-        assert cc.pless_check(dual, dist, 3, h)["ok"], h
+    assert cc.pless_check(dist, dual, 4, 10)["ok"]
+    assert cc.pless_check(dual, dist, 3, 10)["ok"]
 
 
 @criterion(9, "identity suite: exhaustive classical identities at desk scale")

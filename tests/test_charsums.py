@@ -116,13 +116,16 @@ def test_moment_examples():
 
 
 def test_power_moments_match_moment():
-    # one pass over the values table against one moment per exponent step h
+    # one pass over the values table against a plain power sum per exponent
+    # step h (moment is entry h of a pass, so it is not the reference here)
     for fp in (GF2, GF4, GF8, binary_field(5)):
         for m in (1, 2, 3):
             for c in {1, fp.q - 1}:
+                vals = charsums.kloosterman_values(fp, m, c)[1:]
                 for step in (1, 2):
-                    assert charsums.power_moments(fp, m, 8, step, c) == [
-                        charsums.moment(fp, m, step * h, c) for h in range(9)], (fp.q, m, c, step)
+                    expected = [sum(v ** (step * h) for v in vals) for h in range(9)]
+                    assert charsums.power_moments(fp, m, 8, step, c) == expected, (fp.q, m, c, step)
+                    assert [charsums.moment(fp, m, step * h, c) for h in range(9)] == expected
 
 
 def test_moment_scale_invariance():
@@ -291,8 +294,9 @@ def test_theta_identities():
     for beta in field.units(GF4):
         rep = charsums.verify_theta_identities(GF4, beta, b=0b10)
         assert rep["part_b"]["ok"]
-    with pytest.raises(ValueError):
-        charsums.verify_theta_identities(GF4, 1, b=1)  # 1 = omega^2 + omega
+    for b in (0, 1):  # 0 = 0^2 + 0 and 1 = omega^2 + omega, both of trace 0
+        with pytest.raises(ValueError, match=f"b = {b} is of the form alpha\\^2 \\+ alpha"):
+            charsums.verify_theta_identities(GF4, 1, b=b)
     with pytest.raises(ValueError):
         charsums.verify_theta_identities(GF4, 0)
 

@@ -382,25 +382,24 @@ def test_dual_weight_distribution_counts_distinct_codewords():
 
 def test_pless_toy_code():
     toy = [1, 0, 1]
-    for h in range(11):
-        rep = cc.pless_check(toy, toy, 1, h)
-        assert rep["ok"], rep
-    assert cc.pless_check(toy, toy, 1, 1)["lhs"] == 2
+    rep = cc.pless_check(toy, toy, 1, 10)
+    assert rep["ok"], rep
+    assert len(rep["lhs"]) == len(rep["rhs"]) == 11
+    assert rep["lhs"][1] == 2
 
 
 def test_pless_dc1_minus_8_both_orientations():
     f = fam("dc1-", 1, GF8)
     dist = cc.weight_distribution(cc.trace_multiplicities(f))
     dual = cc.dual_weight_distribution(f)
-    for h in range(11):
-        assert cc.pless_check(dist, dual, 7 - 3, h)["ok"]
-        assert cc.pless_check(dual, dist, 3, h)["ok"]
+    assert cc.pless_check(dist, dual, 7 - 3, 10)["ok"]
+    assert cc.pless_check(dual, dist, 3, 10)["ok"]
 
 
 def test_pless_h0_is_total_mass():
     toy = [1, 0, 1]
     rep = cc.pless_check(toy, toy, 1, 0)
-    assert rep["lhs"] == 2 == rep["rhs"]
+    assert rep["lhs"] == [2] == rep["rhs"]
 
 
 def test_pless_parameter_errors():
@@ -408,6 +407,20 @@ def test_pless_parameter_errors():
         cc.pless_check([1, 0], [1, 0, 1], 1, 1)
     with pytest.raises(ValueError):
         cc.pless_check([1, 0, 1], [1, 0, 1], 1, -1)
+
+
+def test_pless_check_budget_boundary(monkeypatch):
+    # a length-2 code: the charge is h_max^2 (h_max + 2) bits, so 463 is the
+    # largest h_max within TRANSFORM_BIT_BUDGET
+    toy = [1, 0, 1]
+    assert cc.pless_check(toy, toy, 1, 463)["ok"]
+
+    def no_work(*args):
+        raise AssertionError("the pass ran before the charge")
+
+    monkeypatch.setattr(cc, "pless_sums", no_work)
+    with pytest.raises(BudgetError, match="h = 464 of a length-2 code: .* over budget 100000000"):
+        cc.pless_check(toy, toy, 1, 464)
 
 
 @st.composite

@@ -80,8 +80,11 @@ def test_mul_table_matches_carryless_product(r, modulus):
 @pytest.mark.parametrize("r, modulus",
                          sorted(field.DEFAULT_MODULI.items()) + sorted(ALT_MODULI.items()))
 def test_exp_log_ties_to_mul_table(r, modulus):
-    # the two product sources agree: the primitive element's powers, walked
-    # here through mul_table, first return to 1 at q-1, and x y = g^(log x + log y)
+    # mul_table is read from exp_log, so the carryless-product test above is
+    # exp/log's independent oracle; this one checks the pair's own shape: the
+    # primitive element's powers, walked here through mul_table, first return
+    # to 1 at q-1, each row is x y = g^(log x + log y), and the trace and
+    # power tables agree with mul_table's squares and products
     fp = binary_field(r, modulus)
     exp, log = field.exp_log(fp)
     mt, n = field.mul_table(fp), fp.q - 1

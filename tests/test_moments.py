@@ -205,6 +205,10 @@ def test_oracle_pass_budget_boundary():
         moments.MK.oracles(GF2, 464)
     with pytest.raises(BudgetError, match="h = 464 .* over budget 100000000"):
         charsums.power_moments(GF2, 1, 464)
+    # one moment is entry h of that pass, so it is refused where the pass is
+    assert charsums.moment(GF2, 1, 463) == 1  # the one value K(lambda; 1) = 1 of GF(2)
+    with pytest.raises(BudgetError, match="h = 464 .* over budget 100000000"):
+        charsums.moment(GF2, 1, 464)
 
 
 def test_admitted_passes_have_admitted_oracles():

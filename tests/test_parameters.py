@@ -70,7 +70,7 @@ CASES = {
     "walsh_weights-count": (lambda v: cc.walsh_weights({1: v, 3: 1}), 1, (-1,)),
     "pless_sums-n": (lambda v: cc.pless_sums([1, 1], v, 1), 1, (-1,)),
     "pless_sums-h_max": (lambda v: cc.pless_sums([1, 1], 1, v), 1, (-1,)),
-    "pless_check-h": (lambda v: cc.pless_check([1, 0], [1, 1], 0, v), 1, (-1,)),
+    "pless_check-h_max": (lambda v: cc.pless_check([1, 0], [1, 1], 0, v), 1, (-1,)),
     "pless_check-k": (lambda v: cc.pless_check([1, 0], [1, 1], v, 0), 0, (-1, 2)),
     "krawtchouk_sum-length": (lambda v: cc.krawtchouk_sum({0: 1}, v, 1), 2, (-1,)),
     "krawtchouk_sum-cap": (lambda v: cc.krawtchouk_sum({0: 1}, 2, v), 1, (-1,)),

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from ksums import cli, verify
+from ksums.errors import BudgetError
 
 
 def test_tier1_all_pass():
@@ -75,3 +76,11 @@ def test_pless_rows():
         {"family": "dc1-", "n": 1, "q": 4}, {"family": "dc2+", "n": 2, "q": 2}]
     assert all(c["pass"] for c in rows)
     assert rows[2]["actual"] == "[4, 6, 14, 36, 98, 276]"
+
+
+@pytest.mark.parametrize("max_r, max_n", [(2, 1), (1, 2)])
+def test_large_h_max_is_refused_by_its_first_pass(max_r, max_n):
+    # (2,1) reaches moment_scale_invariance's oracle pass at q = 4, and (1,2)
+    # the first pless_identity row; each pass is charged before it runs
+    with pytest.raises(BudgetError, match="h = 3000 .* over budget"):
+        verify.run_checks(max_r, max_n, 3000)
