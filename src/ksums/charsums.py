@@ -29,7 +29,8 @@ the values table, every h up to h_max at once; moment is entry h of one.
 All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
 field.check_unit before any work. Enumerations carry hard budgets and raise
-BudgetError instead of degrading; gl_routes names the GL routes that fit.
+BudgetError instead of degrading. gl_routes is the one GL gate: it names the
+routes that fit at (t, q), and kloosterman_gl refuses any other.
 The big-int passes, the levels of a values table, power_moments and the GL
 sums, are charged their bits against errors.TRANSFORM_BIT_BUDGET before
 they start.
@@ -205,10 +206,6 @@ def _kloosterman_gl_closed_form(fp, t, k1):
     # sum over l of q^l K^(t+2-2l) times a sum over weakly decreasing integer
     # tuples j_1 >= ... >= j_(l-1) with 2l-1 <= j_(l-1) and j_1 <= t+1 of
     # prod (q^(j_nu - 2 nu) - 1); the inner sum is 1 when l = 1
-    tuples = _closed_form_tuples(t)
-    if tuples > GL_BRUTE_BUDGET:
-        raise BudgetError(f"GL({t}) closed form: F(t+1) = {tuples} is over "
-                          f"budget {GL_BRUTE_BUDGET}")
     if t == 0:
         return 1
     q = fp.q
@@ -255,9 +252,6 @@ def _gl_trace_histogram(fp, t):
 
 
 def _kloosterman_gl_brute(fp, t, a, c):
-    order = combinat.gl_order(t, fp.q)
-    if order > GL_BRUTE_BUDGET:
-        raise BudgetError(f"|GL({t},{fp.q})| = {order} exceeds brute-force budget {GL_BRUTE_BUDGET}")
     if t == 0:
         return 1
     lamc = _scaled_char_table(fp, c)
@@ -295,7 +289,8 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     "all" runs every route gl_routes names at this size and insists they
     agree. Any method is first charged r t^3 bits against
     TRANSFORM_BIT_BUDGET: the recursion takes t steps over values of about
-    r t^2 bits.
+    r t^2 bits. gl_routes is then the one gate: a named method it does not
+    list at (t, q) raises BudgetError.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
     field.check_unit(fp, a, "a")
@@ -313,9 +308,14 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
         "closed_form": lambda: _kloosterman_gl_closed_form(fp, t, k1),
         "brute_force": lambda: _kloosterman_gl_brute(fp, t, a, c),
     }
+    fits = gl_routes(t, fp.q)
     if method != "all":
+        if method not in fits:
+            raise BudgetError(f"K_GL({t}) over GF({fp.q}) by {method}: over budget "
+                              f"{GL_BRUTE_BUDGET} on |GL(t,q)| for brute_force, F(t+1) for "
+                              f"closed_form; routes that fit: {', '.join(fits)}")
         return routes[method]()
-    got = {name: routes[name]() for name in gl_routes(t, fp.q)}
+    got = {name: routes[name]() for name in fits}
     if len(set(got.values())) != 1:
         raise ConsistencyError("kloosterman_gl methods disagree",
                                t=t, a=a, q=fp.q, **got)

@@ -9,6 +9,9 @@ internal inconsistency or a stdout pipe closed by its reader (nothing on
 stderr then), 2 usage/parameter/budget error. Everything is deterministic;
 there is no seed.
 
+COMMANDS is the one list of commands, which build_parser reads. Parameter
+ranges such as h_max >= 0 are checked by the library, not by the parser.
+
 Every request is one cold process, so a subcommand imports only the layers
 it runs. This module loads field, combinat, matgf, charsums and orthogroup
 (the parser's family choices are orthogroup.FAMILY_LABELS), all that
@@ -27,7 +30,7 @@ from ksums.errors import BudgetError, ConsistencyError
 
 
 def _emit(args, payload, rows=None):
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         import csv
         writer = csv.writer(sys.stdout)
         if rows is None:
@@ -107,7 +110,7 @@ def _cmd_moments_recursive(args):
     fam = coset_codes.parse_family(args.family, args.n, fp)
     table = []
     for kind in moments.kinds(fam.codim):
-        values = kind.sequence(fam, args.h_max)  # first: its budget refuses a huge h_max
+        values = kind.sequence(fam, args.h_max)  # first: it refuses a negative or huge h_max
         oracles = kind.oracles(fp, args.h_max) if args.compare_oracle else None
         for h, value in enumerate(values):
             row = {"kind": kind.name, "h": h, "recursive": str(value)}
@@ -206,15 +209,66 @@ def _cmd_verify_all(args):
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_R = ("--r", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_C = ("--c", {"default": "1"})
+_FAMILY = ("--family", {"choices": orthogroup.FAMILY_LABELS, "required": True})
+
+# name -> (help, own handler or None, own arguments, subcommands), and a
+# subcommand is name -> (help, handler, arguments). An argument is (flag,
+# argparse kwargs); the options shared across commands are declared once,
+# above, and every parser with a handler also takes --format. Only ksum runs
+# without a subcommand.
+COMMANDS = {
+    "field": ("field tables", None, [], {
+        "table": ("trace table of GF(2^r)", _cmd_field_table, [
+            _R, ("--modulus", {"help": "hex of an alternative irreducible modulus"})]),
+    }),
+    "ksum": ("Kloosterman sums", _cmd_ksum, [
+        ("--r", {"type": int}),
+        ("--a", {"help": "parameter a as hex, nonzero"}),
+        ("--m", {"type": int, "default": 1, "help": "dimension (default 1)"}),
+        ("--c", {"default": "1", "help": "character scale as hex (default 1)"}),
+    ], {
+        "gl": ("Kloosterman sum for GL(t,q)", _cmd_ksum_gl, [
+            _R, ("--t", {"type": int, "required": True}), ("--a", {"required": True}), _C,
+            ("--method", {"choices": charsums.GL_METHODS + ("all",), "default": "all"})]),
+    }),
+    "moments": ("power moments of Kloosterman sums", None, [], {
+        "oracle": ("oracle moments from the Kloosterman value table", _cmd_moments_oracle, [
+            _R, ("--m", {"type": int, "default": 1}),
+            ("--h-max", {"type": int, "required": True}), _C]),
+        "recursive": ("recursive moments from code weights", _cmd_moments_recursive, [
+            _FAMILY, _N, _R, ("--h-max", {"type": int, "default": 10}),
+            ("--compare-oracle", {"action": "store_true"})]),
+    }),
+    "group": ("O+(2n,q) enumeration and bookkeeping", None, [], {
+        "enum": ("materialize Bruhat cells", _cmd_group_enum, [
+            _R, _N, ("--cell", {"type": int}),
+            ("--elements", {"action": "store_true", "help": "include serialized elements"})]),
+        "counts": ("order formulas", _cmd_group_counts, [_R, _N]),
+    }),
+    "code": ("double-coset trace codes", None, [], {
+        "weights": ("dual codeword weights", _cmd_code_weights, [
+            _FAMILY, _N, _R,
+            ("--mode", {"choices": ("formula", "direct"), "default": "formula"})]),
+        "dist": ("weight distribution", _cmd_code_dist, [
+            _FAMILY, _N, _R,
+            ("--j", {"type": int, "help": "single coefficient instead of the full table"})]),
+    }),
+    "verify": ("cross-validation matrix", None, [], {
+        "all": ("run every check up to the given sizes", _cmd_verify_all, [
+            ("--max-r", {"type": int, "default": 2}), ("--max-n", {"type": int, "default": 2}),
+            ("--h-max", {"type": int, "default": 5})]),
+    }),
+}
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_leaf(parser, handler, arguments):
+    for flag, kwargs in arguments:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,92 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Kloosterman sums, orthogonal-group double cosets, "
                     "trace codes, and power-moment recursions over GF(2^r).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field", help="field tables")
-    field_sub = p_field.add_subparsers(dest="subcommand", required=True)
-    p_table = field_sub.add_parser("table", help="trace table of GF(2^r)")
-    p_table.add_argument("--r", type=int, required=True)
-    p_table.add_argument("--modulus", help="hex of an alternative irreducible modulus")
-    _add_format(p_table)
-    p_table.set_defaults(handler=_cmd_field_table)
-
-    p_ksum = sub.add_parser("ksum", help="Kloosterman sums")
-    ksum_sub = p_ksum.add_subparsers(dest="subcommand")
-    p_ksum.add_argument("--r", type=int)
-    p_ksum.add_argument("--a", help="parameter a as hex, nonzero")
-    p_ksum.add_argument("--m", type=int, default=1, help="dimension (default 1)")
-    p_ksum.add_argument("--c", default="1", help="character scale as hex (default 1)")
-    _add_format(p_ksum)
-    p_ksum.set_defaults(handler=_cmd_ksum)
-    p_gl = ksum_sub.add_parser("gl", help="Kloosterman sum for GL(t,q)")
-    p_gl.add_argument("--r", type=int, required=True)
-    p_gl.add_argument("--t", type=int, required=True)
-    p_gl.add_argument("--a", required=True)
-    p_gl.add_argument("--c", default="1")
-    p_gl.add_argument("--method", choices=charsums.GL_METHODS + ("all",), default="all")
-    _add_format(p_gl)
-    p_gl.set_defaults(handler=_cmd_ksum_gl)
-
-    p_mom = sub.add_parser("moments", help="power moments of Kloosterman sums")
-    mom_sub = p_mom.add_subparsers(dest="subcommand", required=True)
-    p_oracle = mom_sub.add_parser("oracle", help="oracle moments from the Kloosterman value table")
-    p_oracle.add_argument("--r", type=int, required=True)
-    p_oracle.add_argument("--m", type=int, default=1)
-    p_oracle.add_argument("--h-max", type=_nonnegative, required=True, dest="h_max")
-    p_oracle.add_argument("--c", default="1")
-    _add_format(p_oracle)
-    p_oracle.set_defaults(handler=_cmd_moments_oracle)
-    p_rec = mom_sub.add_parser("recursive", help="recursive moments from code weights")
-    p_rec.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
-    p_rec.add_argument("--n", type=int, required=True)
-    p_rec.add_argument("--r", type=int, required=True)
-    p_rec.add_argument("--h-max", type=_nonnegative, default=10, dest="h_max")
-    p_rec.add_argument("--compare-oracle", action="store_true")
-    _add_format(p_rec)
-    p_rec.set_defaults(handler=_cmd_moments_recursive)
-
-    p_group = sub.add_parser("group", help="O+(2n,q) enumeration and bookkeeping")
-    group_sub = p_group.add_subparsers(dest="subcommand", required=True)
-    p_enum = group_sub.add_parser("enum", help="materialize Bruhat cells")
-    p_enum.add_argument("--r", type=int, required=True)
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--cell", type=int)
-    p_enum.add_argument("--elements", action="store_true",
-                        help="include serialized elements")
-    _add_format(p_enum)
-    p_enum.set_defaults(handler=_cmd_group_enum)
-    p_counts = group_sub.add_parser("counts", help="order formulas")
-    p_counts.add_argument("--r", type=int, required=True)
-    p_counts.add_argument("--n", type=int, required=True)
-    _add_format(p_counts)
-    p_counts.set_defaults(handler=_cmd_group_counts)
-
-    p_code = sub.add_parser("code", help="double-coset trace codes")
-    code_sub = p_code.add_subparsers(dest="subcommand", required=True)
-    p_w = code_sub.add_parser("weights", help="dual codeword weights")
-    p_w.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
-    p_w.add_argument("--n", type=int, required=True)
-    p_w.add_argument("--r", type=int, required=True)
-    p_w.add_argument("--mode", choices=("formula", "direct"), default="formula")
-    _add_format(p_w)
-    p_w.set_defaults(handler=_cmd_code_weights)
-    p_d = code_sub.add_parser("dist", help="weight distribution")
-    p_d.add_argument("--family", choices=orthogroup.FAMILY_LABELS, required=True)
-    p_d.add_argument("--n", type=int, required=True)
-    p_d.add_argument("--r", type=int, required=True)
-    p_d.add_argument("--j", type=int, help="single coefficient instead of the full table")
-    _add_format(p_d)
-    p_d.set_defaults(handler=_cmd_code_dist)
-
-    p_verify = sub.add_parser("verify", help="cross-validation matrix")
-    verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
-    p_all = verify_sub.add_parser("all", help="run every check up to the given sizes")
-    p_all.add_argument("--max-r", type=int, default=2, dest="max_r")
-    p_all.add_argument("--max-n", type=int, default=2, dest="max_n")
-    p_all.add_argument("--h-max", type=int, default=5, dest="h_max")
-    _add_format(p_all)
-    p_all.set_defaults(handler=_cmd_verify_all)
-
+    for name, (text, handler, arguments, subcommands) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if handler is not None:
+            _add_leaf(p, handler, arguments)
+        leaves = p.add_subparsers(dest="subcommand", required=handler is None)
+        for leaf, (leaf_text, leaf_handler, leaf_arguments) in subcommands.items():
+            _add_leaf(leaves.add_parser(leaf, help=leaf_text), leaf_handler, leaf_arguments)
     return parser
 
 

@@ -152,18 +152,17 @@ def dual_kernel(f: DoubleCosetFamily) -> frozenset:
 def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
     """Hamming weight of the dual codeword at a != 0.
 
-    direct mode counts the w with tr(a Tr w) = 1 in the cell's trace histogram; formula
-    mode evaluates (size - S(a))/2 with S(a) the cell's character sum at a.
+    The weight is (size - S(a))/2, with S(a) the cell's character sum at a,
+    since sum_w lambda(a Tr w) = size - 2 weight. Formula mode takes S(a)
+    from the closed form; direct mode sums it over the cell's trace histogram.
     """
     fp = f.fp
     field.check_unit(fp, a, "a")
-    if mode == "direct":
-        trt, arow = field.trace_table(fp), field.mul_table(fp)[a]
-        hist = orthogroup.cell_trace_histogram(fp, f.n, f.cell_index)
-        return sum(cnt for beta, cnt in hist.items() if trt[arow[beta]])
-    if mode != "formula":
+    if mode not in ("formula", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-    num = family_constants(f).size - orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a)
+    cell_sum = orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a,
+                                       "brute" if mode == "direct" else "formula")
+    num = family_constants(f).size - cell_sum
     w, rem = divmod(num, 2)
     if rem or w < 0:
         raise ConsistencyError("dual weight must be a nonnegative integer",

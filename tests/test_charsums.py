@@ -186,8 +186,10 @@ def test_kloosterman_gl_scaled_character():
 
 
 def test_kloosterman_gl_brute_budget():
-    with pytest.raises(BudgetError):
-        charsums.kloosterman_gl(GF2, 5, 1, "brute_force")  # |GL(5,2)| ~ 10^7
+    # |GL(5,2)| ~ 10^7: gl_routes does not list brute_force, so kloosterman_gl refuses it
+    with pytest.raises(BudgetError, match=r"K_GL\(5\) over GF\(2\) by brute_force: "
+                                          r"over budget 1000000"):
+        charsums.kloosterman_gl(GF2, 5, 1, "brute_force")
 
 
 def test_gl_brute_histogram_matches_recursion():
@@ -241,7 +243,8 @@ def test_gl_routes_and_closed_form_budget():
     assert charsums.gl_routes(2, 32) == ("recursion", "closed_form")  # |GL(2,32)| > 10^6
     assert charsums.gl_routes(29, 2) == ("recursion", "closed_form")
     assert charsums.gl_routes(30, 2) == ("recursion",)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"K_GL\(30\) over GF\(2\) by closed_form: "
+                                          r"over budget 1000000"):
         charsums.kloosterman_gl(GF2, 30, 1, "closed_form")
     assert charsums.kloosterman_gl(GF2, 30, 1, "all") == charsums.kloosterman_gl(
         GF2, 30, 1, "recursion")

@@ -239,8 +239,9 @@ def test_moments_recursive_small_q(capsys):
 ], ids=["moments-oracle", "moments-recursive", "verify-all", "group-enum",
         "group-enum-n0", "group-counts-n0"])
 def test_negative_parameters_rejected(capsys, argv, message):
-    # argparse refuses h_max < 0 for moments; verify.run_checks refuses h_max
-    # itself; both group commands refuse n < 1, since group_order(0, q) is 0
+    # the library refuses h_max < 0 on every command (MomentKind.sequence,
+    # charsums.power_moments, verify.run_checks); both group commands refuse
+    # n < 1, since group_order(0, q) is 0
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -536,18 +537,32 @@ def test_cold_import_and_record_keys():
     assert f == f2 and hash(f) == hash(f2)
 
 
-# sha256 of `--help` at COLUMNS=80: the --family and --method choices come
-# from orthogroup.FAMILY_LABELS and charsums.GL_METHODS, imported without the
-# layers that use them
+# sha256 of `--help` at COLUMNS=80 for every parser cli.COMMANDS builds: the
+# root, the six commands (ksum also takes arguments of its own) and the nine
+# subcommands. They pin the grammar, flags, defaults and help strings, and the
+# --family and --method choices that come from orthogroup.FAMILY_LABELS and
+# charsums.GL_METHODS, imported without the layers that use them
 HELP_DIGESTS = {
+    (): "fb9d7a32f6ec5896409f17b09fe200dda9055f26f1d91fd208012c6c160f967e",
+    ("field",): "2194dbe8e5c8c6cb15eff1ae4c2cd0b72be236c9b8c11946f0d799a6aab997ef",
+    ("field", "table"): "cf128a16489e85ccf3618ebbd6cbbf5009d79930a47fd496fdcf07805c5aad05",
+    ("ksum",): "dfcd375b0911f02fc380b399151ebebab1fcd7cb8e619ac0d72346457cc73171",
+    ("ksum", "gl"): "873edef3ce58fab978c4de209f712b611159add76ac57c9281c872b9a2d0e2fd",
+    ("moments",): "53593c6272c9a4ee06200b9a996f366d2417cf4c0d71570de107672ec6a5ee08",
+    ("moments", "oracle"): "c6cc5fb90b1bfddac64da965b098cbcd70db0e12180e9b097bbd0329ccf3def0",
     ("moments", "recursive"): "e40a70f8c840717353e6cd73948efa4ffdb492fcbc4571bfa9ed75ddcd3f39aa",
+    ("group",): "40e4c281d6a5801bf531337e3616b785fa50fddb4daf8ee439e103f9a30d5ad6",
+    ("group", "enum"): "c9cc40340359eec82b25339e62ff0d4092ab1e23524e0ae8a97717c5830fb846",
+    ("group", "counts"): "73997db9028511da7f8a28ac6bcf14f5477dbfcf1d5a086889fe3f4f2879217b",
+    ("code",): "885beb9a70604d70c1b2a186e7efd4c400caa464a62d590eed1aff05db7f9083",
     ("code", "weights"): "db26403cbb065938df9a105009f62583e58aa4cca22f30c5ad5ab7efa34b4185",
     ("code", "dist"): "e73886d269c95fc4a5dcd3123496225e214919725f5e7eabce445eab440e583d",
-    ("ksum", "gl"): "873edef3ce58fab978c4de209f712b611159add76ac57c9281c872b9a2d0e2fd",
+    ("verify",): "89fc9c17afab4c2ff639c29a375b1665ad5abd7e8ab15a3d837338f12ab15442",
+    ("verify", "all"): "71a54e91a85ad236123b8bd187e192190270cec8b7d8e493a5b07fd95341e9f5",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=lambda argv: " ".join(argv) or "ksums")
 def test_help_text_of_moved_choices(argv):
     src = os.path.dirname(os.path.dirname(ksums.__file__))
     proc = subprocess.run([sys.executable, "-m", "ksums.cli", *argv, "--help"],
