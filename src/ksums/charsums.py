@@ -10,8 +10,8 @@ and the moments read) is built level by level: in the log coordinates of
 field.exp_log each level is a cyclic convolution of length q-1, taken as
 one big-int product by Kronecker substitution, and no q x q product table
 is read. One value as a direct sum over (F_q^*)^m (`kloosterman`) is its
-oracle, the independent side of verify's values_table_vs_direct row and of
-the tests.
+oracle in the tests. In verify's values_table_vs_direct row it is the
+oracle of the m = 1 table only; Carlitz's identity checks m = 2 against m = 1.
 
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
@@ -133,8 +133,8 @@ def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     cyclic convolution of length q-1, so each level is one big-int product
     (_cyclic_convolution). The levels are charged before the first one:
     _table_bits(m, r) bits against TRANSFORM_BIT_BUDGET, which admits m <= 218
-    at r = 8. Cached for every a and moment (verify (6,3,10): 4,603 hits;
-    `moments oracle --h-max 10`: 10).
+    at r = 8. Cached for every a and moment (verify (6,3,10): 4,620 hits;
+    `moments oracle` reads it once: 0 hits).
     """
     field.check_unit(fp, c, "c")
     field.check_int("m", m, 1)
@@ -377,7 +377,8 @@ def verify_twisted_sum(fp: FieldParams, beta: int, m: int) -> dict:
     (-a beta = a beta in characteristic 2.) The left side reads the
     convolution table kloosterman_values, the right side one direct
     kloosterman sum. Both rest on the substitution x -> a/x, so this does not
-    test the table independently; values_table_vs_direct in verify does.
+    test the table independently; in verify, values_table_vs_direct does at
+    m = 1 and carlitz at m = 2.
     """
     field.check_element(fp, beta)
     field.check_int("m", m, 1)

@@ -101,7 +101,7 @@ class FamilyConstants(NamedTuple):
 @lru_cache(maxsize=None)
 def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
     """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale;
-    cached, read per dual weight and moment of f (verify (6,3,10): 1,122 hits)."""
+    cached, read per dual weight and moment of f (verify (6,3,10): 992 hits)."""
     q = f.fp.q
     scale = orthogroup.cell_sum_coefficient(f.n, f.cell_index, q) * q ** binom(f.codim, 2)
     size = orthogroup.cell_order(f.n, f.cell_index, q)

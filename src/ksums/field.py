@@ -186,7 +186,7 @@ def exp_log(fp: FieldParams) -> tuple:
     shift reduced by the modulus, and g is a sum of powers of x), so no
     product table is read. x itself need not be primitive: under the default
     modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached: every table
-    reads it (verify (6,3,10): 3,597 hits, 10 misses; `moments oracle --r 8
+    reads it (verify (6,3,10): 3,734 hits, 10 misses; `moments oracle --r 8
     --m 2 --c 3`: 2 hits, 1 miss).
     """
     q, modulus, top = fp.q, fp.modulus, fp.q >> 1
@@ -215,7 +215,7 @@ def exp_log(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def trace_table(fp: FieldParams) -> tuple:
-    """trace over all of F_q; cached, read per dual weight and theta b (verify (6,3,10): 270 hits).
+    """trace over all of F_q; cached, read per dual kernel and theta b (verify (6,3,10): 140 hits).
 
     The trace is F_2-linear, so the table is spanned from the traces of the
     basis x^k, each a sum of r squarings read through exp_log: the entries
@@ -236,7 +236,7 @@ def trace_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def char_table(fp: FieldParams) -> tuple:
-    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 1,730 hits)."""
+    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 1,610 hits)."""
     return tuple(1 - 2 * t for t in trace_table(fp))
 
 
@@ -248,7 +248,7 @@ def mul_table(fp: FieldParams) -> tuple:
     from exp_log: row g^i is exp rotated by i, read at 1 + log y by one
     itemgetter, with slot 0 of the rotation holding 0 * g^i (so the getter
     has q >= 2 indices and returns a tuple even at q = 2). Each row is one
-    C-level call. Cached for every product (verify (6,3,10): 1,869 hits).
+    C-level call. Cached for every product (verify (6,3,10): 1,619 hits).
     """
     exp, log = exp_log(fp)
     get = itemgetter(0, *(1 + i for i in log[1:]))
@@ -257,7 +257,7 @@ def mul_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def inv_table(fp: FieldParams) -> tuple:
-    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 1,058 hits).
+    """inv_table(fp)[x] = 1/x, slot 0 holding 0; cached (verify (6,3,10): 938 hits).
 
     1/g^i = g^-i, read from exp_log.
     """

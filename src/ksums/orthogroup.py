@@ -329,9 +329,9 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
 def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
     """Counts of Tr(w) over the materialized cell, as {beta: count}.
 
-    Cached because brute-mode exp_sum_cell reads it once per unit c, gauss_sum_oplus
-    once per cell again and direct dual_weight once per a (verify (6,3,10): 632
-    hits; `code weights --mode direct` at r = 8: 254); hence read-only.
+    Cached because brute-mode exp_sum_cell reads it once per unit c and gauss_sum_oplus
+    once per cell again (verify (6,3,10): 502 hits); `code weights --mode direct`
+    reads it once per a (254 hits at r = 8); hence read-only.
     """
     keys = bruhat_cell(fp, n, r).elements
     return MappingProxyType(dict(Counter(matgf.key_traces(fp, 2 * n, keys))))

@@ -85,21 +85,24 @@ def _charsum_checks(rep, fps, h_max):
         rep.add("charsums.twisted_sum", {"r": fp.r}, "[]",
                 [(b, m) for b in field.elements(fp) for m in (1, 2)
                  if not charsums.verify_twisted_sum(fp, b, m)["ok"]])
-        # the convolution tables against direct sums; c = 2 at m = 2 is tied to
-        # these through moment_scale_invariance
-        cases = ((1, 1), (2, 1), (1, 2)) if q > 2 else ((1, 1), (2, 1))
+        # direct sums are the oracle of the m = 1 tables only, at the first two
+        # units c; carlitz ties the m = 2 table to the m = 1 one at every a, and
+        # moment_scale_invariance ties c = 2 at m = 2 to c = 1
         rep.add("charsums.values_table_vs_direct", {"r": fp.r}, "[]",
-                [(m, c, a) for m, c in cases for a in field.units(fp)
-                 if charsums.kloosterman_values(fp, m, c)[a] != charsums.kloosterman(fp, a, m, c)])
+                [(c, a) for c in field.units(fp)[:2] for a in field.units(fp)
+                 if charsums.kloosterman_values(fp, 1, c)[a] != charsums.kloosterman(fp, a, 1, c)])
         if fp.r >= 2:
             rep.add("charsums.value_range", {"r": fp.r},
                     sorted(charsums.kloosterman_range(fp)), sorted(set(vals)))
-        tmax = 3 if q == 2 else 2
-        for t in range(tmax + 1):
+        # each other route that fits runs by name against the recursion, so a
+        # disagreement fails this row rather than raising from method "all"
+        for t in range(4 if q == 2 else 3):
+            routes = [route for route in charsums.gl_routes(t, q) if route != "recursion"]
             for a in field.units(fp):
+                rec = charsums.kloosterman_gl(fp, t, a, "recursion")
                 rep.add("charsums.gl_methods_agree", {"r": fp.r, "t": t, "a": a},
-                        charsums.kloosterman_gl(fp, t, a, "recursion"),
-                        charsums.kloosterman_gl(fp, t, a, "all"))
+                        {route: rec for route in routes},
+                        {route: charsums.kloosterman_gl(fp, t, a, route) for route in routes})
         for t in range(4, 7):
             rep.add("charsums.gl_closed_form", {"r": fp.r, "t": t}, "[]",
                     [a for a in field.units(fp)
@@ -202,10 +205,6 @@ def _code_checks(rep, fps, max_n, h_max):
             rep.add("codes.multiplicities_formula_vs_enumeration", params,
                     sorted(counts.items()),
                     sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
-            rep.add("codes.dual_weights_direct_vs_formula", params, "[]",
-                    [a for a in field.units(fp)
-                     if coset_codes.dual_weight(f, a, "direct")
-                     != coset_codes.dual_weight(f, a, "formula")])
             size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
             lam, mt = field.char_table(fp), field.mul_table(fp)
             sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
