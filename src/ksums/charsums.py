@@ -5,13 +5,16 @@ every moment identity in this package), Kloosterman sums for GL(t,q) by
 three independent routes, and verification helpers for the classical
 identities relating them.
 
-The table of every K_m(a) (`kloosterman_values`, which the `ksum` command
-and the moments read) is built level by level: in the log coordinates of
-field.exp_log each level is a cyclic convolution of length q-1, taken as
-one big-int product by Kronecker substitution, and no q x q product table
-is read. One value as a direct sum over (F_q^*)^m (`kloosterman`) is its
-oracle in the tests. In verify's values_table_vs_direct row it is the
-oracle of the m = 1 table only; Carlitz's identity checks m = 2 against m = 1.
+The table of every K_m(lambda; a) (`kloosterman_values`, one per field and
+m) is built level by level: in the log coordinates of field.exp_log each
+level is a cyclic convolution of length q-1, taken as one big-int product by
+Kronecker substitution, and no q x q product table is read. Every other
+character is lambda(c .), and K_m(lambda(c .); a) = K_m(lambda; c^(m+1) a):
+`kloosterman_value`, read by `ksum` and the GL sums, is the one place a
+scale c enters. A direct sum over (F_q^*)^m (`kloosterman`, lambda(c .) from
+mul_table row c) is its oracle in the tests, and in verify's
+values_table_vs_direct row of the m = 1 table only, at c = 1 and c = 2;
+Carlitz's identity checks m = 2 against m = 1.
 
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
@@ -52,19 +55,11 @@ GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max F(t+1) for t
 GL_METHODS = ("recursion", "closed_form", "brute_force")
 
 
-def _scaled_char_table(fp, c):
-    lam = field.char_table(fp)
-    if c == 1:
-        return lam
-    exp, log = field.exp_log(fp)
-    return (lam[0],) + tuple(lam[exp[(log[c] + log[y]) % (fp.q - 1)]] for y in field.units(fp))
-
-
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     """m-dimensional Kloosterman sum for psi = lambda(c .) at parameter a.
 
     Direct sum of psi(a1 + ... + am + a/(a1...am)) over (F_q^*)^m, read from
-    mul_table: the oracle that kloosterman_values is checked against.
+    mul_table (psi from row c): the oracle that kloosterman_value is checked against.
     """
     field.check_unit(fp, a, "a")
     field.check_unit(fp, c, "c")
@@ -72,9 +67,8 @@ def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
     if m * fp.r > ENUM_BITS:  # q^m > ENUM_BUDGET, without forming q^m
         raise BudgetError(f"q^m tuples at m = {m}, q = {fp.q} exceed "
                           f"enumeration budget {ENUM_BUDGET}")
-    lamc = _scaled_char_table(fp, c)
-    invt = field.inv_table(fp)
-    mt = field.mul_table(fp)
+    lam, invt, mt = field.char_table(fp), field.inv_table(fp), field.mul_table(fp)
+    lamc = tuple(lam[cx] for cx in mt[c])
     us = field.units(fp)
     total = 0
     for head in product(us, repeat=m - 1):
@@ -124,25 +118,24 @@ def _cyclic_convolution(psi, level):
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not hit m = 1's table
-def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
-    """Tuple indexed by a with K_m(lambda(c .); a) for a in F_q^*; slot 0 is None.
+def kloosterman_values(fp: FieldParams, m: int, /) -> tuple:
+    """Tuple indexed by a with K_m(lambda; a) for a in F_q^*; slot 0 is None.
 
-    Built level by level from K_m(a) = sum over x != 0 of lambda(c x)
-    K_(m-1)(a/x), with K_0 = lambda(c .). In the log coordinates of
-    field.exp_log, K_m(g^i) = sum over j of lambda(c g^j) K_(m-1)(g^(i-j)), a
-    cyclic convolution of length q-1, so each level is one big-int product
+    Built level by level from K_m(a) = sum over x != 0 of lambda(x)
+    K_(m-1)(a/x), with K_0 = lambda. In the log coordinates of field.exp_log,
+    K_m(g^i) = sum over j of lambda(g^j) K_(m-1)(g^(i-j)), a cyclic
+    convolution of length q-1, so each level is one big-int product
     (_cyclic_convolution). The levels are charged before the first one:
     _table_bits(m, r) bits against TRANSFORM_BIT_BUDGET, which admits m <= 218
-    at r = 8. Cached for every a and moment (verify (6,3,10): 4,620 hits;
-    `moments oracle` reads it once: 0 hits).
+    at r = 8. m is positional with no default, so a table is one cache key,
+    built once (verify (6,3,10): 4,628 hits, 16 misses; `moments oracle`: 0 hits).
     """
-    field.check_unit(fp, c, "c")
     field.check_int("m", m, 1)
     charge(_table_bits(m, fp.r), "K_m values table at m = {}, q = {}: m big-int products "
            "of 2q digits as wide as the Weil bound", "lower m", m, fp.q)
     exp, _ = field.exp_log(fp)
-    lamc = _scaled_char_table(fp, c)
-    psi = [lamc[x] for x in exp]  # lambda(c g^j)
+    lam = field.char_table(fp)
+    psi = [lam[x] for x in exp]  # lambda(g^j)
     level = psi
     for _ in range(m):
         level = _cyclic_convolution(psi, level)
@@ -152,28 +145,43 @@ def kloosterman_values(fp: FieldParams, m: int = 1, c: int = 1) -> tuple:
     return tuple(out)
 
 
-def moment(fp: FieldParams, m: int, h: int, c: int = 1) -> int:
-    """Oracle power moment: sum of K_m(psi;a)^h over a in F_q^*, entry h of power_moments."""
+def kloosterman_value(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
+    """K_m(lambda(c .); a), the one place a scale c enters the values tables.
+
+    x_i -> x_i/c turns lambda(c (x_1 + ... + x_m + a/(x_1...x_m))) into
+    lambda(x_1 + ... + x_m + c^(m+1) a/(x_1...x_m)), so the sum is entry
+    c^(m+1) a of kloosterman_values(fp, m), read through field.exp_log.
+    """
+    field.check_unit(fp, a, "a")
+    field.check_unit(fp, c, "c")
+    vals = kloosterman_values(fp, m)  # checks m
+    exp, log = field.exp_log(fp)
+    return vals[exp[((m + 1) * log[c] + log[a]) % (fp.q - 1)]]
+
+
+def moment(fp: FieldParams, m: int, h: int) -> int:
+    """Oracle power moment: sum of K_m(lambda;a)^h over a in F_q^*, entry h of power_moments."""
     field.check_int("h", h, 0)
-    return power_moments(fp, m, h, c=c)[h]
+    return power_moments(fp, m, h)[h]
 
 
-def power_moments(fp: FieldParams, m: int, h_max: int, step: int = 1, c: int = 1) -> list:
-    """The oracle pass: sum of K_m(psi;a)^(step h) over a in F_q^*, for h = 0..h_max.
+def power_moments(fp: FieldParams, m: int, h_max: int, step: int = 1) -> list:
+    """The oracle pass: sum of K_m(lambda;a)^(step h) over a in F_q^*, for h = 0..h_max.
 
-    psi = lambda(c .). The values of kloosterman_values repeat, so each
-    distinct value is raised by one product per h. Charged before the table
-    is built: h_max^2 (h_max + m r) bits, the shape of the recursion's pass
-    charge (moments._pless_sums) with m r in place of bitlen N. Every
-    family's length has bitlen N >= m r for each kind it generates, so the
-    oracle of a moment request whose pass fits fits too.
+    These are the moments at every lambda(c .) too, since c only permutes the
+    a. The values of kloosterman_values repeat, so each distinct value is
+    raised by one product per h. Charged before the table is built: h_max^2
+    (h_max + m r) bits, the shape of the recursion's pass charge
+    (moments._pless_sums) with m r in place of bitlen N. Every family's
+    length has bitlen N >= m r for each kind it generates, so the oracle of
+    a moment request whose pass fits fits too.
     """
     field.check_int("m", m, 1)
     field.check_int("h_max", h_max, 0)
     charge(h_max ** 2 * (h_max + m * fp.r),
            "oracle moments up to h = {} of K_{} over GF({})", "lower h_max", h_max, m, fp.q)
     out = [0] * (h_max + 1)
-    for v, mult in Counter(kloosterman_values(fp, m, c)[1:]).items():
+    for v, mult in Counter(kloosterman_values(fp, m)[1:]).items():
         power = v ** step
         for h in range(h_max + 1):
             out[h] += mult
@@ -254,9 +262,9 @@ def _gl_trace_histogram(fp, t):
 def _kloosterman_gl_brute(fp, t, a, c):
     if t == 0:
         return 1
-    lamc = _scaled_char_table(fp, c)
-    row = field.mul_table(fp)[a]
-    return sum(count * lamc[tr ^ row[trinv]]
+    mt, lam = field.mul_table(fp), field.char_table(fp)
+    row, crow = mt[a], mt[c]
+    return sum(count * lam[crow[tr ^ row[trinv]]]
                for (tr, trinv), count in _gl_trace_histogram(fp, t))
 
 
@@ -293,16 +301,12 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     list at (t, q) raises BudgetError.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
-    field.check_unit(fp, a, "a")
-    field.check_unit(fp, c, "c")
+    k1 = kloosterman_value(fp, a, 1, c)  # checks a and c
     field.check_int("t", t, 0)
     if method not in GL_METHODS + ("all",):
         raise ValueError(f"unknown method {method!r}")
     charge(_gl_bits(t, fp.q), "K_GL({0}) over GF({1}), {0} steps over values of about "
            "r t^2 bits", "lower t", t, fp.q)
-    # psi = lambda(c .) turns K_GL(psi; a) into K_GL(lambda; c^2 a)
-    exp, log = field.exp_log(fp)
-    k1 = kloosterman_values(fp)[exp[(2 * log[c] + log[a]) % (fp.q - 1)]]
     routes = {
         "recursion": lambda: _kloosterman_gl_recursion(fp, t, k1),
         "closed_form": lambda: _kloosterman_gl_closed_form(fp, t, k1),
@@ -326,7 +330,7 @@ def verify_carlitz(fp: FieldParams, a: int) -> dict:
     """Check K_2(lambda;a) = K(lambda;a)^2 - q, both sides from the values tables."""
     field.check_unit(fp, a, "a")
     k2 = kloosterman_values(fp, 2)[a]
-    k1 = kloosterman_values(fp)[a]
+    k1 = kloosterman_values(fp, 1)[a]
     rhs = k1 ** 2 - fp.q
     return {"a": a, "k2": k2, "k1_squared_minus_q": rhs, "ok": k2 == rhs}
 
@@ -335,7 +339,7 @@ def verify_power_invariance(fp: FieldParams, a: int, s: int) -> dict:
     """Check K(lambda; a^(2^s)) = K(lambda; a)."""
     field.check_int("s", s, 0)
     field.check_unit(fp, a, "a")
-    vals = kloosterman_values(fp)
+    vals = kloosterman_values(fp, 1)
     lhs = vals[field.power(fp, a, 2 ** s)]
     rhs = vals[a]
     return {"a": a, "s": s, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs}
@@ -354,7 +358,7 @@ def verify_theta_identities(fp: FieldParams, beta: int, b: int | None = None) ->
     mt = field.mul_table(fp)
     brow = mt[beta]
     denoms = [mt[alpha][alpha] ^ alpha for alpha in field.elements(fp)]
-    k1 = kloosterman_values(fp)[beta]
+    k1 = kloosterman_values(fp, 1)[beta]
     out = {"beta": beta, "k1": k1}
     lhs_a = sum(lam[brow[invt[d]]] for d in denoms[2:])
     out["part_a"] = {"lhs": lhs_a, "rhs": k1 - 1, "ok": lhs_a == k1 - 1}

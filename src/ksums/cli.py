@@ -69,9 +69,9 @@ def _cmd_field_table(args):
 
 def _cmd_ksum(args):
     fp = _parse_field(args)
-    a = field.check_unit(fp, field.parse_element(fp, args.a), "a")
+    a = field.parse_element(fp, args.a)
     c = field.parse_element(fp, args.c)
-    value = charsums.kloosterman_values(fp, args.m, c)[a]
+    value = charsums.kloosterman_value(fp, a, args.m, c)
     _emit(args, {"r": fp.r, "a": field.element_hex(fp, a), "m": args.m,
                  "c": field.element_hex(fp, c), "value": str(value)})
     return 0
@@ -95,9 +95,9 @@ def _cmd_ksum_gl(args):
 
 def _cmd_moments_oracle(args):
     fp = _parse_field(args)
-    c = field.parse_element(fp, args.c)
+    c = field.check_unit(fp, field.parse_element(fp, args.c), "c")  # c only permutes the a
     table = [{"h": h, "value": str(value)}
-             for h, value in enumerate(charsums.power_moments(fp, args.m, args.h_max, c=c))]
+             for h, value in enumerate(charsums.power_moments(fp, args.m, args.h_max))]
     payload = {"r": fp.r, "m": args.m, "c": field.element_hex(fp, c), "moments": table}
     rows = [("h", "value")] + [(row["h"], row["value"]) for row in table]
     _emit(args, payload, rows)

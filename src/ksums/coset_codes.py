@@ -127,7 +127,7 @@ def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
     if f.codim == 1:
         vals, const, at_zero = field.char_table(fp), 1, 1
     else:
-        vals, const, at_zero = charsums.kloosterman_values(fp), -q * q - 1, q ** 3 - q ** 2 - 1
+        vals, const, at_zero = charsums.kloosterman_values(fp, 1), -q * q - 1, q ** 3 - q ** 2 - 1
     out = {}
     for beta in field.elements(fp):
         adj = q * vals[invt[beta]] + const if beta else at_zero

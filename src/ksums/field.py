@@ -16,15 +16,16 @@ Every product comes from one kernel, `exp_log`: the pair g^i and log_g x of
 a primitive element g, walked by shift-and-add, the one place that reduces
 by the modulus. `trace_table`, `inv_table` (and so `char_table`), `power`,
 `mul_table` (row g^i is exp rotated by i, read at log y), and in charsums
-the scaled characters and the Kloosterman tables, cyclic convolutions in
-log coordinates, are read from it. The enumeration layers (GL(n,q), the
-cells, the codes) and `mul` read `mul_table`, which the tests check against
-carryless products, exp/log's independent oracle. The public functions
-here validate their operands (ints, not bools, in range); inner loops
-elsewhere read `mul_table`, `inv_table` and `trace_table` rows directly and
-rely on their own entry points having validated the inputs with `check_int`
-(an int, not a bool, within bounds) and `check_unit` (a nonzero element),
-the package's one parameter rule.
+the Kloosterman tables, cyclic convolutions in log coordinates, and their
+reindex a -> c^(m+1) a at a scaled character are read from it. The
+enumeration layers (GL(n,q), the cells, the codes) and `mul` read
+`mul_table`, which the tests check against carryless products, exp/log's
+independent oracle. The public functions here validate their operands
+(ints, not bools, in range); inner loops elsewhere read `mul_table`,
+`inv_table` and `trace_table` rows directly and rely on their own entry
+points having validated the inputs with `check_int` (an int, not a bool,
+within bounds) and `check_unit` (a nonzero element), the package's one
+parameter rule.
 """
 
 from functools import lru_cache
@@ -186,8 +187,8 @@ def exp_log(fp: FieldParams) -> tuple:
     shift reduced by the modulus, and g is a sum of powers of x), so no
     product table is read. x itself need not be primitive: under the default
     modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached: every table
-    reads it (verify (6,3,10): 3,734 hits, 10 misses; `moments oracle --r 8
-    --m 2 --c 3`: 2 hits, 1 miss).
+    reads it (verify (6,3,10): 3,816 hits, 10 misses; `moments oracle --r 8
+    --m 2 --c 3`: 1 hit, 1 miss).
     """
     q, modulus, top = fp.q, fp.modulus, fp.q >> 1
     for g in range(1, q):
@@ -236,7 +237,7 @@ def trace_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def char_table(fp: FieldParams) -> tuple:
-    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 1,610 hits)."""
+    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 1,582 hits)."""
     return tuple(1 - 2 * t for t in trace_table(fp))
 
 

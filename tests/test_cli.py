@@ -107,7 +107,7 @@ def test_ksum_value(capsys):
 
 
 def test_ksum_reads_the_table_like_direct_sums(capsys):
-    # `ksum` reads kloosterman_values; the direct sum is its oracle here
+    # `ksum` reads kloosterman_value's reindex; the direct sum is its oracle here
     for r in range(1, 7):
         fp = field.binary_field(r)
         for m in (1, 2, 3):
@@ -201,6 +201,21 @@ def test_moments_oracle_json_and_csv(capsys):
                        "--h-max", "2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["h", "value"], ["0", "3"], ["1", "1"], ["2", "11"]]
+
+
+def test_moments_oracle_ignores_the_character_scale(capsys):
+    # lambda(c .) only permutes the a, so --c changes nothing but the "c" field;
+    # c = 0 is no character scale and is refused like a bad --a
+    argv = ["moments", "oracle", "--r", "5", "--m", "2", "--h-max", "6"]
+    code, plain, _ = run(capsys, *argv, "--c", "1")
+    assert code == 0
+    for c in ("2", "1f"):
+        code, out, _ = run(capsys, *argv, "--c", c)
+        assert code == 0
+        assert out == plain.replace('"c": "1"', f'"c": "{c}"')
+    code, out, err = run(capsys, *argv, "--c", "0")
+    assert (code, out) == (2, "")
+    assert "needs c != 0" in err
 
 
 def test_moments_recursive_compare(capsys):

@@ -174,8 +174,8 @@ def test_basis_independence():
         assert sorted(field.trace_table(fp)) == sorted(field.trace_table(alt))
         from ksums import charsums
 
-        assert (sorted(charsums.kloosterman_values(fp)[1:])
-                == sorted(charsums.kloosterman_values(alt)[1:]))
+        assert (sorted(charsums.kloosterman_values(fp, 1)[1:])
+                == sorted(charsums.kloosterman_values(alt, 1)[1:]))
         for h in range(6):
             assert charsums.moment(fp, 1, h) == charsums.moment(alt, 1, h)
 

@@ -26,7 +26,9 @@ CASES = {
     "kloosterman-m": (lambda v: charsums.kloosterman(GF8, 1, v), 1, (0,)),
     "kloosterman-c": (lambda v: charsums.kloosterman(GF8, 1, 1, v), 1, (0,)),
     "kloosterman_values-m": (lambda v: charsums.kloosterman_values(GF8, v), 1, (0,)),
-    "kloosterman_values-c": (lambda v: charsums.kloosterman_values(GF8, 1, v), 1, (0,)),
+    "kloosterman_value-a": (lambda v: charsums.kloosterman_value(GF8, v), 1, (0, -1, 8)),
+    "kloosterman_value-m": (lambda v: charsums.kloosterman_value(GF8, 1, v), 1, (0,)),
+    "kloosterman_value-c": (lambda v: charsums.kloosterman_value(GF8, 1, 1, v), 1, (0,)),
     "moment-m": (lambda v: charsums.moment(GF8, v, 2), 1, (0,)),
     "moment-h": (lambda v: charsums.moment(GF8, 1, v), 1, (-1,)),
     "kloosterman_gl-t": (lambda v: charsums.kloosterman_gl(GF8, v, 1), 1, (-1,)),

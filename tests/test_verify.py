@@ -47,14 +47,14 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "872db79ac9932eb1d1464097aaf37fd861c6733c519657eebb09f24641122e0b"),
-    (3, 3, 10, "50b35e15b74d4149dc8fe693785c2fde27a5aadc991cfe7c30f72fd6daff5e81"),
-    (8, 2, 10, "d91f64ea3e28cea923ca0026b83a8fa7b5a749b5c583b0cbeb9fee8c0ab37f7d"),
+    (2, 2, 5, "c73d1b595d4de424fb3fff5b3675ab8821d8345b6f705afb0353cc91c20460cb"),
+    (3, 3, 10, "3cf7633fe8638aea0ae6c4289827935a8ceac94ce0f38e9129324eb10689b3a9"),
+    (8, 2, 10, "5f96b0893066d8ec09755c87b36f919558adea48b2481244ffc5c9b1d309b74e"),
 ], ids=["2-2-5", "3-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
-    # the last to do so rebuilt charsums.gl_methods_agree as one dict of named
-    # routes a side and retired codes.dual_weights_direct_vs_formula
+    # the last to do so retired charsums.moment_scale_invariance, whose two
+    # oracle passes read one c = 1 values table once c enters only as a reindex
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
@@ -83,12 +83,31 @@ def test_direct_sums_only_at_m_1(monkeypatch):
     assert calls and set(calls) == {1}
 
 
+def test_each_values_table_is_built_once(monkeypatch):
+    # every (field, m) is one cache key: verify (6,3,10) builds the m = 1 and
+    # m = 2 tables of GF(2)..GF(64) and the m = 1 table of each alternative
+    # modulus once, one convolution a level
+    levels = []
+    convolution = charsums._cyclic_convolution
+
+    def counting(psi, level):
+        levels.append(len(psi) + 1)  # q
+        return convolution(psi, level)
+
+    monkeypatch.setattr(charsums, "_cyclic_convolution", counting)
+    charsums.kloosterman_values.cache_clear()
+    assert verify.run_checks(6, 3, 10)["summary"]["failed"] == 0
+    alt = sum(r <= 6 for r in verify.ALT_MODULI)
+    assert len(levels) == 6 * (1 + 2) + alt == 22
+    assert all(levels.count(1 << r) == 3 + (r in verify.ALT_MODULI) for r in range(1, 7))
+
+
 def test_carlitz_catches_a_wrong_m_2_entry(monkeypatch):
     table = charsums.kloosterman_values
 
-    def off_at_r_3(fp, m=1, c=1):
-        vals = table(fp, m, c)
-        return vals[:1] + (vals[1] + 4,) + vals[2:] if (fp.r, m, c) == (3, 2, 1) else vals
+    def off_at_r_3(fp, m):
+        vals = table(fp, m)
+        return vals[:1] + (vals[1] + 4,) + vals[2:] if (fp.r, m) == (3, 2) else vals
 
     monkeypatch.setattr(charsums, "kloosterman_values", off_at_r_3)
     report = verify.run_checks(3, 1, 1)
@@ -127,7 +146,7 @@ def test_pless_rows():
 
 @pytest.mark.parametrize("max_r, max_n", [(2, 1), (1, 2)])
 def test_large_h_max_is_refused_by_its_first_pass(max_r, max_n):
-    # (2,1) reaches moment_scale_invariance's oracle pass at q = 4, and (1,2)
-    # the first pless_identity row; each pass is charged before it runs
+    # (2,1) and (1,2) each reach the first codes.pless_identity row, whose
+    # Pless sums are one pass charged before it runs
     with pytest.raises(BudgetError, match="h = 3000 .* over budget"):
         verify.run_checks(max_r, max_n, 3000)
