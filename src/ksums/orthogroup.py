@@ -2,11 +2,13 @@
 
 The quadratic form is theta+(x) = x_1 x_(n+1) + ... + x_n x_(2n) on column
 vectors of length 2n. Membership is decided on packed keys by one
-Gram-matrix pass per key (outside_oplus): with T the top and D the bottom n
-rows, G = tT D needs a zero diagonal and G + tG = J, the polar form's
-matrix; in blocks [[A,B],[C,D]] that is tA C and tB D alternating and
-tA D + tC B = 1. Its oracle, the isometry test theta+(M v) = theta+(v) on
-tuple matrices, lives with the tests. The maximal parabolic P+ consists of
+bit-sliced Gram-matrix pass over all of them (outside_oplus): with T the
+top and D the bottom n rows, G = tT D needs a zero diagonal and G + tG = J,
+the polar form's matrix; in blocks [[A,B],[C,D]] that is tA C and tB D
+alternating and tA D + tC B = 1. The keys are transposed into bit planes,
+so each bitwise operation of the pass acts on every key at once. Its oracle, the
+isometry test theta+(M v) = theta+(v) on tuple matrices, lives with the
+tests. The maximal parabolic P+ consists of
 [[A, AB], [0, tA^-1]] with A in GL(n,q) and B alternating, and the group is
 the disjoint union over r = 0..n of the double cosets (Bruhat cells)
 P+ s_r P+ for involutions s_r swapping the first r hyperbolic coordinate
@@ -36,10 +38,11 @@ of C-level maps per coset. Then U is walked over its F_2-basis:
 y [[1, B], [0, 1]] is y plus an offset made of lanes of y, or of the same
 chain scaled by a monomial X^t, moved by masks and shifts, so each element
 of y U costs one C-level xor. A packed row
-times a field element is built by one lane loop, _scale_row, which the
-kernel and outside_oplus share.
+times a field element is built by one lane loop, _scale_row.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
+A_r needs no conjugation either: the lanes of w that s_r w s_r moves onto
+its lower-left block are one mask, swapped once (a_r_subgroup).
 Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
 by cell_trace_histogram.
 
@@ -59,7 +62,7 @@ from here.
 
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import chain, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import and_, mul, or_, rshift, xor
 from types import MappingProxyType
 from typing import NamedTuple
@@ -73,7 +76,13 @@ FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")  # coset_codes' families; see t
 
 
 class BruhatCell(NamedTuple):
-    """The materialized P+ s_r P+; its order is len(cell.elements), not len(cell)."""
+    """The materialized P+ s_r P+; its order is len(cell.elements), not len(cell).
+
+    elements stays a tuple, not a frozenset: callers that test membership or
+    disjointness pass it to a set method, while a frozenset per cached cell
+    raised the peak RSS of `group enum --r 1 --n 3 --elements` and of
+    `verify all` at (6,3,10) by about 2 MB (CPython 3.11).
+    """
 
     fp: FieldParams
     n: int
@@ -101,51 +110,61 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
     theta+(M v) = sum over j, k of G_jk v_j v_k. M is in O+ exactly when
     diag G = 0 (theta+ vanishes on each column) and G + tG = J, J_jk =
     [|j - k| = n] (the polar form is kept); in blocks, tA C and tB D
-    alternating and tA D + tC B = 1. Row j of G is the xor over i of packed
-    row n+i times M_ij, row j of tG that of row i times M_(n+i)j; each
-    scaled row is built once per distinct (scale, row). A key outside
-    [0, q^(4n^2)) encodes no 2n x 2n matrix and is reported too.
-    Preserving theta+ keeps its nondegenerate polar form, so members are
-    invertible.
+    alternating and tA D + tC B = 1. Preserving theta+ keeps its
+    nondegenerate polar form, so members are invertible.
+
+    All keys are decided in one bit-sliced pass. The keys are transposed
+    into 4n^2 fp.r bit planes, bit N-1-i of each plane belonging to key i
+    of N, so each operation below acts on every key at once. G_jk is
+    accumulated as the coefficients of a polynomial in X of degree at most
+    2 fp.r - 2, XOR-ing a_u & b_v into the coefficient of X^(u+v) for each
+    product a b; one linear reduction then maps X^s to its field element,
+    read from mul_table as X^u X^v, so exp_log stays the only code that
+    reduces by the modulus. A key fails where a plane of G_jj, or of G_jk + G_kj + J_jk
+    for j < k, has its bit set. A key outside [0, q^(4n^2)) encodes no
+    2n x 2n matrix and is reported too; duplicates are kept.
     """
     field.check_int("n", n, 1)
-    r, nn, mask = fp.r, 2 * n, fp.q - 1
-    rowbits = r * nn
-    rowmask, keybits = (1 << rowbits) - 1, rowbits * nn
+    r, nn = fp.r, 2 * n
+    keybits = r * nn * nn
+    keys = list(keys)
+    if not keys:
+        return []
+    # the zero matrix is no member (G = 0, so G + tG != J), so it stands in
+    # for a key that encodes no matrix and marks it as failing
+    text = "".join(format(0 if k >> keybits else k, f"0{keybits}b") for k in keys)
+    planes = [int(text[p::keybits], 2) for p in range(keybits)]
+    # entry (i, j) of M as its planes, u-th the coefficient of X^u
+    entry = [planes[e:e + r][::-1] for e in range(0, keybits, r)]
     mt = field.mul_table(fp)
-    shifts = range(rowbits - r, -1, -r)  # lane j of a row, j = 0..2n-1
-    # row j of J: a 1 in lane j+n mod 2n
-    polar = [1 << r * (nn - 1 - (j + n) % nn) for j in range(nn)]
-    scaled = {}
+    # the planes that a coefficient of X^s lands in, s <= 2 fp.r - 2
+    lands = [[t for t in range(r) if mt[1 << min(s, r - 1)][1 << max(s - r + 1, 0)] >> t & 1]
+             for s in range(2 * r - 1)]
+    ones = (1 << len(keys)) - 1
 
-    def times(s, v):
-        if s == 1:
-            return v
-        sv = scaled.get((s, v))
-        if sv is None:
-            sv = scaled[s, v] = _scale_row(mt[s], r, nn, v)
-        return sv
+    def gram(j, k, coeffs):  # XOR the coefficients of G_jk into coeffs
+        for i in range(n):
+            b = entry[(n + i) * nn + k]
+            for u, au in enumerate(entry[i * nn + j]):
+                if au:
+                    for v, bv in enumerate(b, u):
+                        coeffs[v] ^= au & bv
 
-    out = []
-    for key in keys:
-        if key >> keybits:
-            out.append(key)
-            continue
-        rows = [(key >> sh) & rowmask for sh in range(keybits - rowbits, -1, -rowbits)]
-        top, bottom = rows[:n], rows[n:]
-        for sh, unit in zip(shifts, polar):
-            g = gt = 0  # row j of G and of tG
-            for t, d in zip(top, bottom):
-                s = (t >> sh) & mask
-                if s:
-                    g ^= times(s, d)
-                s = (d >> sh) & mask
-                if s:
-                    gt ^= times(s, t)
-            if (g >> sh) & mask or g ^ gt != unit:
-                out.append(key)
-                break
-    return out
+    bad = 0
+    for j in range(nn):
+        for k in range(j, nn):
+            coeffs = [0] * (2 * r - 1)
+            gram(j, k, coeffs)
+            if k != j:
+                gram(k, j, coeffs)
+                if k == j + n:
+                    coeffs[0] ^= ones
+            reduced = [0] * r
+            for c, ts in zip(coeffs, lands):
+                for t in ts:
+                    reduced[t] ^= c
+            bad |= reduce(or_, reduced)
+    return list(compress(keys, map("1".__eq__, format(bad, f"0{len(keys)}b"))))
 
 
 def parabolic_order(n: int, q: int) -> int:
@@ -317,12 +336,18 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
 
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
-    """Packed keys of {w in P+ : s_r w s_r^-1 in P+} (s_r is an involution)."""
+    """Packed keys of {w in P+ : s_r w s_r^-1 in P+}, in the order of P+.
+
+    An element of O+ lies in P+ exactly when its lower-left block C is zero,
+    and s_r w s_r (s_r is an involution) is in O+, so w is in A_r exactly
+    when the lanes that s_r moves onto C are zero in w: w & m_r == 0, m_r
+    the C lanes swapped once by rows and by columns.
+    """
     _check_cell(n, r)
-    pkeys = enumerate_parabolic(fp, n)
-    conj = _swap_lanes(fp, n, r, _swap_lanes(fp, n, r, pkeys, rows=False), rows=True)
-    members = frozenset(pkeys)
-    return tuple(k for k, c in zip(pkeys, conj) if c in members)
+    w = fp.r * n
+    c_lanes = sum(((1 << w) - 1) << (2 * w * i + w) for i in range(n))
+    m_r, = _swap_lanes(fp, n, r, _swap_lanes(fp, n, r, [c_lanes], rows=False), rows=True)
+    return tuple(k for k in enumerate_parabolic(fp, n) if not k & m_r)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -128,10 +128,9 @@ def _group_checks(rep, fps, max_n):
                 cell = orthogroup.bruhat_cell(fp, n, r)
                 rep.add("group.cell_order", {"n": n, "q": q, "cell": r},
                         counts["cell_orders"][r], len(cell.elements))
-                elements = set(cell.elements)
                 rep.add("group.cell_disjoint_from_lower", {"n": n, "q": q, "cell": r},
-                        0, len(union & elements))
-                union |= elements
+                        0, len(union.intersection(cell.elements)))
+                union.update(cell.elements)
                 rep.add("group.a_r_order", {"n": n, "q": q, "cell": r},
                         counts["a_r_orders"][r], len(orthogroup.a_r_subgroup(fp, n, r)))
                 for c in field.units(fp):

@@ -9,8 +9,11 @@ ksums have something independent to be compared with:
   fp.r bits per entry), against which matgf's GL search, key_traces and
   keys_hex and orthogroup's Levi keys, lane swaps and coset kernel are read;
 - the hyperbolic form theta+ and the isometry test built on it, the
-  definition-level oracle of orthogroup.outside_oplus, and the involutions
-  s_r as tuple matrices;
+  definition-level oracle of orthogroup.outside_oplus's bit-sliced Gram
+  pass, and the involutions s_r as tuple matrices;
+- A_r by its definition, the w in P+ with s_r w s_r in P+, conjugating
+  each unpacked element, against which the block mask of
+  orthogroup.a_r_subgroup is pinned;
 - the literal trace vector and dual codewords of a family's code, built in
   canonical (sorted packed-key) order;
 - the Stirling numbers of the second kind, from their alternating-binomial
@@ -113,6 +116,16 @@ def sigma_plus(n: int, r: int):
 def permute_cols(m, perm):
     """m s for the permutation matrix s of perm: column j of m s is column perm[j] of m."""
     return tuple(tuple(row[j] for j in perm) for row in m)
+
+
+def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
+    """{w in P+ : s_r w s_r in P+} in P+'s order, by conjugating each unpacked w."""
+    pkeys = orthogroup.enumerate_parabolic(fp, n)
+    members = frozenset(pkeys)
+    perm = sigma_perm(n, r)
+    conj = (permute_cols([m[i] for i in perm], perm)
+            for m in (unpack_mat(fp, 2 * n, k) for k in pkeys))
+    return tuple(k for k, c in zip(pkeys, conj) if pack_mat(fp, c) in members)
 
 
 def ordered_traces(f) -> tuple:

@@ -64,10 +64,26 @@ def test_outside_oplus_examples():
     torus = [oracles.pack_mat(GF4, ((a, 0), (0, field.inv(GF4, a)))) for a in field.units(GF4)]
     shear = oracles.pack_mat(GF4, ((1, 1), (0, 1)))  # tB D = 1 not alternating
     assert og.outside_oplus(GF4, 1, torus + [shear]) == [shear]
-    # a key that encodes no 4 x 4 matrix over GF(4) is not a member either
-    assert og.outside_oplus(GF4, 2, [-1, GF4.q ** 16]) == [-1, GF4.q ** 16]
+    # a key that encodes no 4 x 4 matrix over GF(4) is not a member either,
+    # wherever it sits among members; duplicates and input order are kept
+    big = GF4.q ** 16
+    assert og.outside_oplus(GF4, 2, [-1, big]) == [-1, big]
+    mixed = [keys[0], -1, keys[-1], keys[1], big, keys[-1], keys[0], -1]
+    assert og.outside_oplus(GF4, 2, mixed) == [-1, keys[-1], big, keys[-1], -1]
+    assert og.outside_oplus(GF4, 2, keys[::-1] * 2) == keys[:len(inside) - 1:-1] * 2
+    assert og.outside_oplus(GF4, 2, []) == []
+    assert og.outside_oplus(GF4, 2, (k for k in keys)) == keys[len(inside):]
     with pytest.raises(ValueError):
         og.outside_oplus(GF4, 0, [0])
+    # n = 1 over the largest field and over each second modulus: the torus
+    # and the swapped torus are members, a scalar a != 1 and a shear are not
+    for fp in [binary_field(8)] + [binary_field(r, m) for r, m in ALT_MODULI.items()]:
+        units = field.units(fp)
+        members = [((a, 0), (0, field.inv(fp, a))) for a in units]
+        members += [((0, a), (field.inv(fp, a), 0)) for a in units[::7]]
+        others = [((a, 0), (0, a)) for a in units[1::5]] + [((1, 1), (0, 1)), ((0, 0), (0, 0))]
+        keys1 = [oracles.pack_mat(fp, m) for m in members + others]
+        assert og.outside_oplus(fp, 1, keys1) == keys1[len(members):]
 
 
 def test_membership_equals_isometry_exhaustively():
@@ -78,6 +94,20 @@ def test_membership_equals_isometry_exhaustively():
         outside = set(og.outside_oplus(fp, 1, [oracles.pack_mat(fp, m) for m in mats]))
         for m in mats:
             assert (oracles.pack_mat(fp, m) not in outside) == oracles.preserves_theta_plus(fp, m, vectors)
+    # sampled 4x4 keys over GF(4) and 6x6 keys over GF(2): cell members, each
+    # with one entry changed, and random keys, against every vector
+    rng = random.Random(11)
+    for fp, n in [(GF4, 2), (GF2, 3)]:
+        nn = 2 * n
+        vectors = list(product(range(fp.q), repeat=nn))
+        members = [k for r in range(n + 1) for k in rng.sample(og.bruhat_cell(fp, n, r).elements, 6)]
+        perturbed = [k ^ (rng.randrange(1, fp.q) << fp.r * rng.randrange(nn * nn)) for k in members]
+        randoms = [rng.getrandbits(fp.r * nn * nn) for _ in range(12)]
+        keys = members + perturbed + randoms
+        outside = og.outside_oplus(fp, n, keys)
+        assert outside == [k for k in keys if not oracles.preserves_theta_plus(
+            fp, oracles.unpack_mat(fp, nn, k), vectors)]
+        assert not set(outside) & set(members)
 
 
 def test_perturbed_parabolic_keys_leave_oplus():
@@ -251,6 +281,15 @@ def test_cell_traces_match_mat_trace():
 
 def test_a_r_subgroup():
     assert og.a_r_subgroup(GF2, 2, 0) == og.enumerate_parabolic(GF2, 2)
+    # the C-lane mask against conjugating each element of P+, at every
+    # enumerable (q, n, r), over each second modulus too
+    fields = [binary_field(r) for r in range(1, 9)]
+    fields += [binary_field(r, m) for r, m in ALT_MODULI.items()]
+    for fp in fields:
+        for n in (1, 2, 3):
+            if og.enumerable(fp, n):
+                for r in range(n + 1):
+                    assert og.a_r_subgroup(fp, n, r) == oracles.a_r_subgroup(fp, n, r)
     sizes = [len(og.a_r_subgroup(GF2, 2, r)) for r in range(3)]
     assert sizes == [12, 4, 6]
     counts = og.group_counts(2, 2)

@@ -49,8 +49,9 @@ def test_tier2_group_slice():
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
     (2, 2, 5, "c73d1b595d4de424fb3fff5b3675ab8821d8345b6f705afb0353cc91c20460cb"),
     (3, 3, 10, "3cf7633fe8638aea0ae6c4289827935a8ceac94ce0f38e9129324eb10689b3a9"),
+    (6, 3, 10, "1876ae708d92108fafb0ee2ebe45a89a37df8ed5c1e43b3616cae8c5f28766c1"),
     (8, 2, 10, "5f96b0893066d8ec09755c87b36f919558adea48b2481244ffc5c9b1d309b74e"),
-], ids=["2-2-5", "3-3-10", "8-2-10"])
+], ids=["2-2-5", "3-3-10", "6-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
     # the last to do so retired charsums.moment_scale_invariance, whose two
