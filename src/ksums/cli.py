@@ -7,7 +7,8 @@ written as lowercase hex in the package's fixed polynomial basis (see
 ksums.field.DEFAULT_MODULI). Exit codes: 0 success, 1 failed verification,
 internal inconsistency or a stdout pipe closed by its reader (nothing on
 stderr then), 2 usage/parameter/budget error. Everything is deterministic;
-there is no seed.
+there is no seed. `group enum` writes its JSON as it goes, cell by cell,
+with the bytes json.dump would write; every other command emits one payload.
 
 COMMANDS is the one list of commands, which build_parser reads. Parameter
 ranges such as h_max >= 0 are checked by the library, not by the parser.
@@ -24,9 +25,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from ksums import charsums, field, matgf, orthogroup
 from ksums.errors import BudgetError, ConsistencyError
+
+
+_HEX_CHUNK = 1024  # elements per write in `group enum --elements`
 
 
 def _emit(args, payload, rows=None):
@@ -126,28 +131,39 @@ def _cmd_moments_recursive(args):
 
 
 def _cmd_group_enum(args):
-    fp = _parse_field(args)
-    field.check_int("n", args.n, 1)  # the bound group counts applies: group_order(0, q) is 0
-    cells = [args.cell] if args.cell is not None else list(range(args.n + 1))
-    out = []
-    for r in cells:
-        cell = orthogroup.bruhat_cell(fp, args.n, r)
-        hist = orthogroup.cell_trace_histogram(fp, args.n, r)
-        entry = {
-            "cell": r,
-            "order": str(len(cell.elements)),
-            "trace_histogram": {field.element_hex(fp, b): str(c)
-                                for b, c in sorted(hist.items())},
-        }
-        if args.elements:
-            entry["elements"] = matgf.keys_hex(fp, 2 * args.n, sorted(cell.elements))
-        out.append(entry)
-    payload = {"r": fp.r, "n": args.n, "cells": out}
-    rows = [("cell", "order", "beta_hex", "count")]
-    for entry in out:
-        for b, c in entry["trace_histogram"].items():
-            rows.append((entry["cell"], entry["order"], b, c))
-    _emit(args, payload, rows)
+    fp, n = _parse_field(args), args.n
+    field.check_int("n", n, 1)  # the bound group counts applies: group_order(0, q) is 0
+    # every cell and histogram is built before the first byte: a refusal writes nothing
+    cells = [orthogroup.bruhat_cell(fp, n, r)
+             for r in ([args.cell] if args.cell is not None else range(n + 1))]
+    entries = [{"cell": cell.r, "order": str(len(cell.elements)), "trace_histogram": {
+        field.element_hex(fp, b): str(c)
+        for b, c in sorted(orthogroup.cell_trace_histogram(fp, n, cell.r).items())}}
+        for cell in cells]
+    if args.format == "csv":  # CSV never lists the elements
+        _emit(args, None, [("cell", "order", "beta_hex", "count")] + [
+            (e["cell"], e["order"], b, c)
+            for e in entries for b, c in e["trace_histogram"].items()])
+        return 0
+    # the bytes of json.dump(payload, indent=2) and a newline, written cell by
+    # cell; with --elements json.dumps lays out the entry around an empty list,
+    # which the cell's sorted elements fill _HEX_CHUNK at a time
+    write, item = sys.stdout.write, '",\n        "'
+    write(f'{{\n  "r": {fp.r},\n  "n": {n},\n  "cells": [')
+    for i, (entry, cell) in enumerate(zip(entries, cells)):
+        write(",\n    " if i else "\n    ")
+        if not args.elements:
+            write(json.dumps(entry, indent=2).replace("\n", "\n    "))
+            continue
+        text = json.dumps(dict(entry, elements=[]), indent=2).replace("\n", "\n    ")
+        head, _, tail = text.rpartition("[]")
+        write(head + '[\n        "')
+        hexes, sep = matgf.keys_hex(fp, 2 * n, sorted(cell.elements)), ""
+        while chunk := list(islice(hexes, _HEX_CHUNK)):
+            write(sep + item.join(chunk))
+            sep = item
+        write('"\n      ]' + tail)
+    write("\n  ]\n}\n")
     return 0
 
 

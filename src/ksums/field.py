@@ -153,23 +153,10 @@ def power(fp: FieldParams, x: int, e: int) -> int:
     return exp[log[x] * e % (fp.q - 1)]
 
 
-def inv(fp: FieldParams, x: int) -> int:
-    """Multiplicative inverse; inverting 0 is a domain error."""
-    check_element(fp, x)
-    if x == 0:
-        raise ZeroDivisionError(f"0 is not invertible in GF(2^{fp.r})")
-    return inv_table(fp)[x]
-
-
-def trace(fp: FieldParams, x: int) -> int:
-    """Absolute trace x + x^2 + ... + x^(2^(r-1)), a bit in {0, 1}."""
-    check_element(fp, x)
-    return trace_table(fp)[x]
-
-
 def additive_char(fp: FieldParams, x: int) -> int:
-    """Canonical additive character (-1)^trace(x), valued in {+1, -1}."""
-    return 1 - 2 * trace(fp, x)
+    """Canonical additive character (-1)^Tr(x), valued in {+1, -1}, read from char_table."""
+    check_element(fp, x)
+    return char_table(fp)[x]
 
 
 def artin_schreier_image(fp: FieldParams) -> frozenset:
@@ -216,7 +203,8 @@ def exp_log(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def trace_table(fp: FieldParams) -> tuple:
-    """trace over all of F_q; cached, read per dual kernel (verify (6,3,10): 20 hits).
+    """Tr x = x + x^2 + ... + x^(2^(r-1)), a bit, over all of F_q; cached, read per dual
+    kernel (verify (6,3,10): 20 hits).
 
     The trace is F_2-linear, so the table is spanned from the traces of the
     basis x^k, each a sum of r squarings read through exp_log: the entries

@@ -24,9 +24,10 @@ from ksums import field
 from ksums.field import FieldParams
 
 
-def keys_hex(fp: FieldParams, n: int, keys) -> list:
-    """Canonical hex of each packed n x n key, c = max(1, 12 // r) entries at a time.
+def keys_hex(fp: FieldParams, n: int, keys):
+    """Canonical hex of each packed n x n key, lazily and in order; keys may be a stream.
 
+    Each key is read c = max(1, 12 // r) entries at a time.
     A q^c-entry table (at most 4096) holds the hex of every run of c entries;
     the top run is padded with zero entries, whose digits are stripped.
     """
@@ -40,7 +41,7 @@ def keys_hex(fp: FieldParams, n: int, keys) -> list:
     pad = (runs * c - n * n) * len(digits[0])
     mask = (1 << r * c) - 1
     shifts = range(r * c * (runs - 1), -1, -r * c)
-    return ["".join([table[(key >> s) & mask] for s in shifts])[pad:] for key in keys]
+    return ("".join([table[(key >> s) & mask] for s in shifts])[pad:] for key in keys)
 
 
 def key_traces(fp: FieldParams, n: int, keys):

@@ -7,15 +7,19 @@ function of (max_r, max_n, h_max); report rows are sorted by check name.
 
 The classical identities of K (Carlitz, Frobenius invariance, Artin-Schreier
 denominator sums, twisted sums, value range) are rows read straight from the
-values and field tables, each listing the elements that fail.
+values and field tables, each listing the elements that fail. A
+ConsistencyError raised within one family's code or moment rows becomes a
+failing row of its own (codes.raised, moments.raised), not an abort.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
 from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
 from ksums.coset_codes import parse_family
+from ksums.errors import ConsistencyError
 
 # second irreducible of each degree, for basis-independence checks
 ALT_MODULI = {3: 0b1101, 4: 0b11001, 5: 0b101001, 6: 0b1011011, 7: 0b10001001, 8: 0b101001101}
@@ -36,6 +40,18 @@ class Report:
     def add(self, name, params, expected, actual):
         expected, actual = str(expected), str(actual)
         self.checks.append(Check(name, params, expected, actual, expected == actual))
+
+    @contextmanager
+    def guard(self, name, params):
+        """Record a ConsistencyError raised in the block as one failing row `name`.
+
+        The rows added before it stay, and the rest of the report still runs;
+        every other exception propagates.
+        """
+        try:
+            yield
+        except ConsistencyError as exc:
+            self.add(name, params, "[]", f"raised: {exc}")
 
     def summary(self):
         passed = sum(1 for c in self.checks if c.passed)
@@ -201,49 +217,51 @@ def _code_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
         fp, q = f.fp, f.fp.q
         params = {"family": f.label, "n": f.n, "q": q}
-        consts = coset_codes.family_constants(f)
-        scale, cofactor = _paper_constants(f)
-        rep.add("codes.size_matches_cell_formula", params,
-                orthogroup.cell_order(f.n, f.cell_index, q), scale * cofactor)
-        counts = coset_codes.trace_multiplicities(f, "formula")
-        rep.add("codes.multiplicities_total", params, consts.size, sum(counts.values()))
-        weighted = 0
-        for beta, cnt in counts.items():
-            if cnt % 2:
-                weighted ^= beta
-        rep.add("codes.multiplicities_weighted_sum", params, 0, weighted)
-        if orthogroup.enumerable(fp, f.n):
-            rep.add("codes.multiplicities_formula_vs_enumeration", params,
-                    sorted(counts.items()),
-                    sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
-            size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
-            lam, mt = field.char_table(fp), field.mul_table(fp)
-            sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
-                    for a in field.units(fp)]
-            rep.add("codes.membership_count_identity", params, "[]",
-                    [beta for beta in field.elements(fp)
-                     if q * counts[beta] != size + sum(lam[row[beta]] * s for row, s in sums)])
-        if consts.size <= 40:
-            dist = coset_codes.weight_distribution(counts)
-            rep.add("codes.distribution_symmetric", params, dist, dist[::-1])
-            kern = coset_codes.dual_kernel(f)
-            # the code's dimension: N less the dual's, r - log2 |kernel|
-            k = consts.size - fp.r + len(kern).bit_length() - 1
-            rep.add("codes.distribution_mass", params, 2 ** k, sum(dist))
-            rep.add("codes.distribution_macwilliams", params, dist,
-                    coset_codes.weight_distribution_macwilliams(f))
-            dual = coset_codes.dual_weight_distribution(f)
-            sides = coset_codes.pless_check(dist, dual, k, h_max)
-            rep.add("codes.pless_identity", params, sides["lhs"], sides["rhs"])
+        with rep.guard("codes.raised", params):
+            consts = coset_codes.family_constants(f)
+            scale, cofactor = _paper_constants(f)
+            rep.add("codes.size_matches_cell_formula", params,
+                    orthogroup.cell_order(f.n, f.cell_index, q), scale * cofactor)
+            counts = coset_codes.trace_multiplicities(f, "formula")
+            rep.add("codes.multiplicities_total", params, consts.size, sum(counts.values()))
+            weighted = 0
+            for beta, cnt in counts.items():
+                if cnt % 2:
+                    weighted ^= beta
+            rep.add("codes.multiplicities_weighted_sum", params, 0, weighted)
+            if orthogroup.enumerable(fp, f.n):
+                rep.add("codes.multiplicities_formula_vs_enumeration", params,
+                        sorted(counts.items()),
+                        sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
+                size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
+                lam, mt = field.char_table(fp), field.mul_table(fp)
+                sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
+                        for a in field.units(fp)]
+                rep.add("codes.membership_count_identity", params, "[]",
+                        [beta for beta in field.elements(fp)
+                         if q * counts[beta] != size + sum(lam[row[beta]] * s for row, s in sums)])
+            if consts.size <= 40:
+                dist = coset_codes.weight_distribution(counts)
+                rep.add("codes.distribution_symmetric", params, dist, dist[::-1])
+                kern = coset_codes.dual_kernel(f)
+                # the code's dimension: N less the dual's, r - log2 |kernel|
+                k = consts.size - fp.r + len(kern).bit_length() - 1
+                rep.add("codes.distribution_mass", params, 2 ** k, sum(dist))
+                rep.add("codes.distribution_macwilliams", params, dist,
+                        coset_codes.weight_distribution_macwilliams(f))
+                dual = coset_codes.dual_weight_distribution(f)
+                sides = coset_codes.pless_check(dist, dual, k, h_max)
+                rep.add("codes.pless_identity", params, sides["lhs"], sides["rhs"])
 
 
 def _moment_checks(rep, fps, max_n, h_max):
     for f in _families(fps, max_n):
         params = {"family": f.label, "n": f.n, "q": f.fp.q}
-        for kind in moments.kinds(f.codim):
-            rep.add(kind.check, params, kind.oracles(f.fp, h_max), kind.sequence(f, h_max))
-        rep.add("moments.weight_power_sum_expansion", params, "[]",
-                moments.verify_lhs_expansion(f, h_max))
+        with rep.guard("moments.raised", params):
+            for kind in moments.kinds(f.codim):
+                rep.add(kind.check, params, kind.oracles(f.fp, h_max), kind.sequence(f, h_max))
+            rep.add("moments.weight_power_sum_expansion", params, "[]",
+                    moments.verify_lhs_expansion(f, h_max))
 
 
 def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:

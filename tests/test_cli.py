@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,11 +7,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import ksums
-from ksums import charsums, cli, coset_codes, field
+from ksums import charsums, cli, coset_codes, field, matgf, orthogroup
 from ksums.errors import BudgetError
 
 import oracles
@@ -306,6 +308,61 @@ def test_group_enum_elements_bytes_pinned(capsys, r, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+ENUMERABLE_UP_TO_N3 = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)] + [(r, 1) for r in range(3, 9)]
+
+
+def _group_payload(r, n, cells, elements):
+    """group enum's payload, assembled from the library and dumped in one piece."""
+    fp = field.binary_field(r)
+    out = []
+    for c in cells:
+        cell = orthogroup.bruhat_cell(fp, n, c)
+        entry = {"cell": c, "order": str(len(cell.elements)), "trace_histogram": {
+            format(b, "x"): str(count)
+            for b, count in sorted(orthogroup.cell_trace_histogram(fp, n, c).items())}}
+        if elements:
+            entry["elements"] = list(matgf.keys_hex(fp, 2 * n, sorted(cell.elements)))
+        out.append(entry)
+    return json.dumps({"r": r, "n": n, "cells": out}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("elements", [False, True], ids=["plain", "elements"])
+def test_group_enum_streams_the_bytes_of_one_dump(capsys, elements):
+    flag = ["--elements"] if elements else []
+    for r, n in ENUMERABLE_UP_TO_N3:
+        assert orthogroup.enumerable(field.binary_field(r), n)
+        code, out, _ = run(capsys, "group", "enum", "--r", str(r), "--n", str(n), *flag)
+        assert code == 0
+        assert out == _group_payload(r, n, range(n + 1), elements), (r, n)
+    for c in range(4):
+        code, out, _ = run(capsys, "group", "enum", "--r", "1", "--n", "3", "--cell", str(c), *flag)
+        assert code == 0
+        assert out == _group_payload(1, 3, [c], elements), c
+
+
+def test_group_enum_csv_never_lists_elements(capsys):
+    for r, n in ENUMERABLE_UP_TO_N3:
+        argv = ["group", "enum", "--r", str(r), "--n", str(n), "--format", "csv"]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--elements") == (0, plain, ""), (r, n)
+
+
+def test_group_enum_elements_never_hold_the_serialized_group():
+    # caches warm, the handler's traced peak is the chunks in flight, not the
+    # 1.9 MB of JSON (4.02 MB when every cell's hex was built before one dump)
+    argv = ["group", "enum", "--r", "1", "--n", "3", "--elements"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # a reader that stops early closes the pipe; the CLI exits 1 with no traceback
     src = os.path.dirname(os.path.dirname(ksums.__file__))
@@ -328,9 +385,12 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_group_enum_budget_exceeded(capsys):
-    code, _, err = run(capsys, "group", "enum", "--r", "3", "--n", "2")
-    assert code == 2
-    assert "budget" in err
+    # every cell is built before the first byte is written, --elements or not
+    for flags in ([], ["--elements"]):
+        code, out, err = run(capsys, "group", "enum", "--r", "3", "--n", "2", *flags)
+        assert code == 2
+        assert "budget" in err
+        assert out == ""
 
 
 def test_group_enum_and_counts_reject_n0(capsys):

@@ -102,7 +102,7 @@ def test_trace_multiplicities_dc1_minus_n1():
         for beta, cnt in counts.items():
             if beta == 0:
                 assert cnt == 1
-            elif field.trace(fp, field.inv(fp, beta)) == 0:
+            elif field.trace_table(fp)[field.inv_table(fp)[beta]] == 0:
                 assert cnt == 2
             else:
                 assert cnt == 0
@@ -453,7 +453,7 @@ def test_codim2_multiplicities_group_by_kloosterman_value():
         counts = cc.trace_multiplicities(f)
         by_tau = {}
         for beta in field.units(fp):
-            tau = charsums.kloosterman(fp, field.inv(fp, beta))
+            tau = charsums.kloosterman(fp, field.inv_table(fp)[beta])
             by_tau.setdefault(tau, set()).add(counts[beta])
         for tau, vals in by_tau.items():
             assert tau % 4 == 3 and tau * tau < 4 * fp.q

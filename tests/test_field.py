@@ -112,12 +112,10 @@ def test_exp_log_ties_to_mul_table(r, modulus):
 def test_arithmetic_examples():
     w = 0b10
     assert field.mul(GF4, w, w) == 0b11  # x * x = x + 1 mod x^2+x+1
-    assert field.inv(GF8, 1) == 1
+    assert field.inv_table(GF8)[1] == 1
 
 
 def test_inverse_of_zero_is_domain_error():
-    with pytest.raises(ZeroDivisionError):
-        field.inv(GF4, 0)
     with pytest.raises(ZeroDivisionError):
         field.power(GF4, 0, -1)
 
@@ -127,14 +125,14 @@ def test_mixed_field_operands_rejected():
     with pytest.raises(ValueError):
         field.mul(GF4, big, 1)
     with pytest.raises(ValueError):
-        field.trace(GF4, -1)
+        field.additive_char(GF4, -1)
 
 
 def test_trace_examples():
-    assert field.trace(GF4, 1) == 0
-    assert field.trace(GF4, 0b10) == 1
+    assert field.trace_table(GF4)[1] == 0
+    assert field.trace_table(GF4)[0b10] == 1
     for fp in ALL_FIELDS:
-        assert field.trace(fp, 0) == 0
+        assert field.trace_table(fp)[0] == 0
 
 
 def test_additive_char_examples():
@@ -164,7 +162,7 @@ def test_artin_schreier_image():
         image = field.artin_schreier_image(fp)
         assert len(image) == fp.q // 2
         assert image == frozenset(x for x in field.elements(fp)
-                                  if field.trace(fp, x) == 0)
+                                  if field.trace_table(fp)[x] == 0)
 
 
 def test_basis_independence():
@@ -192,7 +190,7 @@ def test_field_axioms(fp, data):
     assert field.mul(fp, x, y ^ z) == field.mul(fp, x, y) ^ field.mul(fp, x, z)
     assert field.mul(fp, x, 1) == x
     if x:
-        assert field.mul(fp, x, field.inv(fp, x)) == 1
+        assert field.mul(fp, x, field.inv_table(fp)[x]) == 1
         assert field.power(fp, x, fp.q - 1) == 1
 
 
@@ -200,8 +198,8 @@ def test_field_axioms(fp, data):
 def test_trace_and_char_properties(fp, data):
     el = st.integers(0, fp.q - 1)
     x, y = data.draw(el), data.draw(el)
-    assert field.trace(fp, x ^ y) == field.trace(fp, x) ^ field.trace(fp, y)
-    assert field.trace(fp, field.mul(fp, x, x)) == field.trace(fp, x)
+    assert field.trace_table(fp)[x ^ y] == field.trace_table(fp)[x] ^ field.trace_table(fp)[y]
+    assert field.trace_table(fp)[field.mul(fp, x, x)] == field.trace_table(fp)[x]
     assert (field.additive_char(fp, x ^ y)
             == field.additive_char(fp, x) * field.additive_char(fp, y))
 

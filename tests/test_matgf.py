@@ -127,7 +127,7 @@ def test_key_traces_match_mat_trace(r):
 def test_pack_round_trip_and_ordering():
     mats = list(product(product(range(GF4.q), repeat=2), repeat=2))
     keys = [oracles.pack_mat(GF4, m) for m in mats]
-    hexes = matgf.keys_hex(GF4, 2, keys)
+    hexes = list(matgf.keys_hex(GF4, 2, keys))
     for m, k in zip(mats, keys):
         assert oracles.unpack_mat(GF4, 2, k) == m
     assert sorted(range(len(mats)), key=lambda i: keys[i]) == sorted(
@@ -138,7 +138,7 @@ def test_pack_round_trip_and_ordering():
 def test_hex_width_two_digit_entries():
     fp = binary_field(5)
     m = ((17, 0), (1, 31))
-    assert matgf.keys_hex(fp, 2, [oracles.pack_mat(fp, m)]) == ["1100011f"]
+    assert list(matgf.keys_hex(fp, 2, [oracles.pack_mat(fp, m)])) == ["1100011f"]
     assert oracles.unpack_mat(fp, 2, oracles.pack_mat(fp, m)) == m
 
 
@@ -151,7 +151,8 @@ def test_keys_hex_matches_entrywise_format(r):
         keys = [0, (1 << (r * n * n)) - 1] + [rng.getrandbits(r * n * n) for _ in range(50)]
         expected = ["".join(format(e, f"0{width}x") for row in oracles.unpack_mat(fp, n, k)
                             for e in row) for k in keys]
-        assert matgf.keys_hex(fp, n, keys) == expected, n
+        assert list(matgf.keys_hex(fp, n, keys)) == expected, n
+        assert list(matgf.keys_hex(fp, n, iter(keys))) == expected, n  # a stream is read once
 
 
 @given(st.sampled_from([GF2, GF4]), st.integers(1, 3), st.data())

@@ -1,9 +1,10 @@
 import hashlib
+import json
 
 import pytest
 
-from ksums import charsums, cli, verify
-from ksums.errors import BudgetError
+from ksums import charsums, cli, moments, verify
+from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import binary_field
 
 
@@ -107,8 +108,8 @@ def test_each_values_table_is_built_once(monkeypatch):
 def _rows_with_one_entry_off(monkeypatch, m, a, delta):
     """The per-field charsums rows up to GF(8), K_m(lambda;a) moved by delta over GF(8) only.
 
-    Only the charsums rows run: the code layer's divisibility invariants
-    raise on a wrong m = 1 table before any row of theirs is written.
+    Only the charsums rows run; test_a_raised_inconsistency_is_a_failing_row
+    runs the whole matrix on such a table.
     """
     table = charsums.kloosterman_values
 
@@ -153,6 +154,49 @@ def test_value_range_catches_a_value_off_minus_1_mod_4(monkeypatch):
     assert rows["charsums.weil_bound", 3].passed
     assert [rows["charsums.value_range", r].passed for r in (2, 3)] == [True, False]
     assert rows["charsums.value_range", 3].actual == "[-3, -1, 3]"
+
+
+def test_a_raised_inconsistency_is_a_failing_row(monkeypatch, capsys):
+    # K(lambda;1) over GF(8) moved by 4: the code layer's transform raises
+    # ConsistencyError for dc1- over GF(8), and the report still lists the
+    # charsums rows that name the wrong entry
+    table = charsums.kloosterman_values
+
+    def off_at_r_3(fp, m):
+        vals = table(fp, m)
+        return vals[:1] + (vals[1] + 4,) + vals[2:] if (fp.r, m) == (3, 1) else vals
+
+    monkeypatch.setattr(charsums, "kloosterman_values", off_at_r_3)
+    moments._pless_sums.cache_clear()  # its entries must come from the wrong table
+    try:
+        report = verify.run_checks(3, 1, 1)
+        code = cli.main(["verify", "all", "--max-r", "3", "--max-n", "1", "--h-max", "1"])
+    finally:
+        moments._pless_sums.cache_clear()  # and must not outlive it
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert {"charsums.carlitz", "codes.raised"} <= failed
+    assert [c for c in report["checks"] if c["name"] == "codes.raised"] == [{
+        "name": "codes.raised", "params": {"family": "dc1-", "n": 1, "q": 8},
+        "expected": "[]", "actual": "raised: transform coefficient must be a nonnegative "
+                                    "integer | acc=12, denom=8, j=1", "pass": False}]
+    out = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out.out) == report
+    assert out.err == ""
+
+
+def test_guard_records_only_consistency_errors():
+    rep = verify.Report()
+    with rep.guard("moments.raised", {"n": 1}):
+        rep.add("moments.before", {"n": 1}, 1, 1)
+        raise ConsistencyError("off", h=2)
+    assert rep.checks == [verify.Check("moments.before", {"n": 1}, "1", "1", True),
+                          verify.Check("moments.raised", {"n": 1}, "[]",
+                                       "raised: off | h=2", False)]
+    for exc in (BudgetError("over"), ValueError("bad")):
+        with pytest.raises(type(exc)), rep.guard("codes.raised", {}):
+            raise exc
+    assert len(rep.checks) == 2
 
 
 def test_gl_routes_that_disagree_fail_their_rows(monkeypatch):
