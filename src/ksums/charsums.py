@@ -10,14 +10,23 @@ m) is built level by level: in the log coordinates of field.exp_log each
 level is a cyclic convolution of length q-1, taken as one big-int product by
 Kronecker substitution, and no q x q product table is read. Every other
 character is lambda(c .), and K_m(lambda(c .); a) = K_m(lambda; c^(m+1) a):
-`kloosterman_value`, read by `ksum` and the GL sums, is the one place a
-scale c enters. A direct sum over (F_q^*)^m (`kloosterman`, lambda(c .) from
+`kloosterman_value`, read by `ksum`, is the one place a scale c enters
+them. A direct sum over (F_q^*)^m (`kloosterman`, lambda(c .) from
 mul_table row c) is its oracle in the tests, and in verify's
 values_table_vs_direct row of the m = 1 table only, at c = 1 and c = 2;
 verify's carlitz row checks m = 2 against m = 1.
 
+K_GL(t)(psi; a) has three routes: the recursion and the closed form,
+which depend on a only through K(lambda;a), and brute force. Bulk readers
+(verify's GL rows, orthogroup.cell_sums) read one table per (field, t) and
+route (kloosterman_gl_table), which runs a formula route once per distinct
+value of the m = 1 table and brute force once per a; kloosterman_gl runs
+each route once, for one value. w -> w/c gives
+K_GL(t)(lambda(c .); a) = K_GL(t)(lambda; c^2 a), so a scale c is the
+reindex a -> c^2 a, as for the values tables.
+
 The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
-GL(t,q), at most q^2 entries, counted once per (q, t); each (a, c) then
+GL(t,q), at most q^2 entries, counted once per (q, t); each a then
 costs one pass over it. A unit u sends w to u w and the pair to
 (u Tr w, u^-1 Tr w^-1), and scalars act freely on GL(t,q), so the histogram
 reads the traces of the packed key pairs that matgf.gl_matrices streams with
@@ -33,10 +42,11 @@ All sums are exact Python ints. Every public function checks its integer
 parameters with field.check_int and its nonzero elements with
 field.check_unit before any work. Enumerations carry hard budgets and raise
 BudgetError instead of degrading. gl_routes is the one GL gate: it names the
-routes that fit at (t, q), and kloosterman_gl refuses any other.
+routes that fit at (t, q), and kloosterman_gl and kloosterman_gl_table
+refuse any other.
 The big-int passes, the levels of a values table, power_moments and the GL
-sums, are charged their bits against errors.TRANSFORM_BIT_BUDGET before
-they start.
+sums (a table once per distinct value), are charged their bits against
+errors.TRANSFORM_BIT_BUDGET before they start.
 """
 
 from collections import Counter
@@ -128,7 +138,7 @@ def kloosterman_values(fp: FieldParams, m: int, /) -> tuple:
     (_cyclic_convolution). The levels are charged before the first one:
     _table_bits(m, r) bits against TRANSFORM_BIT_BUDGET, which admits m <= 218
     at r = 8. m is positional with no default, so a table is one cache key,
-    built once (verify (6,3,10): 3,422 hits, 16 misses; `moments oracle`: 0 hits).
+    built once (verify (6,3,10): 734 hits, 16 misses; `moments oracle`: 0 hits).
     """
     field.check_int("m", m, 1)
     charge(_table_bits(m, fp.r), "K_m values table at m = {}, q = {}: m big-int products "
@@ -259,13 +269,12 @@ def _gl_trace_histogram(fp, t):
     return tuple(hist.items())
 
 
-def _kloosterman_gl_brute(fp, t, a, c):
+def _kloosterman_gl_brute(fp, t, a):
     if t == 0:
         return 1
     mt, lam = field.mul_table(fp), field.char_table(fp)
-    row, crow = mt[a], mt[c]
-    return sum(count * lam[crow[tr ^ row[trinv]]]
-               for (tr, trinv), count in _gl_trace_histogram(fp, t))
+    row = mt[a]
+    return sum(count * lam[tr ^ row[trinv]] for (tr, trinv), count in _gl_trace_histogram(fp, t))
 
 
 def _gl_bits(t, q):
@@ -290,37 +299,73 @@ def gl_routes(t: int, q: int) -> tuple:
     return tuple(method for method in GL_METHODS if fits[method])
 
 
+def _admit_gl(fp, t, method):
+    """Check t and method, charge one run of r t^3 bits, and gate the method by gl_routes."""
+    field.check_int("t", t, 0)
+    if method not in GL_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    charge(_gl_bits(t, fp.q), "K_GL({0}) over GF({1}), {0} steps over values of about "
+           "r t^2 bits", "lower t", t, fp.q)
+    fits = gl_routes(t, fp.q)
+    if method not in fits:
+        raise BudgetError(f"K_GL({t}) over GF({fp.q}) by {method}: over budget "
+                          f"{GL_BRUTE_BUDGET} on |GL(t,q)| for brute_force, F(t+1) for "
+                          f"closed_form; routes that fit: {', '.join(fits)}")
+
+
+def _gl_value(fp, t, method, a):
+    """K_GL(t)(lambda; a) by one admitted route."""
+    if method == "brute_force":
+        return _kloosterman_gl_brute(fp, t, a)
+    route = _kloosterman_gl_recursion if method == "recursion" else _kloosterman_gl_closed_form
+    return route(fp, t, kloosterman_values(fp, 1)[a])
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit t = 1's table
+def kloosterman_gl_table(fp: FieldParams, t: int, method: str, /) -> tuple:
+    """Tuple indexed by a with K_GL(t)(lambda; a) by one route; slot 0 is None.
+
+    The recursion and the closed form depend on a only through K(lambda;a),
+    so each runs once per distinct value of the m = 1 table; brute force
+    runs once per a over _gl_trace_histogram. Admitted like one run of
+    kloosterman_gl, then charged once before it is built: r t^3 bits per
+    distinct value. K_GL(t)(lambda(c .); a) is entry c^2 a. Cached, so the
+    GL rows of verify and every c of orthogroup.cell_sums read one table per
+    (field, t) (verify (6,3,10): 40 hits, 91 misses).
+    """
+    _admit_gl(fp, t, method)
+    k1 = kloosterman_values(fp, 1)
+    runs = len(set(k1[1:]))
+    charge(_gl_bits(t, fp.q) * runs, "K_GL({0}) table over GF({1}), {2} runs of {0} "
+           "steps over values of about r t^2 bits", "lower t", t, fp.q, runs)
+    if method == "brute_force":
+        return (None,) + tuple(_gl_value(fp, t, method, a) for a in field.units(fp))
+    one_a = dict(zip(k1[1:], field.units(fp)))  # an a for each distinct value
+    by_value = {v: _gl_value(fp, t, method, a) for v, a in one_a.items()}
+    return (None,) + tuple(map(by_value.__getitem__, k1[1:]))
+
+
 def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int = 1) -> int:
-    """Kloosterman sum for GL(t,q): sum of psi(Tr w + a Tr w^-1) over GL(t,q).
+    """Kloosterman sum for GL(t,q): sum of psi(Tr w + a Tr w^-1) over GL(t,q), psi = lambda(c .).
 
     method selects the recursion, the closed form, or direct enumeration;
     "all" runs every route gl_routes names at this size and insists they
     agree. Any method is first charged r t^3 bits against
     TRANSFORM_BIT_BUDGET: the recursion takes t steps over values of about
     r t^2 bits. gl_routes is then the one gate: a named method it does not
-    list at (t, q) raises BudgetError.
+    list at (t, q) raises BudgetError. w -> w/c turns psi(Tr w + a Tr w^-1)
+    into lambda(Tr w + c^2 a Tr w^-1), so each route runs once, at c^2 a;
+    kloosterman_gl_table runs them at every a.
     K_GL(0) = 1 by convention; t = 1 is the plain Kloosterman sum.
     """
-    k1 = kloosterman_value(fp, a, 1, c)  # checks a and c
-    field.check_int("t", t, 0)
-    if method not in GL_METHODS + ("all",):
-        raise ValueError(f"unknown method {method!r}")
-    charge(_gl_bits(t, fp.q), "K_GL({0}) over GF({1}), {0} steps over values of about "
-           "r t^2 bits", "lower t", t, fp.q)
-    routes = {
-        "recursion": lambda: _kloosterman_gl_recursion(fp, t, k1),
-        "closed_form": lambda: _kloosterman_gl_closed_form(fp, t, k1),
-        "brute_force": lambda: _kloosterman_gl_brute(fp, t, a, c),
-    }
-    fits = gl_routes(t, fp.q)
-    if method != "all":
-        if method not in fits:
-            raise BudgetError(f"K_GL({t}) over GF({fp.q}) by {method}: over budget "
-                              f"{GL_BRUTE_BUDGET} on |GL(t,q)| for brute_force, F(t+1) for "
-                              f"closed_form; routes that fit: {', '.join(fits)}")
-        return routes[method]()
-    got = {name: routes[name]() for name in fits}
+    field.check_unit(fp, a, "a")
+    field.check_unit(fp, c, "c")
+    exp, log = field.exp_log(fp)
+    at = exp[(2 * log[c] + log[a]) % (fp.q - 1)]
+    _admit_gl(fp, t, "recursion" if method == "all" else method)  # the recursion always fits
+    routes = gl_routes(t, fp.q) if method == "all" else (method,)
+    got = {name: _gl_value(fp, t, name, at) for name in routes}
     if len(set(got.values())) != 1:
         raise ConsistencyError("kloosterman_gl methods disagree",
                                t=t, a=a, q=fp.q, **got)
-    return got["recursion"]
+    return got[routes[0]]

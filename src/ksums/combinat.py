@@ -17,6 +17,16 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, min(k, n - k))
 
 
+def lowest_terms(num: int, den: int) -> tuple:
+    """The ratio num/den as the pair (num/g, den/g), g = gcd(num, den), for den > 0.
+
+    Exact ratios (a family's cofactor, a Pless side 2^(k-h) P, the paper's
+    constants) are such pairs of ints; den is 1 exactly when den divides num.
+    """
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def q_binomial(n: int, r: int, q: int) -> int:
     """Gaussian binomial [n r]_q, the number of r-subspaces of F_q^n."""
     if r < 0 or r > n:

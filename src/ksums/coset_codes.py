@@ -6,8 +6,9 @@ for odd n. At codimension t the cell's character sum at a is
 coeff * K_GL(t)(lambda(a .); 1) = scale * K(lambda;a) for t = 1 and
 scale * (K(lambda;a)^2 + q^2 - q) for t = 2, with coeff from
 orthogroup.cell_sum_coefficient and scale = coeff * q^C(t,2). The cofactor
-|cell| / scale is an exact Fraction that for some n picks up a 1/q (e.g.
-codim 1, n = 3). The paper's explicit products for both live in ksums.verify.
+|cell| / scale is an exact ratio, kept as the int pair (num, den) in lowest
+terms, whose den is a power of q and for some n is q (e.g. codim 1, n = 3).
+The paper's explicit products for both live in ksums.verify.
 
 The code of a family is the set of binary vectors orthogonal (over F_q) to
 the vector of element traces in canonical cell order; its dual is the q
@@ -26,8 +27,10 @@ Walsh-Hadamard transform of the multiplicity map yields every E(u); the
 coefficients of x^j follow from the Krawtchouk three-term recurrence, so a
 truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
 MacWilliams route feeds the formula-mode dual weights, which come from the
-cell character sum instead of multiplicities, to the same kernel. pless_sums
-gives the Pless identity's right side for all h <= h_max in one pass.
+cell character sum instead of multiplicities, to the same kernel: the
+dual weight at a is read from entry a of orthogroup.cell_sums, one cached
+tuple per cell and mode, and their histogram is cached. pless_sums gives
+the Pless identity's right side for all h <= h_max in one pass.
 
 The family labels, FAMILY_LABELS, are defined in ksums.orthogroup and
 imported here, so coset_codes.FAMILY_LABELS still names them.
@@ -35,13 +38,13 @@ imported here, so coset_codes.FAMILY_LABELS still names them.
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
-from ksums.combinat import binom
+from ksums.combinat import binom, lowest_terms
 from ksums.errors import TRANSFORM_BIT_BUDGET, ConsistencyError, charge
 from ksums.field import FieldParams
 from ksums.orthogroup import FAMILY_LABELS
@@ -94,18 +97,18 @@ def parse_family(label: str, n: int, fp: FieldParams) -> DoubleCosetFamily:
 
 class FamilyConstants(NamedTuple):
     scale: int  # multiplier of the Kloosterman term in the cell character sum
-    cofactor: Fraction  # scale * cofactor = size; may carry a 1/q power
+    cofactor: tuple  # (num, den) in lowest terms, scale * num = size * den; den a power of q
     size: int
 
 
 @lru_cache(maxsize=None)
 def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
     """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale;
-    cached, read per dual weight and moment of f (verify (6,3,10): 992 hits)."""
+    cached, read by each dual weight, moment kind and code row of f (verify (6,3,10): 304 hits)."""
     q = f.fp.q
     scale = orthogroup.cell_sum_coefficient(f.n, f.cell_index, q) * q ** binom(f.codim, 2)
     size = orthogroup.cell_order(f.n, f.cell_index, q)
-    return FamilyConstants(scale=scale, cofactor=Fraction(size, scale), size=size)
+    return FamilyConstants(scale=scale, cofactor=lowest_terms(size, scale), size=size)
 
 
 def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
@@ -149,25 +152,29 @@ def dual_kernel(f: DoubleCosetFamily) -> frozenset:
                      if all(trt[mt[a][beta]] == 0 for beta in support))
 
 
-def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
-    """Hamming weight of the dual codeword at a != 0.
-
-    The weight is (size - S(a))/2, with S(a) the cell's character sum at a,
-    since sum_w lambda(a Tr w) = size - 2 weight. Formula mode takes S(a)
-    from the closed form; direct mode sums it over the cell's trace histogram.
-    """
-    fp = f.fp
-    field.check_unit(fp, a, "a")
-    if mode not in ("formula", "direct"):
-        raise ValueError(f"unknown mode {mode!r}")
-    cell_sum = orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a,
-                                       "brute" if mode == "direct" else "formula")
-    num = family_constants(f).size - cell_sum
+def _dual_weight(f: DoubleCosetFamily, a: int, size: int, cell_sum: int) -> int:
+    num = size - cell_sum
     w, rem = divmod(num, 2)
     if rem or w < 0:
         raise ConsistencyError("dual weight must be a nonnegative integer",
                                family=f.label, a=a, num=num)
     return w
+
+
+def dual_weight(f: DoubleCosetFamily, a: int, mode: str = "formula") -> int:
+    """Hamming weight of the dual codeword at a != 0.
+
+    The weight is (size - S(a))/2, with S(a) the cell's character sum at a,
+    since sum_w lambda(a Tr w) = size - 2 weight. S(a) is entry a of
+    orthogroup.cell_sums: formula mode reads the closed form's tuple, direct
+    mode the one summed over the cell's trace histogram.
+    """
+    fp = f.fp
+    field.check_unit(fp, a, "a")
+    if mode not in ("formula", "direct"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sums = orthogroup.cell_sums(fp, f.n, f.cell_index, "brute" if mode == "direct" else "formula")
+    return _dual_weight(f, a, family_constants(f).size, sums[a])
 
 
 def krawtchouk_sum(weights, length: int, cap: int) -> list:
@@ -245,11 +252,19 @@ def _charge_transform(cap: int, length: int):
            cap, length)
 
 
-def dual_weight_histogram(f: DoubleCosetFamily) -> Counter:
-    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0)."""
-    weights = Counter(dual_weight(f, a, "formula") for a in field.units(f.fp))
+@lru_cache(maxsize=None)
+def dual_weight_histogram(f: DoubleCosetFamily) -> MappingProxyType:
+    """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0).
+
+    Read from one orthogroup.cell_sums tuple. Cached, read-only: verify's
+    MacWilliams, dual-distribution and expansion rows each read it
+    (verify (6,3,10): 14 hits, 30 misses).
+    """
+    size = family_constants(f).size
+    sums = orthogroup.cell_sums(f.fp, f.n, f.cell_index, "formula")
+    weights = Counter(_dual_weight(f, a, size, s) for a, s in enumerate(sums[1:], 1))
     weights[0] += 1
-    return weights
+    return MappingProxyType(dict(weights))
 
 
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:
@@ -321,7 +336,9 @@ def pless_check(code_weights, dual_weights, k: int, h_max: int) -> dict:
 
     code_weights[j] counts codewords of weight j in the code, dual_weights[j]
     in the dual; both lists have length n+1. Returns both exact sides, lists
-    over h, the right from one pless_sums pass charged before any work.
+    over h, the right from one pless_sums pass charged before any work. A
+    right side 2^(k-h) P is an int where 2^(h-k) divides P, and otherwise
+    the pair (num, den) of combinat.lowest_terms, which no int equals.
     """
     if len(code_weights) != len(dual_weights):
         raise ValueError("code and dual weight lists must have equal length")
@@ -333,6 +350,8 @@ def pless_check(code_weights, dual_weights, k: int, h_max: int) -> dict:
     for _ in range(h_max + 1):
         lhs.append(sum(terms))
         terms = list(map(mul, terms, range(n + 1)))
-    rhs = [p * Fraction(2) ** (k - h) for h, p in enumerate(pless_sums(dual_weights, n, h_max))]
-    rhs = [int(side) if side.denominator == 1 else side for side in rhs]
+    rhs = []
+    for h, p in enumerate(pless_sums(dual_weights, n, h_max)):
+        num, den = lowest_terms(p << max(k - h, 0), 1 << max(h - k, 0))
+        rhs.append(num if den == 1 else (num, den))
     return {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs}

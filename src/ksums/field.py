@@ -174,7 +174,7 @@ def exp_log(fp: FieldParams) -> tuple:
     shift reduced by the modulus, and g is a sum of powers of x), so no
     product table is read. x itself need not be primitive: under the default
     modulus 0x11b at r = 8 it has order 51, and g = x+1. Cached: every table
-    reads it (verify (6,3,10): 3,336 hits, 10 misses; `moments oracle --r 8
+    reads it (verify (6,3,10): 267 hits, 10 misses; `moments oracle --r 8
     --m 2 --c 3`: 1 hit, 1 miss).
     """
     q, modulus, top = fp.q, fp.modulus, fp.q >> 1
@@ -225,7 +225,7 @@ def trace_table(fp: FieldParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def char_table(fp: FieldParams) -> tuple:
-    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 976 hits)."""
+    """additive_char over all of F_q; cached, read per sum (verify (6,3,10): 486 hits)."""
     return tuple(1 - 2 * t for t in trace_table(fp))
 
 
@@ -237,7 +237,7 @@ def mul_table(fp: FieldParams) -> tuple:
     from exp_log: row g^i is exp rotated by i, read at 1 + log y by one
     itemgetter, with slot 0 of the rotation holding 0 * g^i (so the getter
     has q >= 2 indices and returns a tuple even at q = 2). Each row is one
-    C-level call. Cached for every product (verify (6,3,10): 1,013 hits).
+    C-level call. Cached for every product (verify (6,3,10): 563 hits).
     """
     exp, log = exp_log(fp)
     get = itemgetter(0, *(1 + i for i in log[1:]))

@@ -17,10 +17,13 @@ lists every sequence with its base and its oracle. The left side sums
 w(a)^h over all q values of a, so a kind needs neither a bound on q nor an
 injective a -> c(a): it applies to every family of its codimension.
 
-All arithmetic is exact: B and A^(-h) are Fractions, and every final moment
-is checked to be integral, raising ConsistencyError otherwise; when B is
-itself an integer the stronger per-step fact that q times the Pless sum is
-divisible by A^h is checked too. A request up to h_max is one pass
+All arithmetic is in ints: B, and so each kind's base, is a pair (p, d)
+of a numerator and a denominator d, a power of q that divides A. Each step
+multiplies through by A^h, builds the binomial sum by Horner's rule in p
+from one Pascal row, and divides by A^h once. A nonzero remainder raises
+ConsistencyError: the moment is not an integer, or, when B is itself an
+integer (d = 1), the stronger per-step fact that q times the Pless sum is
+divisible by A^h fails. A request up to h_max is one pass
 (MomentKind.sequence), budgeted before any work; both codim-2 kinds share its
 Pless sums, and mk_recursive and its siblings read entry h of a pass up to h.
 The oracles are sequences too (MomentKind.oracles, one charsums.power_moments
@@ -28,12 +31,11 @@ pass, charged like the recursion's), and verify_lhs_expansion reads the
 dual-weight histogram and each kind's oracle list once for all h.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable, NamedTuple
 
 from ksums import charsums, coset_codes, field
-from ksums.combinat import binom
 from ksums.coset_codes import DoubleCosetFamily
 from ksums.errors import ConsistencyError
 
@@ -53,33 +55,60 @@ class MomentKind(NamedTuple):
     step: int
     check: str
 
-    def base(self, f: DoubleCosetFamily) -> Fraction:
-        return coset_codes.family_constants(f).cofactor - self.shift(f.fp.q)
+    def base(self, f: DoubleCosetFamily) -> tuple:
+        """The recursion base cofactor - shift(q) as (p, d), d the cofactor's denominator."""
+        num, den = coset_codes.family_constants(f).cofactor
+        return num - self.shift(f.fp.q) * den, den
 
     def oracles(self, fp, h_max: int) -> list:
         """MK^0..MK^h_max of this kind from the Kloosterman value table, in one charged pass."""
         return charsums.power_moments(fp, self.m, h_max, self.step)
 
     def sequence(self, f: DoubleCosetFamily, h_max: int) -> list:
-        """MK^0..MK^h_max of this kind, in one pass over f's Pless sums."""
+        """MK^0..MK^h_max of this kind, in one pass over f's Pless sums, in integers.
+
+        With base p/d and A = scale (d divides A, as the cofactor N/A is in
+        lowest terms), step h is
+        MK^h = [(-1)^(h+1) p E (A/d)^h + q (-1)^h P_h] / A^h,
+        E = sum over l < h of C(h,l) p^(h-1-l) (-d)^l MK^l by Horner's rule
+        in p, so the one divmod by A^h is both integrality checks: its
+        remainder is q (-1)^h P_h mod A^h when d = 1.
+        """
         field.check_int("h_max", h_max, 0)
         q = f.fp.q
         if f.codim != self.codim:
             raise ValueError(f"{self.name} needs a codim-{self.codim} family, got {f.label}")
-        consts = coset_codes.family_constants(f)
-        base = self.base(f)
-        seq = [q - 1]
-        for h, dsum in enumerate(_pless_sums(f, h_max)[1:], 1):
-            lead = (-1) ** (h + 1) * _expand(base, h, seq)
-            if consts.cofactor.denominator == 1 and (q * dsum) % consts.scale ** h:
+        scale = coset_codes.family_constants(f).scale
+        p, d = self.base(f)
+        seq, terms = [q - 1], []  # terms[l] = (-d)^l MK^l
+        scale_h = ratio_h = 1  # A^h and (A/d)^h
+        rows = _pascal_rows()
+        next(rows)
+        for h, (dsum, row) in enumerate(zip(_pless_sums(f, h_max)[1:], rows), 1):
+            terms.append((-d) ** (h - 1) * seq[-1])
+            acc = 0
+            for c, term in zip(row, terms):  # l < h: row[h] is never read
+                acc = acc * p + c * term
+            scale_h *= scale
+            ratio_h *= scale // d
+            lead = acc * p * ratio_h
+            value, rem = divmod(q * dsum + (lead if h % 2 else -lead), scale_h)
+            if rem and d == 1:
                 raise ConsistencyError("double sum not divisible by scale^h",
                                        family=f.label, n=f.n, q=q, h=h, dsum=dsum)
-            total = lead + Fraction(q * dsum, consts.scale ** h)
-            if total.denominator != 1:
+            if rem:
                 raise ConsistencyError("moment recursion produced a non-integer", family=f.label,
-                                       n=f.n, q=q, h=h, lead=lead, dsum=dsum)
-            seq.append(int(total))
+                                       n=f.n, q=q, h=h, dsum=dsum, rem=f"{rem}/{scale_h}")
+            seq.append(value)
         return seq
+
+
+def _pascal_rows():
+    """C(h, 0..h) for h = 0, 1, 2, ..., each row from the last by additions."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 KINDS = (
@@ -93,15 +122,6 @@ MK, MK2, MK_EVEN = KINDS
 def kinds(codim: int) -> tuple:
     """The moment kinds a codim-`codim` family generates, in report order."""
     return tuple(k for k in KINDS if k.codim == codim)
-
-
-def _expand(base: Fraction, h: int, ms) -> Fraction:
-    """sum_l (-1)^l C(h,l) base^(h-l) ms[l] over the supplied l <= h, in ints over d^h."""
-    p, d = base.numerator, base.denominator
-    acc = 0
-    for l, m in enumerate(ms):  # Horner's rule in p: no big power of p per term
-        acc = acc * p + (-1) ** l * binom(h, l) * d ** l * m
-    return Fraction(acc * p ** (h + 1 - len(ms)), d ** h)
 
 
 @lru_cache(maxsize=None)
@@ -142,14 +162,26 @@ def verify_lhs_expansion(f: DoubleCosetFamily, h_max: int) -> list:
     """The h <= h_max at which sum_a w(a)^h differs from its expansion in oracle moments.
 
     Every kind of the family's codim is expanded: MK^l for codim 1, and both
-    the 2-dimensional and the even moments for codim 2. The dual-weight
+    the 2-dimensional and the even moments for codim 2. With base p/d, the
+    expansion (A/2)^h sum over l <= h of (-1)^l C(h,l) (p/d)^(h-l) MK^l is
+    compared in integers, both sides times (2d)^h. The dual-weight
     histogram and each kind's oracle list are read once.
     """
     field.check_int("h_max", h_max, 0)
-    half_scale = Fraction(coset_codes.family_constants(f).scale, 2)
+    scale = coset_codes.family_constants(f).scale
     hist = coset_codes.dual_weight_histogram(f).items()
     # less the term 0^h of a = 0, which the histogram counts at weight 0
     lhs = [sum(mult * w ** h for w, mult in hist) - 0 ** h for h in range(h_max + 1)]
-    expansions = [(kind.base(f), kind.oracles(f.fp, h_max)) for kind in kinds(f.codim)]
-    return [h for h, side in enumerate(lhs) if any(
-        half_scale ** h * _expand(base, h, ms[:h + 1]) != side for base, ms in expansions)]
+    bad = set()
+    for kind in kinds(f.codim):
+        p, d = kind.base(f)
+        terms = []  # terms[l] = (-d)^l MK^l
+        for (h, side), row, moment in zip(enumerate(lhs), _pascal_rows(),
+                                          kind.oracles(f.fp, h_max)):
+            terms.append((-d) ** h * moment)
+            acc = 0
+            for c, term in zip(row, terms):
+                acc = acc * p + c * term
+            if scale ** h * acc != side * (2 * d) ** h:
+                bad.add(h)
+    return sorted(bad)

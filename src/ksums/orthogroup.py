@@ -44,12 +44,13 @@ swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
 A_r needs no conjugation either: the lanes of w that s_r w s_r moves onto
 its lower-left block are one mask, swapped once (a_r_subgroup).
 Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
-by cell_trace_histogram.
+by cell_trace_histogram. A cell's character sums at every scale c are one
+cached tuple, cell_sums, by formula or from that histogram.
 
 Inputs are validated once, where they enter, by field.check_int and
 field.check_unit (n >= 1 and 0 <= r <= n in _check_cell, which the closed
-forms a_r_order, cell_order and cell_sum_coefficient run too; exp_sum_cell's
-c); _swap_lanes and the enumeration loops trust them. The
+forms a_r_order, cell_order, cell_sum_coefficient and cell_sums run too;
+exp_sum_cell's c); _swap_lanes and the enumeration loops trust them. The
 closed forms take q bare, so _check_q refuses any q that is not an int power
 of two >= 2. Caches keyed by n or r are typed, so True or 1.0 is refused
 rather than served the entry of 1.
@@ -360,9 +361,8 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
 def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
     """Counts of Tr(w) over the materialized cell, as {beta: count}.
 
-    Cached because brute-mode exp_sum_cell reads it once per unit c and gauss_sum_oplus
-    once per cell again (verify (6,3,10): 502 hits); `code weights --mode direct`
-    reads it once per a (254 hits at r = 8); hence read-only.
+    Cached because brute-mode cell_sums and brute-force trace multiplicities
+    each read it (verify (6,3,10): 12 hits, 22 misses); hence read-only.
     """
     keys = bruhat_cell(fp, n, r).elements
     return MappingProxyType(dict(Counter(matgf.key_traces(fp, 2 * n, keys))))
@@ -444,27 +444,39 @@ def cell_sum_coefficient(n: int, r: int, q: int) -> int:
             * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
 
 
-def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formula") -> int:
-    """Character sum of psi(Tr w) over the cell P+ s_r P+, psi = lambda(c .).
+@lru_cache(maxsize=None, typed=True)
+def cell_sums(fp: FieldParams, n: int, r: int, mode: str, /) -> tuple:
+    """Tuple indexed by c with the sum of lambda(c Tr w) over the cell P+ s_r P+; slot 0 is None.
 
-    Formula mode multiplies cell_sum_coefficient by the GL Kloosterman sum
-    K_GL(n-r)(psi;1); brute mode sums over the materialized cell's trace
-    histogram.
+    Formula mode is cell_sum_coefficient, computed once, times entry c^2 of
+    charsums.kloosterman_gl_table(fp, n-r, "recursion"), since
+    K_GL(n-r)(lambda(c .); 1) = K_GL(n-r)(lambda; c^2). Brute mode sums
+    over the materialized cell's trace histogram. Cached: every c of
+    exp_sum_cell, gauss_sum_oplus and the dual weights of a family reads
+    one tuple (verify (6,3,10): 24 hits, 62 misses; `code weights --r 8`: 254 hits).
     """
-    field.check_unit(fp, c, "c")
     _check_cell(n, r)
+    mt = field.mul_table(fp)
     if mode == "brute":
         lam = field.char_table(fp)
-        crow = field.mul_table(fp)[c]
-        hist = cell_trace_histogram(fp, n, r)
-        return sum(cnt * lam[crow[beta]] for beta, cnt in hist.items())
+        hist = cell_trace_histogram(fp, n, r).items()
+        return (None,) + tuple(sum(cnt * lam[row[beta]] for beta, cnt in hist)
+                               for row in mt[1:])
     if mode != "formula":
         raise ValueError(f"unknown mode {mode!r}")
-    return (cell_sum_coefficient(n, r, fp.q)
-            * charsums.kloosterman_gl(fp, n - r, 1, method="recursion", c=c))
+    coeff = cell_sum_coefficient(n, r, fp.q)
+    gl = charsums.kloosterman_gl_table(fp, n - r, "recursion")
+    return (None,) + tuple(coeff * gl[row[c]] for c, row in enumerate(mt[1:], 1))
+
+
+def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formula") -> int:
+    """Character sum of psi(Tr w) over the cell P+ s_r P+, psi = lambda(c .); cell_sums entry c."""
+    field.check_unit(fp, c, "c")
+    return cell_sums(fp, n, r, mode)[c]
 
 
 def gauss_sum_oplus(fp: FieldParams, n: int, c: int = 1, mode: str = "formula") -> int:
     """Character sum of psi(Tr w) over all of O+(2n,q)."""
     field.check_int("n", n, 1)
-    return sum(exp_sum_cell(fp, n, r, c, mode) for r in range(n + 1))
+    field.check_unit(fp, c, "c")
+    return sum(cell_sums(fp, n, r, mode)[c] for r in range(n + 1))

@@ -7,14 +7,18 @@ function of (max_r, max_n, h_max); report rows are sorted by check name.
 
 The classical identities of K (Carlitz, Frobenius invariance, Artin-Schreier
 denominator sums, twisted sums, value range) are rows read straight from the
-values and field tables, each listing the elements that fail. A
-ConsistencyError raised within one family's code or moment rows becomes a
-failing row of its own (codes.raised, moments.raised), not an abort.
+values and field tables, each listing the elements that fail. The GL rows
+compare the routes' whole tables (charsums.kloosterman_gl_table), and the
+cell and Gauss-sum rows the formula and brute-force tuples of
+orthogroup.cell_sums, each read once. A ConsistencyError raised within one
+field's field or character-sum rows, one (q, n)'s group rows, or one
+family's code or moment rows, the building of a table they read included,
+becomes a failing row of its own (field.raised, charsums.raised,
+group.raised, codes.raised, moments.raised), not an abort.
 """
 
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import NamedTuple
 
 from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
@@ -69,114 +73,129 @@ class Report:
 
 def _field_checks(rep, fps):
     for fp in fps:
-        q = fp.q
-        lam, trt = field.char_table(fp), field.trace_table(fp)
-        bad = [c for c, row in enumerate(field.mul_table(fp))
-               if sum(lam[cx] for cx in row) != (q if c == 0 else 0)]
-        rep.add("field.char_orthogonality", {"r": fp.r}, "[]", bad)
-        rep.add("field.trace_onto_count", {"r": fp.r}, q // 2, sum(trt))
-        rep.add("field.artin_schreier_is_trace_kernel", {"r": fp.r},
-                [x for x, t in enumerate(trt) if t == 0],
-                sorted(field.artin_schreier_image(fp)))
-        if fp.r in ALT_MODULI:
-            alt = field.binary_field(fp.r, ALT_MODULI[fp.r])
-            rep.add("field.basis_independent_kloosterman", {"r": fp.r},
-                    sorted(charsums.kloosterman_values(fp, 1)[1:]),
-                    sorted(charsums.kloosterman_values(alt, 1)[1:]))
+        with rep.guard("field.raised", {"r": fp.r}):
+            _field_rows(rep, fp)
+
+
+def _field_rows(rep, fp):
+    q = fp.q
+    lam, trt = field.char_table(fp), field.trace_table(fp)
+    bad = [c for c, row in enumerate(field.mul_table(fp))
+           if sum(lam[cx] for cx in row) != (q if c == 0 else 0)]
+    rep.add("field.char_orthogonality", {"r": fp.r}, "[]", bad)
+    rep.add("field.trace_onto_count", {"r": fp.r}, q // 2, sum(trt))
+    rep.add("field.artin_schreier_is_trace_kernel", {"r": fp.r},
+            [x for x, t in enumerate(trt) if t == 0],
+            sorted(field.artin_schreier_image(fp)))
+    if fp.r in ALT_MODULI:
+        alt = field.binary_field(fp.r, ALT_MODULI[fp.r])
+        rep.add("field.basis_independent_kloosterman", {"r": fp.r},
+                sorted(charsums.kloosterman_values(fp, 1)[1:]),
+                sorted(charsums.kloosterman_values(alt, 1)[1:]))
 
 
 def _charsum_checks(rep, fps):
     for fp in fps:
-        q = fp.q
-        k1, k2 = charsums.kloosterman_values(fp, 1), charsums.kloosterman_values(fp, 2)
-        lam, invt, mt = field.char_table(fp), field.inv_table(fp), field.mul_table(fp)
-        units = field.units(fp)
-        vals = k1[1:]
-        rep.add("charsums.weil_bound", {"r": fp.r}, "[]",
-                [v for v in vals if v * v >= 4 * q])
-        rep.add("charsums.carlitz", {"r": fp.r}, "[]",
-                [a for a in units if k2[a] != k1[a] ** 2 - q])
-        frob = [field.elements(fp)]  # frob[s][a] = a^(2^s), one squaring a step
-        for _ in range(3):
-            frob.append([mt[x][x] for x in frob[-1]])
-        rep.add("charsums.power_invariance", {"r": fp.r}, "[]",
-                [(a, s) for a in units for s in range(4) if k1[frob[s][a]] != k1[a]])
-        # (a) lambda(b/(alpha^2+alpha)) over alpha outside {0,1} sums to K(b) - 1; (b)
-        # lambda(b/(alpha^2+alpha+outside)), x^2+x+outside irreducible, sums to -K(b) - 1
-        outside = min(set(field.elements(fp)) - set(field.artin_schreier_image(fp)))
-        inv_a = [invt[x ^ alpha] for alpha, x in enumerate(frob[1])][2:]
-        inv_b = [invt[x ^ alpha ^ outside] for alpha, x in enumerate(frob[1])]
-        rep.add("charsums.theta_identities", {"r": fp.r}, "[]",
-                [b for b, brow in zip(units, mt[1:])
-                 if sum(lam[brow[x]] for x in inv_a) != k1[b] - 1]
-                + [(b, outside) for b, brow in zip(units, mt[1:])
-                   if sum(lam[brow[x]] for x in inv_b) != -k1[b] - 1])
-        # the m = 1 table's one oracle: direct sums at c = 1 and 2
-        direct = {c: [None] + [charsums.kloosterman(fp, a, 1, c) for a in units]
-                  for c in units[:2]}
-        # sum over a != 0 of lambda(a b) K_m(a) is q K_(m-1)(1/b) + (-1)^(m+1), K_0 = lambda,
-        # the first term absent at b = 0; a direct sum, not the table, at m = 2
-        rep.add("charsums.twisted_sum", {"r": fp.r}, "[]",
-                [(b, m) for b, brow in enumerate(mt)
-                 for m, km, prev in ((1, k1, lam), (2, k2, direct[1]))
-                 if sum(lam[brow[a]] * km[a] for a in units)
-                 != (-1) ** (m + 1) + (q * prev[invt[b]] if b else 0)])
-        rep.add("charsums.values_table_vs_direct", {"r": fp.r}, "[]",
-                [(c, a) for c, sums in direct.items() for a in units
-                 if charsums.kloosterman_value(fp, a, 1, c) != sums[a]])
-        if fp.r >= 2:  # at q = 2 the one value K = 1 is outside this range
-            rep.add("charsums.value_range", {"r": fp.r},
-                    [t for t in range(-q, q) if t % 4 == 3 and t * t < 4 * q], sorted(set(vals)))
-        # each other route that fits runs by name against the recursion, so a
-        # disagreement fails this row rather than raising from method "all"
-        for t in range(4 if q == 2 else 3):
-            routes = [route for route in charsums.gl_routes(t, q) if route != "recursion"]
-            for a in units:
-                rec = charsums.kloosterman_gl(fp, t, a, "recursion")
-                rep.add("charsums.gl_methods_agree", {"r": fp.r, "t": t, "a": a},
-                        {route: rec for route in routes},
-                        {route: charsums.kloosterman_gl(fp, t, a, route) for route in routes})
-        for t in range(4, 7):
-            rep.add("charsums.gl_closed_form", {"r": fp.r, "t": t}, "[]",
-                    [a for a in units
-                     if charsums.kloosterman_gl(fp, t, a, "recursion")
-                     != charsums.kloosterman_gl(fp, t, a, "closed_form")])
+        with rep.guard("charsums.raised", {"r": fp.r}):
+            _charsum_rows(rep, fp)
+
+
+def _charsum_rows(rep, fp):
+    q = fp.q
+    k1, k2 = charsums.kloosterman_values(fp, 1), charsums.kloosterman_values(fp, 2)
+    lam, invt, mt = field.char_table(fp), field.inv_table(fp), field.mul_table(fp)
+    units = field.units(fp)
+    vals = k1[1:]
+    rep.add("charsums.weil_bound", {"r": fp.r}, "[]",
+            [v for v in vals if v * v >= 4 * q])
+    rep.add("charsums.carlitz", {"r": fp.r}, "[]",
+            [a for a in units if k2[a] != k1[a] ** 2 - q])
+    frob = [field.elements(fp)]  # frob[s][a] = a^(2^s), one squaring a step
+    for _ in range(3):
+        frob.append([mt[x][x] for x in frob[-1]])
+    rep.add("charsums.power_invariance", {"r": fp.r}, "[]",
+            [(a, s) for a in units for s in range(4) if k1[frob[s][a]] != k1[a]])
+    # (a) lambda(b/(alpha^2+alpha)) over alpha outside {0,1} sums to K(b) - 1; (b)
+    # lambda(b/(alpha^2+alpha+outside)), x^2+x+outside irreducible, sums to -K(b) - 1
+    outside = min(set(field.elements(fp)) - set(field.artin_schreier_image(fp)))
+    inv_a = [invt[x ^ alpha] for alpha, x in enumerate(frob[1])][2:]
+    inv_b = [invt[x ^ alpha ^ outside] for alpha, x in enumerate(frob[1])]
+    rep.add("charsums.theta_identities", {"r": fp.r}, "[]",
+            [b for b, brow in zip(units, mt[1:])
+             if sum(lam[brow[x]] for x in inv_a) != k1[b] - 1]
+            + [(b, outside) for b, brow in zip(units, mt[1:])
+               if sum(lam[brow[x]] for x in inv_b) != -k1[b] - 1])
+    # the m = 1 table's one oracle: direct sums at c = 1 and 2
+    direct = {c: [None] + [charsums.kloosterman(fp, a, 1, c) for a in units]
+              for c in units[:2]}
+    # sum over a != 0 of lambda(a b) K_m(a) is q K_(m-1)(1/b) + (-1)^(m+1), K_0 = lambda,
+    # the first term absent at b = 0; a direct sum, not the table, at m = 2
+    rep.add("charsums.twisted_sum", {"r": fp.r}, "[]",
+            [(b, m) for b, brow in enumerate(mt)
+             for m, km, prev in ((1, k1, lam), (2, k2, direct[1]))
+             if sum(lam[brow[a]] * km[a] for a in units)
+             != (-1) ** (m + 1) + (q * prev[invt[b]] if b else 0)])
+    rep.add("charsums.values_table_vs_direct", {"r": fp.r}, "[]",
+            [(c, a) for c, sums in direct.items() for a in units
+             if charsums.kloosterman_value(fp, a, 1, c) != sums[a]])
+    if fp.r >= 2:  # at q = 2 the one value K = 1 is outside this range
+        rep.add("charsums.value_range", {"r": fp.r},
+                [t for t in range(-q, q) if t % 4 == 3 and t * t < 4 * q], sorted(set(vals)))
+    # each other route's table that fits is read against the recursion's, so
+    # a disagreement fails this row rather than raising from method "all"
+    for t in range(4 if q == 2 else 3):
+        rec = charsums.kloosterman_gl_table(fp, t, "recursion")
+        others = {route: charsums.kloosterman_gl_table(fp, t, route)
+                  for route in charsums.gl_routes(t, q) if route != "recursion"}
+        for a in units:
+            rep.add("charsums.gl_methods_agree", {"r": fp.r, "t": t, "a": a},
+                    {route: rec[a] for route in others},
+                    {route: table[a] for route, table in others.items()})
+    for t in range(4, 7):
+        rec = charsums.kloosterman_gl_table(fp, t, "recursion")
+        closed = charsums.kloosterman_gl_table(fp, t, "closed_form")
+        rep.add("charsums.gl_closed_form", {"r": fp.r, "t": t}, "[]",
+                [a for a in units if rec[a] != closed[a]])
 
 
 def _group_checks(rep, fps, max_n):
     for fp in fps:
-        q = fp.q
         for n in range(1, max_n + 1):
-            counts = orthogroup.group_counts(n, q)
-            rep.add("group.order_closed_form_vs_cells", {"n": n, "q": q},
-                    counts["group_order"], sum(counts["cell_orders"]))
-            if not orthogroup.enumerable(fp, n):
-                continue
-            pkeys = orthogroup.enumerate_parabolic(fp, n)
-            rep.add("group.parabolic_order", {"n": n, "q": q},
-                    counts["parabolic_order"], len(pkeys))
-            rep.add("group.parabolic_in_group", {"n": n, "q": q}, "[]",
-                    orthogroup.outside_oplus(fp, n, pkeys))
-            union = set()
-            for r in range(n + 1):
-                cell = orthogroup.bruhat_cell(fp, n, r)
-                rep.add("group.cell_order", {"n": n, "q": q, "cell": r},
-                        counts["cell_orders"][r], len(cell.elements))
-                rep.add("group.cell_disjoint_from_lower", {"n": n, "q": q, "cell": r},
-                        0, len(union.intersection(cell.elements)))
-                union.update(cell.elements)
-                rep.add("group.a_r_order", {"n": n, "q": q, "cell": r},
-                        counts["a_r_orders"][r], len(orthogroup.a_r_subgroup(fp, n, r)))
-                for c in field.units(fp):
-                    rep.add("group.cell_character_sum", {"n": n, "q": q, "cell": r, "c": c},
-                            orthogroup.exp_sum_cell(fp, n, r, c, "formula"),
-                            orthogroup.exp_sum_cell(fp, n, r, c, "brute"))
-            rep.add("group.union_is_group_order", {"n": n, "q": q},
-                    counts["group_order"], len(union))
-            for c in field.units(fp):
-                rep.add("group.gauss_sum", {"n": n, "q": q, "c": c},
-                        orthogroup.gauss_sum_oplus(fp, n, c, "formula"),
-                        orthogroup.gauss_sum_oplus(fp, n, c, "brute"))
+            with rep.guard("group.raised", {"n": n, "q": fp.q}):
+                _group_rows(rep, fp, n)
+
+
+def _group_rows(rep, fp, n):
+    q = fp.q
+    counts = orthogroup.group_counts(n, q)
+    rep.add("group.order_closed_form_vs_cells", {"n": n, "q": q},
+            counts["group_order"], sum(counts["cell_orders"]))
+    if not orthogroup.enumerable(fp, n):
+        return
+    pkeys = orthogroup.enumerate_parabolic(fp, n)
+    rep.add("group.parabolic_order", {"n": n, "q": q}, counts["parabolic_order"], len(pkeys))
+    rep.add("group.parabolic_in_group", {"n": n, "q": q}, "[]",
+            orthogroup.outside_oplus(fp, n, pkeys))
+    union, formula, brute = set(), [], []
+    for r in range(n + 1):
+        cell = orthogroup.bruhat_cell(fp, n, r)
+        params = {"n": n, "q": q, "cell": r}
+        rep.add("group.cell_order", params, counts["cell_orders"][r], len(cell.elements))
+        # the cell's keys are distinct, so |U| + |C| - |U u C| counts those already in U
+        before = len(union)
+        union.update(cell.elements)
+        rep.add("group.cell_disjoint_from_lower", params,
+                0, before + len(cell.elements) - len(union))
+        rep.add("group.a_r_order", params,
+                counts["a_r_orders"][r], len(orthogroup.a_r_subgroup(fp, n, r)))
+        formula.append(orthogroup.cell_sums(fp, n, r, "formula"))
+        brute.append(orthogroup.cell_sums(fp, n, r, "brute"))
+        for c in field.units(fp):
+            rep.add("group.cell_character_sum", dict(params, c=c), formula[r][c], brute[r][c])
+    rep.add("group.union_is_group_order", {"n": n, "q": q}, counts["group_order"], len(union))
+    for c in field.units(fp):
+        rep.add("group.gauss_sum", {"n": n, "q": q, "c": c},
+                sum(sums[c] for sums in formula), sum(sums[c] for sums in brute))
 
 
 def _families(fps, max_n):
@@ -201,16 +220,17 @@ _PAPER_FACTORS = {
 
 
 def _paper_constants(f) -> tuple:
-    """The paper's (scale, cofactor) for f, independent of the cell model."""
+    """The paper's (scale, cofactor) for f as lowest-terms pairs, independent of the cell model."""
     q, n = f.fp.q, f.n
     (a2, a1, a0), (b2, b1, b0), extra = _PAPER_FACTORS[f.label]
-    scale = Fraction(q) ** ((a2 * n * n + a1 * n + a0) // 4) * combinat.q_binomial(n, f.codim, q)
-    cofactor = Fraction(q) ** ((b2 * n * n + b1 * n + b0) // 4) * math.prod(
-        q ** (n + d) - 1 for d in extra)
+    ea, eb = (a2 * n * n + a1 * n + a0) // 4, (b2 * n * n + b1 * n + b0) // 4
+    scale = combinat.q_binomial(n, f.codim, q)
+    cofactor = math.prod(q ** (n + d) - 1 for d in extra)
     for j in range(1, (n - f.codim + 1) // 2 + 1):
         scale *= q ** (2 * j - 1) - 1
         cofactor *= q ** (2 * j) - 1
-    return scale, cofactor
+    return (combinat.lowest_terms(scale * q ** max(ea, 0), q ** max(-ea, 0)),
+            combinat.lowest_terms(cofactor * q ** max(eb, 0), q ** max(-eb, 0)))
 
 
 def _code_checks(rep, fps, max_n, h_max):
@@ -219,9 +239,10 @@ def _code_checks(rep, fps, max_n, h_max):
         params = {"family": f.label, "n": f.n, "q": q}
         with rep.guard("codes.raised", params):
             consts = coset_codes.family_constants(f)
-            scale, cofactor = _paper_constants(f)
-            rep.add("codes.size_matches_cell_formula", params,
-                    orthogroup.cell_order(f.n, f.cell_index, q), scale * cofactor)
+            (sn, sd), (cn, cd) = _paper_constants(f)
+            num, den = combinat.lowest_terms(sn * cn, sd * cd)  # shown as num/den if not an int
+            rep.add("codes.size_matches_cell_formula", params, orthogroup.cell_order(
+                f.n, f.cell_index, q), num if den == 1 else f"{num}/{den}")
             counts = coset_codes.trace_multiplicities(f, "formula")
             rep.add("codes.multiplicities_total", params, consts.size, sum(counts.values()))
             weighted = 0
@@ -235,8 +256,7 @@ def _code_checks(rep, fps, max_n, h_max):
                         sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
                 size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
                 lam, mt = field.char_table(fp), field.mul_table(fp)
-                sums = [(mt[a], orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a))
-                        for a in field.units(fp)]
+                sums = list(zip(mt[1:], orthogroup.cell_sums(fp, f.n, f.cell_index, "formula")[1:]))
                 rep.add("codes.membership_count_identity", params, "[]",
                         [beta for beta in field.elements(fp)
                          if q * counts[beta] != size + sum(lam[row[beta]] * s for row, s in sums)])

@@ -197,6 +197,45 @@ def test_kloosterman_gl_scaled_character():
                         == charsums.kloosterman_gl(fp, 2, a, "recursion", c))
 
 
+def test_kloosterman_gl_tables_match_single_sums():
+    # a formula route's table runs once per distinct K value and brute force
+    # once per a; entry c^2 a is the sum at lambda(c .)
+    for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2), (GF8, 4)]:
+        mt = field.mul_table(fp)
+        for method in charsums.gl_routes(t, fp.q):
+            table = charsums.kloosterman_gl_table(fp, t, method)
+            assert table[0] is None and len(table) == fp.q
+            for c in field.units(fp):
+                for a in field.units(fp):
+                    assert charsums.kloosterman_gl(fp, t, a, method, c) == table[mt[c][mt[c][a]]]
+
+
+def test_kloosterman_gl_scale_is_a_reindex():
+    # the scaled character summed directly over the histogram of
+    # (Tr w, Tr w^-1): lambda(c Tr w + c a Tr w^-1), with no reindex
+    for fp, t in [(GF4, 2), (GF8, 2), (GF2, 3)]:
+        mt, lam = field.mul_table(fp), field.char_table(fp)
+        hist = charsums._gl_trace_histogram(fp, t)
+        for c in field.units(fp):
+            for a in field.units(fp):
+                direct = sum(count * lam[mt[c][tr ^ mt[a][trinv]]]
+                             for (tr, trinv), count in hist)
+                assert charsums.kloosterman_gl(fp, t, a, "all", c) == direct, (fp.q, t, a, c)
+
+
+def test_kloosterman_gl_table_parameters():
+    with pytest.raises(ValueError):
+        charsums.kloosterman_gl_table(GF4, True, "recursion")
+    with pytest.raises(ValueError):
+        charsums.kloosterman_gl_table(GF4, 2, "all")
+    with pytest.raises(BudgetError, match=r"K_GL\(5\) over GF\(2\) by brute_force"):
+        charsums.kloosterman_gl_table(GF2, 5, "brute_force")
+    # one run fits (r t^3 = 8 * 200^3 bits), but not one per each of the 16 values
+    assert charsums.gl_routes(200, 256) == ("recursion",)
+    with pytest.raises(BudgetError, match=r"K_GL\(200\) table over GF\(256\), 16 runs"):
+        charsums.kloosterman_gl_table(binary_field(8), 200, "recursion")
+
+
 def test_kloosterman_gl_brute_budget():
     # |GL(5,2)| ~ 10^7: gl_routes does not list brute_force, so kloosterman_gl refuses it
     with pytest.raises(BudgetError, match=r"K_GL\(5\) over GF\(2\) by brute_force: "

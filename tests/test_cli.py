@@ -623,6 +623,32 @@ def test_cold_import_and_record_keys():
     assert f == f2 and hash(f) == hash(f2)
 
 
+EXACT_PROBE = """
+import contextlib, io, sys
+import ksums.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--max-r", "3", "--max-n", "3", "--h-max", "6"],
+    ["moments", "recursive", "--family", "dc1-", "--n", "3", "--r", "2", "--h-max", "8",
+     "--compare-oracle"],
+    ["code", "dist", "--family", "dc1-", "--n", "1", "--r", "3"],
+], ids=["verify", "moments", "code"])
+def test_exact_requests_load_no_fractions(argv):
+    # every value is an int or a lowest-terms pair of ints, so a cold verify,
+    # moments recursive or code request loads neither fractions nor the
+    # decimal module it pulls in (-S keeps site's .pth imports out)
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", EXACT_PROBE, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # sha256 of `--help` at COLUMNS=80 for every parser cli.COMMANDS builds: the
 # root, the six commands (ksum also takes arguments of its own) and the nine
 # subcommands. They pin the grammar, flags, defaults and help strings, and the

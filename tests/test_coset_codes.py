@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -53,11 +52,11 @@ def test_constants_examples():
         q = fp.q
         c = cc.family_constants(fam("dc1+", 2, fp))
         assert c.scale == q * q * (q * q - 1)
-        assert c.cofactor == q * q - 1
+        assert c.cofactor == (q * q - 1, 1)
         assert c.size == q * q * (q * q - 1) ** 2
     for fp in (GF2, GF4, GF8):
         c = cc.family_constants(fam("dc1-", 1, fp))
-        assert (c.scale, c.cofactor, c.size) == (1, fp.q - 1, fp.q - 1)
+        assert (c.scale, c.cofactor, c.size) == (1, (fp.q - 1, 1), fp.q - 1)
     assert cc.family_constants(fam("dc2+", 2, GF2)).size == 12
 
 
@@ -71,7 +70,8 @@ def test_constants_match_cell_order_formula():
                     continue
                 consts = cc.family_constants(f)
                 assert consts.size == orthogroup.cell_order(n, f.cell_index, fp.q)
-                assert consts.scale * consts.cofactor == consts.size
+                num, den = consts.cofactor
+                assert consts.scale * num == consts.size * den
 
 
 def test_constants_match_paper_products():
@@ -85,13 +85,12 @@ def test_constants_match_paper_products():
                 except ValueError:
                     continue
                 consts = cc.family_constants(f)
-                assert (consts.scale, consts.cofactor) == verify._paper_constants(f), f
+                assert ((consts.scale, 1), consts.cofactor) == verify._paper_constants(f), f
 
 
 def test_cofactor_can_be_non_integral():
     c = cc.family_constants(fam("dc1-", 3, GF4))
-    assert c.cofactor == Fraction((4 ** 3 - 1) * (4 ** 2 - 1), 4)
-    assert c.cofactor.denominator == 4
+    assert c.cofactor == ((4 ** 3 - 1) * (4 ** 2 - 1), 4)  # in lowest terms: the numerator is odd
     assert isinstance(c.size, int) and isinstance(c.scale, int)
 
 
@@ -400,6 +399,14 @@ def test_pless_h0_is_total_mass():
     toy = [1, 0, 1]
     rep = cc.pless_check(toy, toy, 1, 0)
     assert rep["lhs"] == [2] == rep["rhs"]
+
+
+def test_pless_right_side_off_the_integers_is_a_pair():
+    # [1, 1, 1] is no dual of [1, 0, 1]: at h = 1 the right side 2^-1 P = 1/2
+    # is kept exact as the lowest-terms pair, which equals no left side
+    rep = cc.pless_check([1, 0, 1], [1, 1, 1], 0, 4)
+    assert rep["rhs"] == [1, (1, 2), 1, 2, 4]
+    assert not rep["ok"]
 
 
 def test_pless_parameter_errors():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ksums import charsums, coset_codes as cc, field, moments
-from ksums.errors import BudgetError
+from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import binary_field
 
 GF2 = binary_field(1)
@@ -102,7 +102,7 @@ def test_specialized_constants_n2_plus():
         f = fam("dc1+", 2, fp)
         consts = cc.family_constants(f)
         assert consts.scale == q ** 2 * (q ** 2 - 1)
-        assert consts.cofactor == q ** 2 - 1
+        assert consts.cofactor == (q ** 2 - 1, 1)
         assert consts.size == q ** 2 * (q ** 2 - 1) ** 2
         for h in range(1, 6):
             assert (Fraction(q, consts.scale ** h)
@@ -124,7 +124,7 @@ def test_specialized_constants_n1_minus():
         f = fam("dc1-", 1, fp)
         consts = cc.family_constants(f)
         assert consts.scale == 1 and consts.size == fp.q - 1
-        assert consts.cofactor == fp.q - 1
+        assert consts.cofactor == (fp.q - 1, 1)
         assert set(cc.trace_multiplicities(f).values()) == {0, 1, 2}
 
 
@@ -180,7 +180,6 @@ def test_code_data_computed_once_per_family(monkeypatch):
         return real(f, *args)
 
     monkeypatch.setattr(cc, "trace_multiplicities", counting)
-    moments._pless_sums.cache_clear()
     fams = [fam("dc2+", 2, GF8), fam("dc2-", 3, GF4)]
     for f in fams:
         for kind in moments.kinds(f.codim):
@@ -275,3 +274,24 @@ def test_lhs_expansion_reports_a_wrong_oracle(monkeypatch, label, n, fp):
     monkeypatch.setattr(moments.MomentKind, "oracles", off_at_3)
     bad = moments.verify_lhs_expansion(f, 6)
     assert bad and bad[0] == 3, bad
+
+
+@pytest.mark.parametrize("label, n, fp, cofactor, message", [
+    ("dc1-", 5, GF2, (1395, 1), "double sum not divisible by scale\\^h"),
+    ("dc1-", 3, GF4, (945, 4), "moment recursion produced a non-integer"),
+], ids=["integral", "non-integral"])
+def test_a_pless_sum_off_by_one_raises(monkeypatch, label, n, fp, cofactor, message):
+    # the integer recursion's one divmod by scale^h catches a Pless sum moved
+    # by 1 at h = 2, for an integral cofactor and for the non-integral one of
+    # test_cofactor_can_be_non_integral
+    f = fam(label, n, fp)
+    assert cc.family_constants(f).cofactor == cofactor
+    real = moments._pless_sums
+
+    def off_at_2(f_, h_max):
+        sums = real(f_, h_max)
+        return sums[:2] + (sums[2] + 1,) + sums[3:]
+
+    monkeypatch.setattr(moments, "_pless_sums", off_at_2)
+    with pytest.raises(ConsistencyError, match=f"{message} .*h=2"):
+        moments.MK.sequence(f, 4)

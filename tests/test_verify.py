@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ksums import charsums, cli, moments, verify
+from ksums import charsums, cli, field, orthogroup, verify
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import binary_field
 
@@ -98,7 +98,6 @@ def test_each_values_table_is_built_once(monkeypatch):
         return convolution(psi, level)
 
     monkeypatch.setattr(charsums, "_cyclic_convolution", counting)
-    charsums.kloosterman_values.cache_clear()
     assert verify.run_checks(6, 3, 10)["summary"]["failed"] == 0
     alt = sum(r <= 6 for r in verify.ALT_MODULI)
     assert len(levels) == 6 * (1 + 2) + alt == 22
@@ -167,12 +166,8 @@ def test_a_raised_inconsistency_is_a_failing_row(monkeypatch, capsys):
         return vals[:1] + (vals[1] + 4,) + vals[2:] if (fp.r, m) == (3, 1) else vals
 
     monkeypatch.setattr(charsums, "kloosterman_values", off_at_r_3)
-    moments._pless_sums.cache_clear()  # its entries must come from the wrong table
-    try:
-        report = verify.run_checks(3, 1, 1)
-        code = cli.main(["verify", "all", "--max-r", "3", "--max-n", "1", "--h-max", "1"])
-    finally:
-        moments._pless_sums.cache_clear()  # and must not outlive it
+    report = verify.run_checks(3, 1, 1)
+    code = cli.main(["verify", "all", "--max-r", "3", "--max-n", "1", "--h-max", "1"])
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert {"charsums.carlitz", "codes.raised"} <= failed
     assert [c for c in report["checks"] if c["name"] == "codes.raised"] == [{
@@ -233,3 +228,94 @@ def test_large_h_max_is_refused_by_its_first_pass(max_r, max_n):
     # Pless sums are one pass charged before it runs
     with pytest.raises(BudgetError, match="h = 3000 .* over budget"):
         verify.run_checks(max_r, max_n, 3000)
+
+
+def test_a_wrong_gl_table_entry_fails_its_rows(monkeypatch):
+    # K_GL(2) by the recursion moved by 1 wherever K(lambda;a) = 3 over GF(4):
+    # the report still returns, failing the t = 2 routes row and the cell sums
+    # that read the table (cell 0 of O+(4,4), n - r = 2) at the c with K(c^2) = 3
+    recursion = charsums._kloosterman_gl_recursion
+
+    def off_at_3(fp, t, k1):
+        return recursion(fp, t, k1) + (fp.q == 4 and t == 2 and k1 == 3)
+
+    monkeypatch.setattr(charsums, "_kloosterman_gl_recursion", off_at_3)
+    report = verify.run_checks(2, 2, 2)
+    failed = {(c["name"], tuple(sorted(c["params"].items()))) for c in report["checks"]
+              if not c["pass"]}
+    assert ("charsums.gl_methods_agree", (("a", 1), ("r", 2), ("t", 2))) in failed
+    assert ("group.cell_character_sum", (("c", 1), ("cell", 0), ("n", 2), ("q", 4))) in failed
+    assert not any(name == "charsums.gl_methods_agree" and dict(params)["t"] != 2
+                   for name, params in failed)
+    assert ("group.cell_character_sum", (("c", 1), ("cell", 1), ("n", 2), ("q", 4))) not in failed
+
+
+def test_raised_while_building_a_table_is_one_row(monkeypatch):
+    # the closed form's integrality check over GF(4), and a group identity at
+    # n = 2, each fail one row, and the other fields and n still report
+    closed_form = charsums._kloosterman_gl_closed_form
+    counts = orthogroup.group_counts
+
+    def closed_form_raising(fp, t, k1):
+        if fp.q == 4 and t == 5:
+            raise ConsistencyError("GL closed form must be an integer", t=t)
+        return closed_form(fp, t, k1)
+
+    def counts_raising(n, q):
+        if n == 2:
+            raise ConsistencyError("cell size identity failed", n=n, q=q)
+        return counts(n, q)
+
+    monkeypatch.setattr(charsums, "_kloosterman_gl_closed_form", closed_form_raising)
+    monkeypatch.setattr(orthogroup, "group_counts", counts_raising)
+    report = verify.run_checks(3, 2, 1)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [(c["name"], c["params"], c["actual"]) for c in failed] == [
+        ("charsums.raised", {"r": 2}, "raised: GL closed form must be an integer | t=5"),
+        ("group.raised", {"n": 2, "q": 2}, "raised: cell size identity failed | n=2, q=2"),
+        ("group.raised", {"n": 2, "q": 4}, "raised: cell size identity failed | n=2, q=4"),
+        ("group.raised", {"n": 2, "q": 8}, "raised: cell size identity failed | n=2, q=8")]
+    closed = [(c["params"]["r"], c["params"]["t"]) for c in report["checks"]
+              if c["name"] == "charsums.gl_closed_form"]
+    # over GF(4) the rows before the raise stay, t = 4 among them
+    assert closed == [(1, 4), (1, 5), (1, 6), (2, 4), (3, 4), (3, 5), (3, 6)]
+
+
+def test_a_cell_overlapping_a_lower_one_fails_disjointness(monkeypatch):
+    # cell 1 of O+(2,2) given one key of cell 0 on top of its own
+    cell = orthogroup.bruhat_cell
+
+    def overlapping(fp, n, r):
+        out = cell(fp, n, r)
+        if (fp.q, n, r) == (2, 1, 1):
+            out = out._replace(elements=out.elements + cell(fp, n, 0).elements[:1])
+        return out
+
+    monkeypatch.setattr(orthogroup, "bruhat_cell", overlapping)
+    rows = {c["name"]: c for c in verify.run_checks(1, 1, 1)["checks"]
+            if c["params"].get("cell") == 1}
+    assert rows["group.cell_disjoint_from_lower"]["actual"] == "1"
+    assert not rows["group.cell_disjoint_from_lower"]["pass"]
+
+
+def test_every_row_family_reports_a_raise_over_one_field(monkeypatch):
+    # the trace table of GF(4) raising: each family's rows over GF(4) become
+    # one *.raised row apiece, and GF(2) still reports in full
+    trace_table = field.trace_table
+
+    def raising_at_r_2(fp):
+        if fp.r == 2:
+            raise ConsistencyError("trace must land in F_2", r=2)
+        return trace_table(fp)
+
+    monkeypatch.setattr(field, "trace_table", raising_at_r_2)
+    report = verify.run_checks(2, 1, 1)
+    failed = [(c["name"], c["params"]) for c in report["checks"] if not c["pass"]]
+    assert ("field.raised", {"r": 2}) in failed
+    assert ("charsums.raised", {"r": 2}) in failed
+    assert ("group.raised", {"n": 1, "q": 4}) in failed
+    assert ("codes.raised", {"family": "dc1-", "n": 1, "q": 4}) in failed
+    assert ("moments.raised", {"family": "dc1-", "n": 1, "q": 4}) in failed
+    assert all(name.endswith(".raised") for name, _ in failed)
+    gf2 = [c for c in report["checks"] if c["params"].get("r") == 1 or c["params"].get("q") == 2]
+    assert len(gf2) > 20 and all(c["pass"] for c in gf2)
