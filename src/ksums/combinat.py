@@ -20,8 +20,9 @@ def binom(n: int, k: int) -> int:
 def lowest_terms(num: int, den: int) -> tuple:
     """The ratio num/den as the pair (num/g, den/g), g = gcd(num, den), for den > 0.
 
-    Exact ratios (a family's cofactor, a Pless side 2^(k-h) P, the paper's
-    constants) are such pairs of ints; den is 1 exactly when den divides num.
+    Exact ratios (a Pless side 2^(k-h) P, the paper's constants, and the
+    family cofactor that coset_codes.family_constants reduces by shifts) are
+    such pairs of ints; den is 1 exactly when den divides num.
     """
     g = math.gcd(num, den)
     return num // g, den // g

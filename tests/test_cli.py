@@ -589,16 +589,18 @@ def test_every_subcommand_emits_valid_json(capsys):
 
 
 COLD_IMPORT_PROBE = """
-import contextlib, io, sys
+import contextlib, gc, io, sys
 import ksums.cli as cli
+frozen = gc.get_freeze_count()
 def loaded(names):
     return sorted(set(names) & set(sys.modules))
-print(loaded({"dataclasses", "inspect"}))
+print(loaded({"dataclasses", "inspect"}), frozen > 0)
 for argv in (["ksum", "--r", "3", "--a", "5"], ["moments", "oracle", "--r", "3", "--h-max", "2"],
              ["group", "enum", "--r", "1", "--n", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(loaded({"fractions", "csv", "ksums.coset_codes", "ksums.moments", "ksums.verify"}))
+print(loaded({"fractions", "csv", "ksums.coset_codes", "ksums.moments", "ksums.verify"}),
+      gc.get_freeze_count() <= frozen)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["ksum", "--r", "3", "--a", "5", "--format", "csv"]) == 0
 print(loaded({"csv"}))
@@ -610,12 +612,14 @@ def test_cold_import_and_record_keys():
     # dataclasses nor the inspect module it pulls in is loaded (-S keeps
     # site's .pth imports out of the count). A ksum, moments oracle or group
     # request loads neither fractions, csv nor the layers it does not run;
-    # csv loads for --format csv
+    # csv loads for --format csv. The import freezes the import graph out of
+    # later collections, once per process: main calls freeze nothing more, so
+    # the frozen count can only fall, as frozen objects are freed
     src = os.path.dirname(os.path.dirname(ksums.__file__))
     proc = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[]\n['csv']\n"
+    assert proc.stdout == "[] True\n[] True\n['csv']\n"
     # records key the table caches, so equal values must compare and hash equal
     fp, fp2 = field.binary_field(3), field.binary_field(3)
     assert fp == fp2 and hash(fp) == hash(fp2)

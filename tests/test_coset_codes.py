@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ksums import charsums, coset_codes as cc, field, orthogroup, verify
-from ksums.combinat import binom
-from ksums.errors import BudgetError
+from ksums.combinat import binom, lowest_terms
+from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import binary_field
 
 import oracles
@@ -92,6 +92,30 @@ def test_cofactor_can_be_non_integral():
     c = cc.family_constants(fam("dc1-", 3, GF4))
     assert c.cofactor == ((4 ** 3 - 1) * (4 ** 2 - 1), 4)  # in lowest terms: the numerator is odd
     assert isinstance(c.size, int) and isinstance(c.scale, int)
+
+
+def test_cofactor_matches_lowest_terms():
+    # the shift and one divmod of the odd parts give the pair that a gcd gives
+    for r in range(1, 9):
+        fp = binary_field(r)
+        for n in range(1, 13):
+            for label in cc.FAMILY_LABELS:
+                try:
+                    f = fam(label, n, fp)
+                except ValueError:
+                    continue
+                consts = cc.family_constants(f)
+                assert consts.cofactor == lowest_terms(consts.size, consts.scale), f
+
+
+def test_a_perturbed_scale_raises(monkeypatch):
+    # a scale whose odd part does not divide the cell order's leaves an odd
+    # denominator, which no cofactor has: 2^61 - 1 divides no q^j - 1 here
+    real = orthogroup.cell_sum_coefficient
+    monkeypatch.setattr(orthogroup, "cell_sum_coefficient",
+                        lambda n, r, q: real(n, r, q) * (2 ** 61 - 1))
+    with pytest.raises(ConsistencyError, match="cofactor denominator must be a power of 2"):
+        cc.family_constants(fam("dc1-", 3, GF4))
 
 
 def test_trace_multiplicities_dc1_minus_n1():

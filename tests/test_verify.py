@@ -64,6 +64,14 @@ def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_csv_report_bytes_pinned(capsys):
+    # the CSV table is built only for --format csv; these are its bytes at (2,2,5)
+    code = cli.main(["verify", "all", "--max-r", "2", "--max-n", "2", "--format", "csv"])
+    assert code == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            == "ee974828f7546de04238c346ca9ae2af37b0868807c6bbb4d223a23e07a3e5ad")
+
+
 def test_values_table_rows():
     # one row per r comparing the m = 1 tables with direct sums
     report = verify.run_checks(max_r=3, max_n=1, h_max=1)
