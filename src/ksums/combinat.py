@@ -2,10 +2,17 @@
 
 Everything returns Python ints (arbitrary precision). Binomial coefficients
 follow the convention C(n, k) = 0 for k < 0 or k > n, which the moment
-recursions rely on when the exponent overshoots the code length.
+recursions rely on when the exponent overshoots the code length. The orders
+|GL(t,q)| and the q-binomials [n r]_q come as rows, each entry one big-int
+step from the last (gl_orders, q_binomials), so orthogroup.group_counts
+builds every order of O+(2n,q) in O(n) products; gl_order and q_binomial
+read one entry, stopping there.
 """
 
 import math
+from itertools import islice
+
+from ksums.errors import ConsistencyError
 
 
 def binom(n: int, k: int) -> int:
@@ -28,29 +35,41 @@ def lowest_terms(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
+def q_binomials(n: int, q: int):
+    """Yield the Gaussian binomials [n r]_q for r = 0..n, each from the last.
+
+    The ratio recurrence [n r]_q = [n r-1]_q (q^(n-r+1) - 1) / (q^r - 1)
+    keeps one value at a time, so a caller that reads only up to r stops there.
+    """
+    value = 1
+    yield value
+    for r in range(1, n + 1):
+        value, rem = divmod(value * (q ** (n - r + 1) - 1), q ** r - 1)
+        if rem:
+            raise ConsistencyError("q-binomial ratio step must be exact", n=n, r=r, q=q)
+        yield value
+
+
 def q_binomial(n: int, r: int, q: int) -> int:
-    """Gaussian binomial [n r]_q, the number of r-subspaces of F_q^n."""
-    if r < 0 or r > n:
-        return 0
-    num = 1
-    den = 1
-    for j in range(r):
-        num *= q ** (n - j) - 1
-        den *= q ** (r - j) - 1
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"q_binomial({n},{r},{q}): non-exact division")
-    return value
+    """Gaussian binomial [n r]_q, the number of r-subspaces of F_q^n; 0 unless 0 <= r <= n."""
+    return next(islice(q_binomials(n, q), r, None)) if 0 <= r <= n else 0
+
+
+def gl_orders(n: int, q: int):
+    """Yield |GL(t, q)| = q^C(t,2) prod_(j=1..t) (q^j - 1) for t = 0..n: one running
+    product, each step times q^(t-1) (q^t - 1)."""
+    out = 1
+    yield out
+    for t in range(1, n + 1):
+        out *= q ** (t - 1) * (q ** t - 1)
+        yield out
 
 
 def gl_order(n: int, q: int) -> int:
-    """|GL(n, q)| = q^C(n,2) * prod_{j=1}^{n} (q^j - 1)."""
+    """|GL(n, q)|, the last of gl_orders(n, q)."""
     if n < 0:
         raise ValueError(f"gl_order: negative n = {n}")
-    out = q ** binom(n, 2)
-    for j in range(1, n + 1):
-        out *= q ** j - 1
-    return out
+    return next(islice(gl_orders(n, q), n, None))
 
 
 def q_pochhammer(x: int, q: int, n: int) -> int:

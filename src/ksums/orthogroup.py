@@ -47,13 +47,20 @@ Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
 by cell_trace_histogram. A cell's character sums at every scale c are one
 cached tuple, cell_sums, by formula or from that histogram.
 
-Inputs are validated once, where they enter, by field.check_int and
-field.check_unit (n >= 1 and 0 <= r <= n in _check_cell, which the closed
-forms a_r_order, cell_order, cell_sum_coefficient and cell_sums run too;
-exp_sum_cell's c); _swap_lanes and the enumeration loops trust them. The
-closed forms take q bare, so _check_q refuses any q that is not an int power
-of two >= 2. Caches keyed by n or r are typed, so True or 1.0 is refused
-rather than served the entry of 1.
+The order bookkeeping, group_counts, is the closed forms only, in O(n)
+big-int products: one running product of |GL(t,q)| for t <= n and one row
+of q-binomials by their ratio recurrence (combinat.gl_orders,
+combinat.q_binomials), each order formula written once and shared with the
+single-value parabolic_order, a_r_order, cell_order and
+cell_sum_coefficient. Its identities, |P+|^2 = |A_r| |cell| among them, are
+verify rows proved for every q at each n; it checks none of them itself.
+
+Inputs are validated once, where they enter, by field.check_int (n >= 1
+and 0 <= r <= n in _check_cell, which the closed forms a_r_order,
+cell_order, cell_sum_coefficient and cell_sums run too); _swap_lanes and
+the enumeration loops trust them. The closed forms take q bare, so _check_q
+refuses any q that is not an int power of two >= 2. Caches keyed by n or r
+are typed, so True or 1.0 is refused rather than served the entry of 1.
 
 FAMILY_LABELS, the labels of the four double-coset families that
 ksums.coset_codes builds codes from, is defined here, so that the CLI can
@@ -69,7 +76,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, combinat, field, matgf
-from ksums.errors import BudgetError, ConsistencyError
+from ksums.errors import BudgetError, charge
 from ksums.field import FieldParams
 
 PRODUCT_BUDGET = 10 ** 7  # cap on |P+|^2 before a cell may be materialized
@@ -171,7 +178,7 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
 def parabolic_order(n: int, q: int) -> int:
     field.check_int("n", n, 1)
     _check_q(q)
-    return q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
+    return _parabolic(n, q, combinat.gl_order(n, q))
 
 
 def enumerable(fp: FieldParams, n: int) -> bool:
@@ -368,6 +375,20 @@ def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
     return MappingProxyType(dict(Counter(matgf.key_traces(fp, 2 * n, keys))))
 
 
+def _parabolic(n, q, gl_n):  # |P+| = q^C(n,2) |GL(n,q)|
+    return q ** combinat.binom(n, 2) * gl_n
+
+
+def _a_r(n, r, q, gl_r, gl_rest):
+    # |A_r| = |GL(r)| |GL(n-r)| q^(C(n,2) + r(2n-3r+1)/2): r(2n-3r+1) is even, and
+    # the exponent is >= 0 for 0 <= r <= n (concave in r, zero at r = n)
+    return gl_r * gl_rest * q ** (combinat.binom(n, 2) + r * (2 * n - 3 * r + 1) // 2)
+
+
+def _index(r, q, qbin_r):  # [P+ : A_r] = [n r]_q q^C(r,2); |P+ s_r P+| = |P+| [P+ : A_r]
+    return qbin_r * q ** combinat.binom(r, 2)
+
+
 def group_order(n: int, q: int) -> int:
     """|O+(2n,q)| = 2 q^(n^2-n) (q^n - 1) prod_(j<n) (q^2j - 1)."""
     field.check_int("n", n, 1)
@@ -381,58 +402,41 @@ def group_order(n: int, q: int) -> int:
 def a_r_order(n: int, r: int, q: int) -> int:
     _check_cell(n, r)
     _check_q(q)
-    # q-exponent C(n,2) + r(2n-3r+1)/2 is an integer and >= 0 for 0 <= r <= n
-    # (concave in r, zero at r = n), so this stays in exact ints
-    exp2 = 2 * combinat.binom(n, 2) + r * (2 * n - 3 * r + 1)
-    if exp2 % 2 or exp2 < 0:
-        raise ConsistencyError("A_r exponent must be a nonnegative integer", n=n, r=r)
-    return combinat.gl_order(r, q) * combinat.gl_order(n - r, q) * q ** (exp2 // 2)
+    return _a_r(n, r, q, combinat.gl_order(r, q), combinat.gl_order(n - r, q))
 
 
 def cell_order(n: int, r: int, q: int) -> int:
     _check_cell(n, r)
     _check_q(q)
-    return (q ** combinat.binom(n, 2) * combinat.gl_order(n, q)
-            * combinat.q_binomial(n, r, q) * q ** combinat.binom(r, 2))
+    return parabolic_order(n, q) * _index(r, q, combinat.q_binomial(n, r, q))
 
 
 def group_counts(n: int, q: int) -> dict:
-    """Closed-form order bookkeeping for O+(2n,q), with internal identities checked."""
+    """Closed-form order bookkeeping for O+(2n,q), in O(n) big-int products.
+
+    The closed forms only: their identities are verify rows, proved there for
+    every q at each n. Charged before any work, as its lists hold about
+    4 (n + 2) n^2 log2 q bits.
+    """
     field.check_int("n", n, 1)
     _check_q(q)
-    gl = [combinat.gl_order(t, q) for t in range(n + 1)]
-    qbin = [combinat.q_binomial(n, r, q) for r in range(n + 1)]
-    p_order = parabolic_order(n, q)
-    a_orders = [a_r_order(n, r, q) for r in range(n + 1)]
-    indices = [qbin[r] * q ** combinat.binom(r, 2) for r in range(n + 1)]
-    cells = [cell_order(n, r, q) for r in range(n + 1)]
-    s_counts = [combinat.nonsingular_symmetric_count(r, q) for r in range(n + 1)]
-    closed = group_order(n, q)
-    for r in range(n + 1):
-        lhs = gl[n]
-        rhs = combinat.gl_order(n - r, q) * combinat.gl_order(r, q) * q ** (r * (n - r)) * qbin[r]
-        if lhs != rhs:
-            raise ConsistencyError("gl factorization identity failed", n=n, r=r, q=q)
-        if p_order ** 2 != a_orders[r] * cells[r]:
-            raise ConsistencyError("cell size identity failed", n=n, r=r, q=q)
-        if p_order != a_orders[r] * indices[r]:
-            raise ConsistencyError("coset index identity failed", n=n, r=r, q=q)
-    qbt = sum(qbin[r] * q ** combinat.binom(r, 2) for r in range(n + 1))
-    if qbt != combinat.q_pochhammer(-1, q, n):
-        raise ConsistencyError("q-binomial theorem at x=-1 failed", n=n, q=q)
-    if sum(cells) != closed:
-        raise ConsistencyError("cell sizes do not sum to the group order", n=n, q=q)
+    charge(4 * (n + 2) * n * n * (q.bit_length() - 1),
+           "order lists of O+({0},2^{1})", "lower n", 2 * n, q.bit_length() - 1)
+    gl, qbin = list(combinat.gl_orders(n, q)), list(combinat.q_binomials(n, q))
+    p_order = _parabolic(n, q, gl[n])
+    indices = [_index(r, q, b) for r, b in enumerate(qbin)]
     return {
         "n": n,
         "q": q,
         "gl_orders": gl,
         "q_binomials": qbin,
         "parabolic_order": p_order,
-        "a_r_orders": a_orders,
+        "a_r_orders": [_a_r(n, r, q, gl[r], gl[n - r]) for r in range(n + 1)],
         "parabolic_indices": indices,
-        "cell_orders": cells,
-        "nonsingular_symmetric": s_counts,
-        "group_order": closed,
+        "cell_orders": [p_order * index for index in indices],
+        "nonsingular_symmetric": [combinat.nonsingular_symmetric_count(r, q)
+                                  for r in range(n + 1)],
+        "group_order": group_order(n, q),
     }
 
 
@@ -440,8 +444,8 @@ def cell_sum_coefficient(n: int, r: int, q: int) -> int:
     """The integer coeff with sum over P+ s_r P+ of psi(Tr w) = coeff * K_GL(n-r)(psi; 1)."""
     _check_cell(n, r)
     _check_q(q)
-    return (q ** combinat.binom(n, 2) * combinat.q_binomial(n, r, q)
-            * q ** (r * (2 * n - r - 1) // 2) * combinat.nonsingular_symmetric_count(r, q))
+    return (q ** (combinat.binom(n, 2) + r * (n - r)) * _index(r, q, combinat.q_binomial(n, r, q))
+            * combinat.nonsingular_symmetric_count(r, q))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -451,9 +455,9 @@ def cell_sums(fp: FieldParams, n: int, r: int, mode: str, /) -> tuple:
     Formula mode is cell_sum_coefficient, computed once, times entry c^2 of
     charsums.kloosterman_gl_table(fp, n-r, "recursion"), since
     K_GL(n-r)(lambda(c .); 1) = K_GL(n-r)(lambda; c^2). Brute mode sums
-    over the materialized cell's trace histogram. Cached: every c of
-    exp_sum_cell, gauss_sum_oplus and the dual weights of a family reads
-    one tuple (verify (6,3,10): 24 hits, 62 misses; `code weights --r 8`: 254 hits).
+    over the materialized cell's trace histogram. Cached: every c of verify's
+    cell rows and of the dual weights of a family reads one tuple (verify
+    (6,3,10): 24 hits, 62 misses; `code weights --r 8`: 254 hits).
     """
     _check_cell(n, r)
     mt = field.mul_table(fp)
@@ -467,16 +471,3 @@ def cell_sums(fp: FieldParams, n: int, r: int, mode: str, /) -> tuple:
     coeff = cell_sum_coefficient(n, r, fp.q)
     gl = charsums.kloosterman_gl_table(fp, n - r, "recursion")
     return (None,) + tuple(coeff * gl[row[c]] for c, row in enumerate(mt[1:], 1))
-
-
-def exp_sum_cell(fp: FieldParams, n: int, r: int, c: int = 1, mode: str = "formula") -> int:
-    """Character sum of psi(Tr w) over the cell P+ s_r P+, psi = lambda(c .); cell_sums entry c."""
-    field.check_unit(fp, c, "c")
-    return cell_sums(fp, n, r, mode)[c]
-
-
-def gauss_sum_oplus(fp: FieldParams, n: int, c: int = 1, mode: str = "formula") -> int:
-    """Character sum of psi(Tr w) over all of O+(2n,q)."""
-    field.check_int("n", n, 1)
-    field.check_unit(fp, c, "c")
-    return sum(cell_sums(fp, n, r, mode)[c] for r in range(n + 1))

@@ -10,11 +10,17 @@ denominator sums, twisted sums, value range) are rows read straight from the
 values and field tables, each listing the elements that fail. The GL rows
 compare the routes' whole tables (charsums.kloosterman_gl_table), and the
 cell and Gauss-sum rows the formula and brute-force tuples of
-orthogroup.cell_sums, each read once. A ConsistencyError raised within one
-field's field or character-sum rows, one (q, n)'s group rows, or one
+orthogroup.cell_sums, each read once. The five identities of the order
+bookkeeping (orthogroup.group_counts) are group.*_every_q rows at
+q = 2^(3n+3) for each n <= max_n, which prove them for every q at that n
+(see _order_identity_rows). A ConsistencyError raised within one
+field's field or character-sum rows, one (q, n)'s group rows (the every-q
+rows' q included), or one
 family's code or moment rows, the building of a table they read included,
 becomes a failing row of its own (field.raised, charsums.raised,
-group.raised, codes.raised, moments.raised), not an abort.
+group.raised, codes.raised, moments.raised), not an abort; so does a code
+and dual weight distribution of different lengths, which pless_check
+would refuse as bad input.
 """
 
 import math
@@ -159,10 +165,40 @@ def _charsum_rows(rep, fp):
 
 
 def _group_checks(rep, fps, max_n):
+    for n in range(max_n, 0, -1):  # the largest first: refused by its charge before the rest
+        q = 2 ** (3 * n + 3)
+        with rep.guard("group.raised", {"n": n, "q": q}):
+            _order_identity_rows(rep, n, q)
     for fp in fps:
         for n in range(1, max_n + 1):
             with rep.guard("group.raised", {"n": n, "q": fp.q}):
                 _group_rows(rep, fp, n)
+
+
+def _order_identity_rows(rep, n, q):
+    # Kronecker substitution as a proof, at q = 2^(3n+3). Each side below is an
+    # integer polynomial in q whose coefficients' absolute values sum to at most
+    # 2^(3n). That sum is submultiplicative: 2 for q^j - 1 and 1 + q^j, 1 for
+    # q^j, C(n,r) for [n r]_q. So it is at most 2^t for |GL(t,q)|, 2^n for |P+|,
+    # |A_r| and each side of the q-binomial theorem, 4^n for |P+|^2,
+    # 2^n C(n,r) <= 4^n for a cell and the other side of the GL and index rows,
+    # 4^n for the cells' sum, 2^(n+1) for |O+(2n,q)|, and 4^n C(n,r) <= 8^n for
+    # |A_r| |cell|, the largest. The difference of two sides then has every
+    # coefficient at most 2^(3n+1) in absolute value, so it vanishes at
+    # 2^(3n+3) only if it is 0 (its lowest nonzero coefficient would be a
+    # multiple of 2^(3n+3)): each row proves its identity for every q at this
+    # n. Per-r rows list the failing r; the two sum rows show the difference.
+    gl, qbin, p, a, index, cells, order = map(orthogroup.group_counts(n, q).get, (
+        "gl_orders", "q_binomials", "parabolic_order", "a_r_orders", "parabolic_indices",
+        "cell_orders", "group_order"))
+    params, rs, p2 = {"n": n, "q": q}, range(n + 1), p * p
+    rep.add("group.gl_factorization_every_q", params, "[]",
+            [r for r in rs if gl[n] != gl[r] * gl[n - r] * q ** (r * (n - r)) * qbin[r]])
+    rep.add("group.cell_size_every_q", params, "[]", [r for r in rs if p2 != a[r] * cells[r]])
+    rep.add("group.coset_index_every_q", params, "[]", [r for r in rs if p != a[r] * index[r]])
+    rep.add("group.q_binomial_theorem_every_q", params, 0,
+            sum(index) - combinat.q_pochhammer(-1, q, n))
+    rep.add("group.cells_sum_to_order_every_q", params, 0, sum(cells) - order)
 
 
 def _group_rows(rep, fp, n):
@@ -270,6 +306,8 @@ def _code_checks(rep, fps, max_n, h_max):
                 rep.add("codes.distribution_macwilliams", params, dist,
                         coset_codes.weight_distribution_macwilliams(f))
                 dual = coset_codes.dual_weight_distribution(f)
+                if len(dual) != len(dist):  # pless_check would refuse them as bad input
+                    raise ConsistencyError("code and dual lengths differ", dual=len(dual) - 1)
                 sides = coset_codes.pless_check(dist, dual, k, h_max)
                 rep.add("codes.pless_identity", params, sides["lhs"], sides["rhs"])
 

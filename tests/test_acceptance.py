@@ -69,10 +69,9 @@ def test_criterion_3_cell_character_sums():
     cases = [(GF2, 1), (GF4, 1), (GF8, 1), (GF2, 2), (GF4, 2), (GF2, 3)]
     for fp, n in cases:
         for r in range(n + 1):
-            for c in field.units(fp):
-                brute = og.exp_sum_cell(fp, n, r, c, "brute")
-                assert brute == og.exp_sum_cell(fp, n, r, c, "formula"), (fp.q, n, r, c)
-    assert og.exp_sum_cell(GF2, 2, 1, 1, "brute") == 12
+            brute = og.cell_sums(fp, n, r, "brute")
+            assert brute == og.cell_sums(fp, n, r, "formula"), (fp.q, n, r)
+    assert og.cell_sums(GF2, 2, 1, "brute")[1] == 12
 
 
 @criterion(4, "order bookkeeping: enumerated sizes match formulas; |O+(4,2)| = 72")

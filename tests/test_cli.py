@@ -502,7 +502,9 @@ def test_moment_pass_budget_refuses_fast(capsys):
     ("ksum", "gl", "--r", "8", "--t", "1000", "--a", "1"),
     # the values table's levels: admitted by m q^2 <= 2^24 before, and ran for minutes
     ("moments", "oracle", "--r", "2", "--m", "1000000", "--h-max", "1"),
-], ids=["oracle-r1", "oracle-r8", "gl-r1", "gl-r8", "table-r2"])
+    # the order lists' 4 (n + 2) n^2 r bits: killed at 20 s before they were charged
+    ("group", "counts", "--n", "2000", "--r", "8"),
+], ids=["oracle-r1", "oracle-r8", "gl-r1", "gl-r8", "table-r2", "counts-r8"])
 def test_oracle_and_gl_budgets_refuse_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)

@@ -499,9 +499,7 @@ def test_membership_count_identity():
         counts = cc.trace_multiplicities(f)
         size = cc.family_constants(f).size
         lam = field.char_table(fp)
+        sums = orthogroup.cell_sums(fp, f.n, f.cell_index, "formula")
         for beta in field.elements(fp):
-            rhs = size + sum(
-                lam[field.mul(fp, a, beta)]
-                * orthogroup.exp_sum_cell(fp, f.n, f.cell_index, a)
-                for a in field.units(fp))
+            rhs = size + sum(lam[field.mul(fp, a, beta)] * sums[a] for a in field.units(fp))
             assert fp.q * counts[beta] == rhs

@@ -323,31 +323,50 @@ def test_group_counts_values():
         og.bruhat_cell(GF2, 0, 0)
 
 
+def test_group_counts_lists_equal_single_values():
+    # group_counts and the single-value closed forms share one formula each
+    for n in range(1, 13):
+        for r_field in range(1, 9):
+            q = 1 << r_field
+            counts = og.group_counts(n, q)
+            assert counts["gl_orders"] == [combinat.gl_order(t, q) for t in range(n + 1)]
+            assert counts["q_binomials"] == [combinat.q_binomial(n, r, q) for r in range(n + 1)]
+            assert counts["parabolic_order"] == og.parabolic_order(n, q)
+            assert counts["a_r_orders"] == [og.a_r_order(n, r, q) for r in range(n + 1)]
+            assert counts["cell_orders"] == [og.cell_order(n, r, q) for r in range(n + 1)]
+            assert counts["nonsingular_symmetric"] == [
+                combinat.nonsingular_symmetric_count(r, q) for r in range(n + 1)]
+            assert counts["group_order"] == og.group_order(n, q)
+
+
+def test_group_counts_budget_boundary():
+    # the lists hold about 4 (n + 2) n^2 log2 q bits, charged before any work:
+    # 145 is the largest n admitted over GF(256)
+    assert len(og.group_counts(145, 256)["cell_orders"]) == 146
+    with pytest.raises(BudgetError, match=r"O\+\(292,2\^8\): about 100952576 bits, over budget"):
+        og.group_counts(146, 256)
+
+
 def test_exp_sum_cell_n1_is_kloosterman():
     # P+(2,q) is the diagonal torus: sum of lambda(c(a + 1/a)) = K(lambda;c^2)
     for fp in (GF2, GF4, GF8):
+        brute, formula = og.cell_sums(fp, 1, 0, "brute"), og.cell_sums(fp, 1, 0, "formula")
+        assert brute == formula
         for c in field.units(fp):
-            val = og.exp_sum_cell(fp, 1, 0, c, "brute")
-            assert val == og.exp_sum_cell(fp, 1, 0, c, "formula")
-            c2 = field.mul(fp, c, c)
-            assert val == charsums.kloosterman(fp, c2)
+            assert brute[c] == charsums.kloosterman(fp, field.mul(fp, c, c))
 
 
 def test_exp_sum_cell_example_2_2_1():
-    assert og.exp_sum_cell(GF2, 2, 1, 1, "brute") == 12
-    assert og.exp_sum_cell(GF2, 2, 1, 1, "formula") == 12
+    assert og.cell_sums(GF2, 2, 1, "brute")[1] == 12
+    assert og.cell_sums(GF2, 2, 1, "formula")[1] == 12
 
 
 def test_exp_sums_brute_vs_formula():
     for fp, n in [(GF2, 2), (GF4, 2)]:
         for r in range(n + 1):
-            for c in field.units(fp):
-                assert (og.exp_sum_cell(fp, n, r, c, "brute")
-                        == og.exp_sum_cell(fp, n, r, c, "formula")), (fp.q, r, c)
+            assert og.cell_sums(fp, n, r, "brute") == og.cell_sums(fp, n, r, "formula"), (fp.q, r)
     with pytest.raises(ValueError):
-        og.exp_sum_cell(GF2, 2, 1, 0)
-    with pytest.raises(ValueError):
-        og.exp_sum_cell(GF2, 2, 1, 1, "fast")
+        og.cell_sums(GF2, 2, 1, "fast")
 
 
 def test_exp_sum_cell_formula_beyond_enumeration():
@@ -367,9 +386,10 @@ def test_exp_sum_cell_formula_beyond_enumeration():
                 coeff = q ** binom(n, 2) * q ** e * q_binomial(n, r, q)
                 for j in range(1, top + 1):
                     coeff *= q ** (2 * j - 1) - 1
+                sums = og.cell_sums(fp, n, r, "formula")
                 for c in field.units(fp):
                     gl = charsums.kloosterman_gl(fp, n - r, 1, "recursion", c)
-                    assert og.exp_sum_cell(fp, n, r, c) == coeff * gl, (q, n, r, c)
+                    assert sums[c] == coeff * gl, (q, n, r, c)
 
 
 def test_gauss_sum_matches_stirling_side():
@@ -377,15 +397,15 @@ def test_gauss_sum_matches_stirling_side():
     for fp, n in [(GF2, 2), (GF4, 2), (GF2, 3)]:
         q = fp.q
         counts = og.group_counts(n, q)
+        modes = ("formula", "brute") if og.enumerable(fp, n) else ("formula",)
         for c in field.units(fp):
             per_r = sum(
                 q ** math.comb(n, 2) * counts["parabolic_indices"][r]
                 * q ** (r * (n - r)) * counts["nonsingular_symmetric"][r]
                 * charsums.kloosterman_gl(fp, n - r, 1, "recursion", c)
                 for r in range(n + 1))
-            assert per_r == og.gauss_sum_oplus(fp, n, c, "formula")
-            if og.parabolic_order(n, q) ** 2 <= og.PRODUCT_BUDGET:
-                assert per_r == og.gauss_sum_oplus(fp, n, c, "brute")
+            for mode in modes:
+                assert per_r == sum(og.cell_sums(fp, n, r, mode)[c] for r in range(n + 1))
 
 
 def test_enumerated_elements_are_isometries():

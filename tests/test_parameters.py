@@ -45,10 +45,8 @@ CASES = {
     "group_order-q": (lambda v: og.group_order(1, v), 2, Q_OUTSIDE),
     "parabolic_order-n": (lambda v: og.parabolic_order(v, 4), 1, (0, -1, 1.5)),
     "parabolic_order-q": (lambda v: og.parabolic_order(1, v), 2, Q_OUTSIDE),
-    "exp_sum_cell-n": (lambda v: og.exp_sum_cell(GF2, v, 0), 1, (0,)),
-    "exp_sum_cell-r": (lambda v: og.exp_sum_cell(GF2, 1, v), 1, (-1, 2)),
-    "exp_sum_cell-c": (lambda v: og.exp_sum_cell(GF8, 1, 0, v), 1, (0,)),
-    "gauss_sum_oplus-n": (lambda v: og.gauss_sum_oplus(GF2, v), 1, (0,)),
+    "exp_sum_cell-n": (lambda v: og.cell_sums(GF2, v, 0, "formula"), 1, (0,)),
+    "exp_sum_cell-r": (lambda v: og.cell_sums(GF2, 1, v, "formula"), 1, (-1, 2)),
     "cell_sum_coefficient-n": (lambda v: og.cell_sum_coefficient(v, 0, 2), 1, (0,)),
     "cell_sum_coefficient-r": (lambda v: og.cell_sum_coefficient(1, v, 2), 1, (-1, 2, 3)),
     "cell_sum_coefficient-q": (lambda v: og.cell_sum_coefficient(1, 0, v), 2, Q_OUTSIDE),
@@ -112,7 +110,7 @@ def test_messages_name_the_parameter():
     with pytest.raises(ValueError, match="^cell r must be <= 1, got 2$"):
         og.bruhat_cell(GF2, 1, 2)
     with pytest.raises(ValueError, match="^needs c != 0$"):
-        og.exp_sum_cell(GF2, 1, 0, 0)
+        charsums.kloosterman(GF8, 1, 1, 0)
     with pytest.raises(ValueError, match="^q must be a power of two, got 6$"):
         og.group_counts(1, 6)
 

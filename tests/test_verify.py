@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ksums import charsums, cli, field, orthogroup, verify
+from ksums import charsums, cli, combinat, coset_codes, field, moments, orthogroup, verify
 from ksums.errors import BudgetError, ConsistencyError
 from ksums.field import binary_field
 
@@ -49,15 +49,15 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "c73d1b595d4de424fb3fff5b3675ab8821d8345b6f705afb0353cc91c20460cb"),
-    (3, 3, 10, "3cf7633fe8638aea0ae6c4289827935a8ceac94ce0f38e9129324eb10689b3a9"),
-    (6, 3, 10, "1876ae708d92108fafb0ee2ebe45a89a37df8ed5c1e43b3616cae8c5f28766c1"),
-    (8, 2, 10, "5f96b0893066d8ec09755c87b36f919558adea48b2481244ffc5c9b1d309b74e"),
+    (2, 2, 5, "e293d4364cc2d7cc40f5e6468c8a5dd261a7fefec0e53e5ac829f62b91a6f57f"),
+    (3, 3, 10, "7ba732bbb5310387671668de2ef1fcf2a22275550211d95b2562878f9d3806ea"),
+    (6, 3, 10, "017ac4bc71fb90ef3344caea3e86b492baad03e52033edd45649fd19c49b5a2b"),
+    (8, 2, 10, "dd1da8cd694ec83b2928728fbfa4c9c38a871de2dd5fe1373b736621c097a011"),
 ], ids=["2-2-5", "3-3-10", "6-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
-    # the last to do so retired charsums.moment_scale_invariance, whose two
-    # oracle passes read one c = 1 values table once c enters only as a reindex
+    # the last to do so added the group.*_every_q rows, the order identities
+    # proved for every q at each n <= max_n
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
@@ -69,7 +69,7 @@ def test_csv_report_bytes_pinned(capsys):
     code = cli.main(["verify", "all", "--max-r", "2", "--max-n", "2", "--format", "csv"])
     assert code == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-            == "ee974828f7546de04238c346ca9ae2af37b0868807c6bbb4d223a23e07a3e5ad")
+            == "eb2142a33cf51ac6928ea58609fdcb88bc07b2e81f10f1914d5bd38d73b23d16")
 
 
 def test_values_table_rows():
@@ -259,8 +259,9 @@ def test_a_wrong_gl_table_entry_fails_its_rows(monkeypatch):
 
 
 def test_raised_while_building_a_table_is_one_row(monkeypatch):
-    # the closed form's integrality check over GF(4), and a group identity at
-    # n = 2, each fail one row, and the other fields and n still report
+    # the closed form's integrality check over GF(4), and group_counts at n = 2,
+    # each fail one row per guard (the every-q rows' q = 512 among them), and
+    # the other fields and n still report
     closed_form = charsums._kloosterman_gl_closed_form
     counts = orthogroup.group_counts
 
@@ -282,7 +283,8 @@ def test_raised_while_building_a_table_is_one_row(monkeypatch):
         ("charsums.raised", {"r": 2}, "raised: GL closed form must be an integer | t=5"),
         ("group.raised", {"n": 2, "q": 2}, "raised: cell size identity failed | n=2, q=2"),
         ("group.raised", {"n": 2, "q": 4}, "raised: cell size identity failed | n=2, q=4"),
-        ("group.raised", {"n": 2, "q": 8}, "raised: cell size identity failed | n=2, q=8")]
+        ("group.raised", {"n": 2, "q": 8}, "raised: cell size identity failed | n=2, q=8"),
+        ("group.raised", {"n": 2, "q": 512}, "raised: cell size identity failed | n=2, q=512")]
     closed = [(c["params"]["r"], c["params"]["t"]) for c in report["checks"]
               if c["name"] == "charsums.gl_closed_form"]
     # over GF(4) the rows before the raise stay, t = 4 among them
@@ -327,3 +329,92 @@ def test_every_row_family_reports_a_raise_over_one_field(monkeypatch):
     assert all(name.endswith(".raised") for name, _ in failed)
     gf2 = [c for c in report["checks"] if c["params"].get("r") == 1 or c["params"].get("q") == 2]
     assert len(gf2) > 20 and all(c["pass"] for c in gf2)
+
+
+def test_order_identity_rows_run_at_every_n():
+    rep = verify.Report()
+    for n in range(1, 13):
+        verify._order_identity_rows(rep, n, 2 ** (3 * n + 3))
+    assert rep.summary() == {"total": 60, "passed": 60, "failed": 0}
+
+
+def _order_identity_failures(n):
+    rep = verify.Report()
+    verify._order_identity_rows(rep, n, 2 ** (3 * n + 3))
+    return {c.name: c.actual for c in rep.checks if not c.passed}
+
+
+def test_a_perturbed_group_order_fails_its_every_q_row(monkeypatch):
+    # the factor q^n - 1 of |O+(2n,q)| made q^n + 1
+    real = orthogroup.group_order
+    monkeypatch.setattr(orthogroup, "group_order",
+                        lambda n, q: real(n, q) // (q ** n - 1) * (q ** n + 1))
+    for n in range(1, 13):
+        assert set(_order_identity_failures(n)) == {"group.cells_sum_to_order_every_q"}, n
+
+
+def test_a_perturbed_gl_factor_fails_its_every_q_rows(monkeypatch):
+    # the factor q - 1 of every |GL(t,q)|, t >= 1, made q + 1: the cells no
+    # longer sum to |O+(2n,q)|, and |GL(n)| no longer factors over 0 < r < n
+    real = combinat.gl_orders
+
+    def perturbed(n, q):
+        for t, order in enumerate(real(n, q)):
+            yield order // (q - 1) * (q + 1) if t else order
+
+    monkeypatch.setattr(combinat, "gl_orders", perturbed)
+    for n in range(1, 13):
+        failed = _order_identity_failures(n)
+        assert "group.cells_sum_to_order_every_q" in failed, n
+        assert failed.get("group.gl_factorization_every_q", "[]") == str(list(range(1, n))), n
+
+
+def _bump(table, i, value):
+    return table[:i] + (value,) + table[i + 1:]
+
+
+DC1_8 = coset_codes.parse_family("dc1-", 1, binary_field(3))
+
+# id -> (module, function, which calls to corrupt, the corruption of one entry,
+# a row that must fail). No field row reads inv_table, and field.char_orthogonality
+# misses a product moved by 1, whose trace is 0 over GF(4): those two are caught
+# by the charsums rows that read them
+FAULTS = {
+    "kloosterman_values-m1": (charsums, "kloosterman_values", lambda fp, m: (fp.q, m) == (8, 1),
+                              lambda k: _bump(k, 1, k[1] + 4), "charsums.values_table_vs_direct"),
+    "kloosterman_values-m2": (charsums, "kloosterman_values", lambda fp, m: (fp.q, m) == (8, 2),
+                              lambda k: _bump(k, 1, k[1] + 4), "charsums.carlitz"),
+    "char_table": (field, "char_table", lambda fp: fp.q == 4,
+                   lambda lam: _bump(lam, 3, -lam[3]), "field.char_orthogonality"),
+    "mul_table": (field, "mul_table", lambda fp: fp.q == 4,
+                  lambda mt: _bump(mt, 2, _bump(mt[2], 3, mt[2][3] ^ 1)),
+                  "charsums.values_table_vs_direct"),
+    "inv_table": (field, "inv_table", lambda fp: fp.q == 8,
+                  lambda inv: _bump(inv, 2, inv[3]), "charsums.theta_identities"),
+    "trace_table": (field, "trace_table", lambda fp: fp.q == 4,
+                    lambda tr: _bump(tr, 3, 1 - tr[3]), "field.trace_onto_count"),
+    "family_constants": (coset_codes, "family_constants", lambda f: f == DC1_8,
+                         lambda c: c._replace(size=c.size + 1), "codes.raised"),
+    "trace_multiplicities": (coset_codes, "trace_multiplicities",
+                             lambda f, mode="formula": f == DC1_8 and mode == "formula",
+                             lambda m: {**m, 0: m[0] + 1},
+                             "codes.multiplicities_formula_vs_enumeration"),
+    "pless_sums": (moments, "_pless_sums", lambda f, h_max: f == DC1_8,
+                   lambda sums: _bump(sums, 2, sums[2] + 1), "moments.recursion_vs_oracle"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_one_corrupted_table_entry_fails_a_named_row(monkeypatch, case):
+    module, name, where, corrupt, row = FAULTS[case]
+    real = getattr(module, name)
+
+    def patched(*args):
+        out = real(*args)
+        return corrupt(out) if where(*args) else out
+
+    monkeypatch.setattr(module, name, patched)
+    report = verify.run_checks(3, 2, 4)
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert report["summary"]["failed"] > 0
+    assert row in failed
