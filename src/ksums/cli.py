@@ -32,6 +32,16 @@ third (8-14 ms to 2-4.5 ms), whichever command it ran. What is frozen is never c
 costs nothing for modules that live until exit. Nothing relies on a
 finalizer: main flushes stdout itself, and the CLI writes only to stdout
 and stderr.
+
+Stdout goes out in blocks of 8 KiB however Python's buffering is set.
+PYTHONUNBUFFERED or -u make sys.stdout write-through, which sends one
+write(2) per string the writer hands it: per JSON token in json.dump, per
+row in the csv writer. That is 44,789 writes for the 272,622-byte report
+of `verify all --max-r 6 --max-n 3 --h-max 10`: 64-74 ms to dump it into
+a pipe, against 10-11 ms in blocks, on one CPU of a 2-CPU Xeon host under
+CPython 3.11. So before the handler runs, main turns a write-through
+stdout back to the text layer's own 8 KiB blocks; the flush after the
+handler writes the last one, and the bytes are the same.
 """
 
 import argparse
@@ -321,6 +331,8 @@ def main(argv=None) -> int:
     if args.command == "ksum" and args.subcommand is None:
         if args.r is None or args.a is None:
             parser.error("ksum requires --r and --a")
+    if getattr(sys.stdout, "write_through", False):  # PYTHONUNBUFFERED or -u
+        sys.stdout.reconfigure(write_through=False)  # 8 KiB blocks: see the module docstring
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -85,10 +85,24 @@ def _field_checks(rep, fps):
 
 def _field_rows(rep, fp):
     q = fp.q
-    lam, trt = field.char_table(fp), field.trace_table(fp)
-    bad = [c for c, row in enumerate(field.mul_table(fp))
-           if sum(lam[cx] for cx in row) != (q if c == 0 else 0)]
+    lam, trt, mt = field.char_table(fp), field.trace_table(fp), field.mul_table(fp)
+    bad = [c for c, row in enumerate(mt) if sum(lam[cx] for cx in row) != (q if c == 0 else 0)]
     rep.add("field.char_orthogonality", {"r": fp.r}, "[]", bad)
+    # every entry from the modulus alone, reading no exp_log: x*0 = 0 and
+    # x*y = xtime(x*(y//2)) + (x if y is odd), where xtime(v) = v*x is a
+    # shift reduced by the modulus; row x's even entries are xtime of its
+    # first half, and each odd entry is the even one before it plus x
+    half = q >> 1
+    xtime = [(v << 1) ^ fp.modulus if v & half else v << 1 for v in range(q)]
+    bad = []
+    for x, row in enumerate(mt):
+        evens = [xtime[v] for v in row[:half]]
+        if row[0] != 0 or list(row[0::2]) != evens or list(row[1::2]) != [v ^ x for v in evens]:
+            bad.append(x)
+    rep.add("field.mul_table_shift_and_add", {"r": fp.r}, "[]", bad)
+    invt = field.inv_table(fp)
+    rep.add("field.inv_table_inverts_units", {"r": fp.r}, "[]",
+            [x for x in field.units(fp) if mt[x][invt[x]] != 1])
     rep.add("field.trace_onto_count", {"r": fp.r}, q // 2, sum(trt))
     rep.add("field.artin_schreier_is_trace_kernel", {"r": fp.r},
             [x for x, t in enumerate(trt) if t == 0],

@@ -49,15 +49,15 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "e293d4364cc2d7cc40f5e6468c8a5dd261a7fefec0e53e5ac829f62b91a6f57f"),
-    (3, 3, 10, "7ba732bbb5310387671668de2ef1fcf2a22275550211d95b2562878f9d3806ea"),
-    (6, 3, 10, "017ac4bc71fb90ef3344caea3e86b492baad03e52033edd45649fd19c49b5a2b"),
-    (8, 2, 10, "dd1da8cd694ec83b2928728fbfa4c9c38a871de2dd5fe1373b736621c097a011"),
+    (2, 2, 5, "6d9865c983dd1346fe0333c4de32ba6bc113c0bc6d031014e85e8c2a5a15b203"),
+    (3, 3, 10, "7a05bf3bd243813d7c77b05ba59bd167b629e0f8b88e47d3461e1c4f2dd5df76"),
+    (6, 3, 10, "fa22ef23d59e8b0bfc91b2c30608346d40077b32beb05db5e91610552e17c3f5"),
+    (8, 2, 10, "9ea0fbaca6856f6dcffbebbb6d0418d10393c93f3b3d561c2ce77ad096cdaf7e"),
 ], ids=["2-2-5", "3-3-10", "6-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
-    # the last to do so added the group.*_every_q rows, the order identities
-    # proved for every q at each n <= max_n
+    # the last to do so added field.mul_table_shift_and_add and
+    # field.inv_table_inverts_units, one row each per r
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
@@ -69,7 +69,7 @@ def test_csv_report_bytes_pinned(capsys):
     code = cli.main(["verify", "all", "--max-r", "2", "--max-n", "2", "--format", "csv"])
     assert code == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-            == "eb2142a33cf51ac6928ea58609fdcb88bc07b2e81f10f1914d5bd38d73b23d16")
+            == "ebbdf855b2cb3268e10295d5ef404d40b151dba424292eb61ec3d4e19f201d5e")
 
 
 def test_values_table_rows():
@@ -376,9 +376,7 @@ def _bump(table, i, value):
 DC1_8 = coset_codes.parse_family("dc1-", 1, binary_field(3))
 
 # id -> (module, function, which calls to corrupt, the corruption of one entry,
-# a row that must fail). No field row reads inv_table, and field.char_orthogonality
-# misses a product moved by 1, whose trace is 0 over GF(4): those two are caught
-# by the charsums rows that read them
+# a row that must fail)
 FAULTS = {
     "kloosterman_values-m1": (charsums, "kloosterman_values", lambda fp, m: (fp.q, m) == (8, 1),
                               lambda k: _bump(k, 1, k[1] + 4), "charsums.values_table_vs_direct"),
@@ -388,9 +386,9 @@ FAULTS = {
                    lambda lam: _bump(lam, 3, -lam[3]), "field.char_orthogonality"),
     "mul_table": (field, "mul_table", lambda fp: fp.q == 4,
                   lambda mt: _bump(mt, 2, _bump(mt[2], 3, mt[2][3] ^ 1)),
-                  "charsums.values_table_vs_direct"),
+                  "field.mul_table_shift_and_add"),
     "inv_table": (field, "inv_table", lambda fp: fp.q == 8,
-                  lambda inv: _bump(inv, 2, inv[3]), "charsums.theta_identities"),
+                  lambda inv: _bump(inv, 2, inv[3]), "field.inv_table_inverts_units"),
     "trace_table": (field, "trace_table", lambda fp: fp.q == 4,
                     lambda tr: _bump(tr, 3, 1 - tr[3]), "field.trace_onto_count"),
     "family_constants": (coset_codes, "family_constants", lambda f: f == DC1_8,
