@@ -72,14 +72,6 @@ def gl_order(n: int, q: int) -> int:
     return next(islice(gl_orders(n, q), n, None))
 
 
-def q_pochhammer(x: int, q: int, n: int) -> int:
-    """(x; q)_n = (1 - x)(1 - qx) ... (1 - q^(n-1) x) for integer x."""
-    out = 1
-    for j in range(n):
-        out *= 1 - q ** j * x
-    return out
-
-
 def nonsingular_symmetric_count(r: int, q: int) -> int:
     """Number of nonsingular symmetric r x r matrices over F_q (q even).
 

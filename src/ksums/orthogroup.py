@@ -51,13 +51,13 @@ The order bookkeeping, group_counts, is the closed forms only, in O(n)
 big-int products: one running product of |GL(t,q)| for t <= n and one row
 of q-binomials by their ratio recurrence (combinat.gl_orders,
 combinat.q_binomials), each order formula written once and shared with the
-single-value parabolic_order, a_r_order, cell_order and
-cell_sum_coefficient. Its identities, |P+|^2 = |A_r| |cell| among them, are
-verify rows proved for every q at each n; it checks none of them itself.
+single-value parabolic_order, cell_order and cell_sum_coefficient. Its
+identities, |P+| = |A_r| [P+ : A_r] among them, are verify rows proved for
+every q at each n; it checks none of them itself.
 
 Inputs are validated once, where they enter, by field.check_int (n >= 1
-and 0 <= r <= n in _check_cell, which the closed forms a_r_order,
-cell_order, cell_sum_coefficient and cell_sums run too); _swap_lanes and
+and 0 <= r <= n in _check_cell, which the closed forms cell_order,
+cell_sum_coefficient and cell_sums run too); _swap_lanes and
 the enumeration loops trust them. The closed forms take q bare, so _check_q
 refuses any q that is not an int power of two >= 2. Caches keyed by n or r
 are typed, so True or 1.0 is refused rather than served the entry of 1.
@@ -397,12 +397,6 @@ def group_order(n: int, q: int) -> int:
     for j in range(1, n):
         out *= q ** (2 * j) - 1
     return out
-
-
-def a_r_order(n: int, r: int, q: int) -> int:
-    _check_cell(n, r)
-    _check_q(q)
-    return _a_r(n, r, q, combinat.gl_order(r, q), combinat.gl_order(n - r, q))
 
 
 def cell_order(n: int, r: int, q: int) -> int:

@@ -10,17 +10,21 @@ denominator sums, twisted sums, value range) are rows read straight from the
 values and field tables, each listing the elements that fail. The GL rows
 compare the routes' whole tables (charsums.kloosterman_gl_table), and the
 cell and Gauss-sum rows the formula and brute-force tuples of
-orthogroup.cell_sums, each read once. The five identities of the order
+orthogroup.cell_sums, each read once. The four identities of the order
 bookkeeping (orthogroup.group_counts) are group.*_every_q rows at
-q = 2^(3n+3) for each n <= max_n, which prove them for every q at that n
-(see _order_identity_rows). A ConsistencyError raised within one
+q = 2^(2n+3) for each n <= max_n, which prove them for every q at that n
+(see _order_identity_rows). They run first, largest n first, so a max_n
+over group_counts' charge is refused before any row is built. The
+enumerated rows read group_counts only where the cells are materialized. A
+fact the other rows imply gets no row: |P+|^2 = |A_r| |cell| is |P+| times
+the index row, and the cells' union has the group's order by the cell
+order, disjointness and sum rows. A ConsistencyError raised within one
 field's field or character-sum rows, one (q, n)'s group rows (the every-q
-rows' q included), or one
-family's code or moment rows, the building of a table they read included,
-becomes a failing row of its own (field.raised, charsums.raised,
-group.raised, codes.raised, moments.raised), not an abort; so does a code
-and dual weight distribution of different lengths, which pless_check
-would refuse as bad input.
+rows' q included), or one family's code or moment rows, the building of a
+table they read included, becomes a failing row of its own (field.raised,
+charsums.raised, group.raised, codes.raised, moments.raised), not an
+abort; so does a code and dual weight distribution of different lengths,
+which pless_check would refuse as bad input.
 """
 
 import math
@@ -180,7 +184,7 @@ def _charsum_rows(rep, fp):
 
 def _group_checks(rep, fps, max_n):
     for n in range(max_n, 0, -1):  # the largest first: refused by its charge before the rest
-        q = 2 ** (3 * n + 3)
+        q = 2 ** (2 * n + 3)
         with rep.guard("group.raised", {"n": n, "q": q}):
             _order_identity_rows(rep, n, q)
     for fp in fps:
@@ -190,38 +194,34 @@ def _group_checks(rep, fps, max_n):
 
 
 def _order_identity_rows(rep, n, q):
-    # Kronecker substitution as a proof, at q = 2^(3n+3). Each side below is an
+    # Kronecker substitution as a proof, at q = 2^(2n+3). Each side below is an
     # integer polynomial in q whose coefficients' absolute values sum to at most
-    # 2^(3n). That sum is submultiplicative: 2 for q^j - 1 and 1 + q^j, 1 for
-    # q^j, C(n,r) for [n r]_q. So it is at most 2^t for |GL(t,q)|, 2^n for |P+|,
-    # |A_r| and each side of the q-binomial theorem, 4^n for |P+|^2,
-    # 2^n C(n,r) <= 4^n for a cell and the other side of the GL and index rows,
-    # 4^n for the cells' sum, 2^(n+1) for |O+(2n,q)|, and 4^n C(n,r) <= 8^n for
-    # |A_r| |cell|, the largest. The difference of two sides then has every
-    # coefficient at most 2^(3n+1) in absolute value, so it vanishes at
-    # 2^(3n+3) only if it is 0 (its lowest nonzero coefficient would be a
-    # multiple of 2^(3n+3)): each row proves its identity for every q at this
+    # 4^n. That sum is submultiplicative: 2 for q^j - 1 and 1 + q^j, 1 for q^j,
+    # C(n,r) for [n r]_q. So it is at most 2^t for |GL(t,q)|, 2^n for |P+|,
+    # |A_r| and each side of the q-binomial theorem, 2^n C(n,r) <= 4^n for a
+    # cell and the other side of the GL and index rows, 4^n for the cells' sum
+    # and 2^(n+1) for |O+(2n,q)|. The difference of two sides then has every
+    # coefficient at most 2^(2n+1) in absolute value, so it vanishes at
+    # 2^(2n+3) only if it is 0 (its lowest nonzero coefficient would be a
+    # multiple of 2^(2n+3)): each row proves its identity for every q at this
     # n. Per-r rows list the failing r; the two sum rows show the difference.
     gl, qbin, p, a, index, cells, order = map(orthogroup.group_counts(n, q).get, (
         "gl_orders", "q_binomials", "parabolic_order", "a_r_orders", "parabolic_indices",
         "cell_orders", "group_order"))
-    params, rs, p2 = {"n": n, "q": q}, range(n + 1), p * p
+    params, rs = {"n": n, "q": q}, range(n + 1)
     rep.add("group.gl_factorization_every_q", params, "[]",
             [r for r in rs if gl[n] != gl[r] * gl[n - r] * q ** (r * (n - r)) * qbin[r]])
-    rep.add("group.cell_size_every_q", params, "[]", [r for r in rs if p2 != a[r] * cells[r]])
     rep.add("group.coset_index_every_q", params, "[]", [r for r in rs if p != a[r] * index[r]])
     rep.add("group.q_binomial_theorem_every_q", params, 0,
-            sum(index) - combinat.q_pochhammer(-1, q, n))
+            sum(index) - math.prod(1 + q ** j for j in range(n)))
     rep.add("group.cells_sum_to_order_every_q", params, 0, sum(cells) - order)
 
 
 def _group_rows(rep, fp, n):
-    q = fp.q
-    counts = orthogroup.group_counts(n, q)
-    rep.add("group.order_closed_form_vs_cells", {"n": n, "q": q},
-            counts["group_order"], sum(counts["cell_orders"]))
     if not orthogroup.enumerable(fp, n):
         return
+    q = fp.q
+    counts = orthogroup.group_counts(n, q)
     pkeys = orthogroup.enumerate_parabolic(fp, n)
     rep.add("group.parabolic_order", {"n": n, "q": q}, counts["parabolic_order"], len(pkeys))
     rep.add("group.parabolic_in_group", {"n": n, "q": q}, "[]",
@@ -242,7 +242,6 @@ def _group_rows(rep, fp, n):
         brute.append(orthogroup.cell_sums(fp, n, r, "brute"))
         for c in field.units(fp):
             rep.add("group.cell_character_sum", dict(params, c=c), formula[r][c], brute[r][c])
-    rep.add("group.union_is_group_order", {"n": n, "q": q}, counts["group_order"], len(union))
     for c in field.units(fp):
         rep.add("group.gauss_sum", {"n": n, "q": q, "c": c},
                 sum(sums[c] for sums in formula), sum(sums[c] for sums in brute))
@@ -343,9 +342,9 @@ def run_checks(max_r: int = 2, max_n: int = 2, h_max: int = 5) -> dict:
     field.check_int("h_max", h_max, 0)
     fps = [field.binary_field(r) for r in range(1, max_r + 1)]
     rep = Report()
+    _group_checks(rep, fps, max_n)  # first: a max_n over its charge is refused before any row
     _field_checks(rep, fps)
     _charsum_checks(rep, fps)
-    _group_checks(rep, fps, max_n)
     _code_checks(rep, fps, max_n, h_max)
     _moment_checks(rep, fps, max_n, h_max)
     return rep.as_dict()

@@ -63,11 +63,6 @@ def test_gl_order_vs_enumeration():
     assert combinat.gl_order(0, 7) == 1
 
 
-def test_q_pochhammer():
-    assert combinat.q_pochhammer(-1, 2, 3) == 2 * 3 * 5
-    assert combinat.q_pochhammer(1, 5, 4) == 0  # (1-1) factor
-
-
 def test_nonsingular_symmetric_formula_vs_enumeration():
     # oracle: count the symmetric matrices among all of GL(size, q)
     for r_field, size in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:

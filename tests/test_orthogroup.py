@@ -332,7 +332,6 @@ def test_group_counts_lists_equal_single_values():
             assert counts["gl_orders"] == [combinat.gl_order(t, q) for t in range(n + 1)]
             assert counts["q_binomials"] == [combinat.q_binomial(n, r, q) for r in range(n + 1)]
             assert counts["parabolic_order"] == og.parabolic_order(n, q)
-            assert counts["a_r_orders"] == [og.a_r_order(n, r, q) for r in range(n + 1)]
             assert counts["cell_orders"] == [og.cell_order(n, r, q) for r in range(n + 1)]
             assert counts["nonsingular_symmetric"] == [
                 combinat.nonsingular_symmetric_count(r, q) for r in range(n + 1)]

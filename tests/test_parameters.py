@@ -53,9 +53,6 @@ CASES = {
     "cell_order-n": (lambda v: og.cell_order(v, 0, 4), 1, (0,)),
     "cell_order-r": (lambda v: og.cell_order(1, v, 4), 1, (-1, 2, 5)),
     "cell_order-q": (lambda v: og.cell_order(1, 0, v), 2, Q_OUTSIDE),
-    "a_r_order-n": (lambda v: og.a_r_order(v, 0, 4), 1, (0,)),
-    "a_r_order-r": (lambda v: og.a_r_order(1, v, 4), 1, (-1, 2, 5)),
-    "a_r_order-q": (lambda v: og.a_r_order(1, 0, v), 2, Q_OUTSIDE),
     "parse_family-n": (lambda v: cc.parse_family("dc1-", v, GF8), 1, (0, -1)),
     "dual_weight-a": (lambda v: cc.dual_weight(DC1, v), 1, (0,)),
     "weight_distribution-j_max": (lambda v: cc.weight_distribution({1: 1}, v), 1, (-1,)),

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 
 import pytest
 
@@ -49,15 +51,16 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
-    (2, 2, 5, "6d9865c983dd1346fe0333c4de32ba6bc113c0bc6d031014e85e8c2a5a15b203"),
-    (3, 3, 10, "7a05bf3bd243813d7c77b05ba59bd167b629e0f8b88e47d3461e1c4f2dd5df76"),
-    (6, 3, 10, "fa22ef23d59e8b0bfc91b2c30608346d40077b32beb05db5e91610552e17c3f5"),
-    (8, 2, 10, "9ea0fbaca6856f6dcffbebbb6d0418d10393c93f3b3d561c2ce77ad096cdaf7e"),
+    (2, 2, 5, "8a323cc41702a9838d37b69be7f7f8a7a6fd801b9ba23777cd884f6e06e0feaf"),
+    (3, 3, 10, "b62c952fa5c8fe4a9e6a44422548822351a2d0d4de07ef46f66a9498d878981c"),
+    (6, 3, 10, "c9da5b23e98c798f95a6f4a041d536072102e3a3c4a7f06319186b676c0434f2"),
+    (8, 2, 10, "1cb6e1b8529cc57c6f13fb418d48dd139b6187b424f942fb958caf87224d86d5"),
 ], ids=["2-2-5", "3-3-10", "6-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
-    # the last to do so added field.mul_table_shift_and_add and
-    # field.inv_table_inverts_units, one row each per r
+    # the last to do so retired group.order_closed_form_vs_cells,
+    # group.cell_size_every_q and group.union_is_group_order and moved the
+    # every-q rows to q = 2^(2n+3)
     code = cli.main(["verify", "all", "--max-r", str(max_r), "--max-n", str(max_n),
                      "--h-max", str(h_max)])
     assert code == 0
@@ -69,7 +72,7 @@ def test_csv_report_bytes_pinned(capsys):
     code = cli.main(["verify", "all", "--max-r", "2", "--max-n", "2", "--format", "csv"])
     assert code == 0
     assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-            == "ebbdf855b2cb3268e10295d5ef404d40b151dba424292eb61ec3d4e19f201d5e")
+            == "8324dece7492f90be6b6fc14e45dce6d030b3d1ced8492d2ba8efae3f4f20d99")
 
 
 def test_values_table_rows():
@@ -260,8 +263,9 @@ def test_a_wrong_gl_table_entry_fails_its_rows(monkeypatch):
 
 def test_raised_while_building_a_table_is_one_row(monkeypatch):
     # the closed form's integrality check over GF(4), and group_counts at n = 2,
-    # each fail one row per guard (the every-q rows' q = 512 among them), and
-    # the other fields and n still report
+    # each fail one row per guard (the every-q rows' q = 128 among them; over
+    # GF(8), where O+(4,8) is not enumerated, no group row reads it), and the
+    # other fields and n still report
     closed_form = charsums._kloosterman_gl_closed_form
     counts = orthogroup.group_counts
 
@@ -283,8 +287,7 @@ def test_raised_while_building_a_table_is_one_row(monkeypatch):
         ("charsums.raised", {"r": 2}, "raised: GL closed form must be an integer | t=5"),
         ("group.raised", {"n": 2, "q": 2}, "raised: cell size identity failed | n=2, q=2"),
         ("group.raised", {"n": 2, "q": 4}, "raised: cell size identity failed | n=2, q=4"),
-        ("group.raised", {"n": 2, "q": 8}, "raised: cell size identity failed | n=2, q=8"),
-        ("group.raised", {"n": 2, "q": 512}, "raised: cell size identity failed | n=2, q=512")]
+        ("group.raised", {"n": 2, "q": 128}, "raised: cell size identity failed | n=2, q=128")]
     closed = [(c["params"]["r"], c["params"]["t"]) for c in report["checks"]
               if c["name"] == "charsums.gl_closed_form"]
     # over GF(4) the rows before the raise stay, t = 4 among them
@@ -334,13 +337,13 @@ def test_every_row_family_reports_a_raise_over_one_field(monkeypatch):
 def test_order_identity_rows_run_at_every_n():
     rep = verify.Report()
     for n in range(1, 13):
-        verify._order_identity_rows(rep, n, 2 ** (3 * n + 3))
-    assert rep.summary() == {"total": 60, "passed": 60, "failed": 0}
+        verify._order_identity_rows(rep, n, 2 ** (2 * n + 3))
+    assert rep.summary() == {"total": 48, "passed": 48, "failed": 0}
 
 
 def _order_identity_failures(n):
     rep = verify.Report()
-    verify._order_identity_rows(rep, n, 2 ** (3 * n + 3))
+    verify._order_identity_rows(rep, n, 2 ** (2 * n + 3))
     return {c.name: c.actual for c in rep.checks if not c.passed}
 
 
@@ -367,6 +370,83 @@ def test_a_perturbed_gl_factor_fails_its_every_q_rows(monkeypatch):
         failed = _order_identity_failures(n)
         assert "group.cells_sum_to_order_every_q" in failed, n
         assert failed.get("group.gl_factorization_every_q", "[]") == str(list(range(1, n))), n
+
+
+def _every_q_sides(n, q):
+    """Both sides of each every-q row at (n, q), as _order_identity_rows compares them."""
+    counts = orthogroup.group_counts(n, q)
+    gl, qbin, p, a, index, cells = map(counts.get, (
+        "gl_orders", "q_binomials", "parabolic_order", "a_r_orders", "parabolic_indices",
+        "cell_orders"))
+    rs = range(n + 1)
+    return {
+        "gl_factorization": [(gl[n], gl[r] * gl[n - r] * q ** (r * (n - r)) * qbin[r])
+                             for r in rs],
+        "coset_index": [(p, a[r] * index[r]) for r in rs],
+        "q_binomial_theorem": [(sum(index), math.prod(1 + q ** j for j in range(n)))],
+        "cells_sum_to_order": [(sum(cells), counts["group_order"])],
+    }
+
+
+def _signed_digits(v, k):
+    """The digits of v in base 2^k, lowest first, each in [-2^(k-1), 2^(k-1))."""
+    out = []
+    while v:
+        d = v & ((1 << k) - 1)
+        d -= (d >> (k - 1)) << k
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+def test_every_q_point_bounds_each_difference():
+    # each side of the four every-q rows read as a polynomial in q, from its
+    # value at q = 2^k far above the point 2^(2n+3): the coefficients' absolute
+    # values sum to at most 4^n a side, so a difference of two sides has every
+    # coefficient at most 2^(2n+1), and the polynomial read is the same at q = 4
+    for n in range(1, 11):
+        k = 8 * n + 8
+        at_4 = _every_q_sides(n, 4)
+        for name, pairs in _every_q_sides(n, 2 ** k).items():
+            for i, sides in enumerate(pairs):
+                x, y = (_signed_digits(side, k) for side in sides)
+                assert max(sum(map(abs, x)), sum(map(abs, y))) <= 4 ** n, (n, name, i)
+                assert max(abs(u) + abs(v) for u, v in itertools.zip_longest(
+                    x, y, fillvalue=0)) <= 2 ** (2 * n + 1), (n, name, i)
+                values_at_4 = tuple(sum(c * 4 ** j for j, c in enumerate(poly)) for poly in (x, y))
+                assert values_at_4 == at_4[name][i], (n, name, i)
+
+
+def test_a_raised_cell_order_fails_rows_that_stay(monkeypatch):
+    # the fault the retired cell size, closed-form sum and union rows caught:
+    # one cell order of group_counts 1 too large, and nothing else
+    real = orthogroup.group_counts
+
+    def raised(n, q):
+        counts = real(n, q)
+        cells = counts["cell_orders"]
+        return dict(counts, cell_orders=cells[:-1] + [cells[-1] + 1])
+
+    monkeypatch.setattr(orthogroup, "group_counts", raised)
+    for n in range(1, 13):
+        assert "group.cells_sum_to_order_every_q" in _order_identity_failures(n), n
+    failed = {(c["name"], c["params"].get("cell")) for c in verify.run_checks(1, 2, 1)["checks"]
+              if not c["pass"]}
+    assert ("group.cell_order", 1) in failed and ("group.cell_order", 2) in failed
+    assert {name for name, _ in failed} == {
+        "group.cell_order", "group.cells_sum_to_order_every_q"}
+
+
+def test_a_max_n_over_the_order_charge_is_refused_before_any_row(monkeypatch):
+    # the every-q rows run first, largest n first, and their lists at
+    # q = 2^(2n+3) hold about 4 (n + 2) n^2 (2n + 3) bits: 58 is the largest
+    # max_n admitted
+    added = []
+    monkeypatch.setattr(verify.Report, "add", lambda self, *row: added.append(row))
+    with pytest.raises(BudgetError, match=r"O\+\(118,2\^121\): about 102773044 bits, over"):
+        verify.run_checks(1, 59, 0)
+    assert added == []
+    assert len(orthogroup.group_counts(58, 2 ** 119)["cell_orders"]) == 59
 
 
 def _bump(table, i, value):
