@@ -6,7 +6,10 @@ n-lane int and lex order of the rows is int order of the key. The
 canonical serialization (keys_hex) is the row-major concatenation of
 fixed-width lowercase hex entries, read straight from the key, and sorting
 by the key agrees with sorting by the hex string.
-key_traces reads Tr of each key from its diagonal lanes.
+key_traces reads Tr of each key from its diagonal lanes, one key at a
+time from a stream: the route of the GL pass in ksums.charsums. A
+materialized Bruhat cell's histogram is counted bit-sliced over its buffer
+by ksums.orthogroup instead, and the tests check it against this route.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
@@ -50,7 +53,7 @@ def key_traces(fp: FieldParams, n: int, keys):
     Tr m is the xor of the n diagonal lanes, one pass over the keys per
     lane. Over GF(2) it is the parity of the diagonal bits instead, one
     int.bit_count per key and a single pass; that form is kept because it
-    is the faster one there (about 5x on the q = 2 cells), and it also
+    is the faster one there (about 5x on the O+(6,2) keys), and it also
     serves n = 0, whose empty diagonal has parity 0 in any field.
     """
     shifts = [fp.r * (n * n - 1 - i * (n + 1)) for i in range(n)]

@@ -23,8 +23,9 @@ the cosets of the left factors p1 s_r, so its size stays an
 enumeration-side oracle for the closed-form order bookkeeping in
 group_counts (which is never consulted while enumerating). The set built
 so far is always a union of whole cosets, so a left factor already in it
-opens no new coset and is skipped. Cells keep the kernel's set order:
-only --elements output sorts them.
+opens no new coset and is skipped. A cell is stored in the kernel's set
+order as one read-only buffer of unsigned 64-bit keys, 8 bytes per key
+(see BruhatCell): only --elements output sorts them.
 
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
@@ -40,12 +41,16 @@ chain scaled by a monomial X^t, moved by masks and shifts, so each element
 of y U costs one C-level xor. A packed row
 times a field element is built by one lane loop, _scale_row.
 A product with the permutation matrix s_r is no product at all: on a key it
-swaps lanes i and n+i, entries for K s_r and rows for s_r K (_swap_lanes).
+swaps lanes i and n+i, entries for K s_r and rows for s_r K, by one delta
+swap per key (_swap_lanes).
 A_r needs no conjugation either: the lanes of w that s_r w s_r moves onto
 its lower-left block are one mask, swapped once (a_r_subgroup).
-Tr w is read from the diagonal lanes by matgf.key_traces, counted per cell
-by cell_trace_histogram. A cell's character sums at every scale c are one
-cached tuple, cell_sums, by formula or from that histogram.
+cell_trace_histogram counts Tr w over a cell bit-sliced, as outside_oplus
+decides membership: a slice of the buffer read as one int, the xor of its
+diagonal lanes shifted down leaves Tr w in the low bits of every word, one
+byte per key is gathered, and the keys are split plane by plane into
+classes of equal trace, each counted by popcount. A cell's character sums at every
+scale c are one cached tuple, cell_sums, by formula or from that histogram.
 
 The order bookkeeping, group_counts, is the closed forms only, in O(n)
 big-int products: one running product of |GL(t,q)| for t <= n and one row
@@ -68,7 +73,7 @@ offer them as choices without importing coset_codes; coset_codes imports it
 from here.
 """
 
-from collections import Counter
+import sys
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, cycle, repeat
 from operator import and_, mul, or_, rshift, xor
@@ -86,16 +91,20 @@ FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")  # coset_codes' families; see t
 class BruhatCell(NamedTuple):
     """The materialized P+ s_r P+; its order is len(cell.elements), not len(cell).
 
-    elements stays a tuple, not a frozenset: callers that test membership or
-    disjointness pass it to a set method, while a frozenset per cached cell
-    raised the peak RSS of `group enum --r 1 --n 3 --elements` and of
-    `verify all` at (6,3,10) by about 2 MB (CPython 3.11).
+    elements is a read-only memoryview of one array('Q'), 8 bytes per key
+    where a tuple of ints took about 40 (CPython 3.11): O+(6,2)'s 40,320
+    keys fill 0.3 MB, not 1.6 MB. Every key fits a word, since an enumerable
+    (q, n) has 2 fp.r n^2 - 4 < 24 (PRODUCT_BUDGET's bit length), so a key
+    has 4 fp.r n^2 <= 52 bits. Read-only because the cell is cached and
+    shared; iterating or sorting it builds new ints. A memoryview of format
+    'Q' refuses hash, so a cell is not hashable: it is never a cache key,
+    whose caches are keyed by (fp, n, r).
     """
 
     fp: FieldParams
     n: int
     r: int
-    elements: tuple  # packed keys, in no particular order
+    elements: memoryview  # packed keys, in no particular order
 
 
 def _check_cell(n: int, r: int):
@@ -323,20 +332,24 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
 
 
 def _swap_lanes(fp: FieldParams, n: int, r: int, keys, rows: bool) -> list:
-    """s_r K (rows) or K s_r (columns) of each key: s_r swaps lanes i and n+i, i < r.
+    """s_r K (rows) or K s_r (columns) of each key, in order: s_r swaps lanes i and n+i, i < r.
 
-    A lane is a row or an entry; hi selects lanes i < r, d bits above n+i.
+    A lane is a row or an entry; lo selects lanes n+i, i < r, and lane i is
+    d bits above n+i. A delta swap: t = ((k >> d) ^ k) & lo is each pair's
+    xor, and k ^ t ^ (t << d) exchanges the pairs; t and t << d share no
+    bit, so t ^ (t << d) = t (2^d + 1). Five operations per key; on CPython
+    3.11 this comprehension beat the same operations chained through
+    C-level maps.
     """
     nn = 2 * n
     rowbits = fp.r * nn
     w = rowbits if rows else fp.r
-    hi = sum(((1 << w) - 1) << w * (nn - 1 - i) for i in range(r))
+    lo = sum(((1 << w) - 1) << w * (n - 1 - i) for i in range(r))
     if not rows:
-        hi *= sum(1 << rowbits * i for i in range(nn))  # the same lanes in every row
+        lo *= sum(1 << rowbits * i for i in range(nn))  # the same lanes in every row
     d = w * n
-    lo = hi >> d
-    keep = ~(hi | lo)
-    return [(k & keep) | ((k & hi) >> d) | ((k & lo) << d) for k in keys]
+    both = (1 << d) + 1
+    return [k ^ ((k >> d ^ k) & lo) * both for k in keys]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -345,8 +358,11 @@ def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
     read again by its trace histogram and the group rows (verify (6,3,10): 34 hits)."""
     _check_cell(n, r)
     _check_enum_budget(fp, n)
+    from array import array  # an extension module: only requests that build a cell import it
+
     left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
-    return BruhatCell(fp=fp, n=n, r=r, elements=tuple(_coset_products(fp, n, left)))
+    keys = array("Q", list(_coset_products(fp, n, left)))  # from a list: no spare capacity
+    return BruhatCell(fp=fp, n=n, r=r, elements=memoryview(keys).toreadonly())
 
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
@@ -364,15 +380,49 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     return tuple(k for k in enumerate_parabolic(fp, n) if not k & m_r)
 
 
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7  # offset of a native word's bits 0..7
+_SLICE = 1024  # keys per int in cell_trace_histogram; see there
+
+
 @lru_cache(maxsize=None, typed=True)
 def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
-    """Counts of Tr(w) over the materialized cell, as {beta: count}.
+    """Counts of Tr(w) over the materialized cell, as {beta: count}, beta ascending.
 
-    Cached because brute-mode cell_sums and brute-force trace multiplicities
-    each read it (verify (6,3,10): 12 hits, 22 misses); hence read-only.
+    Bit-sliced over the cell's buffer, read _SLICE keys at a time as one int
+    of 64-bit words: the xor of the 2n diagonal lanes, each shifted to bit 0
+    of its word, holds Tr w in the low fp.r bits of w's word (the bits above
+    are debris, and fp.r <= 8). Slices keep those shifted copies small: made
+    of a whole O+(6,2) cell at once, they raised the peak RSS of a request
+    that builds that one cell by about 1 MB. The low byte of each word is
+    gathered, so the keys are the bytes of one int and trace plane j is bit
+    j of every byte. The keys are then split plane by plane, top plane
+    first, into the classes that agree on the planes read so far: one AND
+    and one xor per nonempty class, at most 2^(fp.r+1) in all, and a
+    popcount per trace. Cached because brute-mode cell_sums and brute-force
+    trace multiplicities each read it (verify (6,3,10): 12 hits, 22 misses);
+    hence read-only.
     """
     keys = bruhat_cell(fp, n, r).elements
-    return MappingProxyType(dict(Counter(matgf.key_traces(fp, 2 * n, keys))))
+    nn = 2 * n
+    shifts = [fp.r * (nn * nn - 1 - i * (nn + 1)) for i in range(nn)]
+    low = bytearray()
+    for start in range(0, len(keys), _SLICE):
+        part = keys[start:start + _SLICE]
+        words = int.from_bytes(part, sys.byteorder)
+        traces = reduce(xor, [words >> s for s in shifts])
+        low += traces.to_bytes(part.nbytes, sys.byteorder)[_LOW_BYTE::8]
+    traces = int.from_bytes(low, "little")
+    classes = {0: int.from_bytes(b"\1" * len(keys), "little")}  # beta's top bits: its keys
+    for j in range(fp.r - 1, -1, -1):
+        plane, split = traces >> j, {}  # the classes hold bit 0 of a byte only
+        for beta, members in classes.items():
+            ones = members & plane
+            if ones != members:
+                split[beta << 1] = members ^ ones
+            if ones:
+                split[beta << 1 | 1] = ones
+        classes = split
+    return MappingProxyType({beta: members.bit_count() for beta, members in classes.items()})
 
 
 def _parabolic(n, q, gl_n):  # |P+| = q^C(n,2) |GL(n,q)|

@@ -29,6 +29,7 @@ which pless_check would refuse as bad input.
 
 import math
 from contextlib import contextmanager
+from itertools import chain
 from typing import NamedTuple
 
 from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
@@ -226,16 +227,16 @@ def _group_rows(rep, fp, n):
     rep.add("group.parabolic_order", {"n": n, "q": q}, counts["parabolic_order"], len(pkeys))
     rep.add("group.parabolic_in_group", {"n": n, "q": q}, "[]",
             orthogroup.outside_oplus(fp, n, pkeys))
-    union, formula, brute = set(), [], []
+    lower, formula, brute = [], [], []
     for r in range(n + 1):
         cell = orthogroup.bruhat_cell(fp, n, r)
         params = {"n": n, "q": q, "cell": r}
         rep.add("group.cell_order", params, counts["cell_orders"][r], len(cell.elements))
-        # the cell's keys are distinct, so |U| + |C| - |U u C| counts those already in U
-        before = len(union)
-        union.update(cell.elements)
-        rep.add("group.cell_disjoint_from_lower", params,
-                0, before + len(cell.elements) - len(union))
+        # the lower cells' keys looked up in a set of this cell alone, freed
+        # once counted: no set of the whole group is ever built
+        rep.add("group.cell_disjoint_from_lower", params, 0,
+                sum(map(set(cell.elements).__contains__, chain.from_iterable(lower))))
+        lower.append(cell.elements)
         rep.add("group.a_r_order", params,
                 counts["a_r_orders"][r], len(orthogroup.a_r_subgroup(fp, n, r)))
         formula.append(orthogroup.cell_sums(fp, n, r, "formula"))

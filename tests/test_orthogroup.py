@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from array import array
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -453,6 +456,41 @@ def test_products_stay_in_group():
                 a = oracles.unpack_mat(fp, 2 * n, ka)
                 b = oracles.unpack_mat(fp, 2 * n, kb)
                 assert oracles.pack_mat(fp, oracles.mat_mul(fp, a, b)) in union
+
+
+def test_bit_sliced_histogram_counts_the_streamed_traces():
+    # every cell of every enumerable (q, n), under both moduli of each degree
+    # that has a second one: the same counts as matgf's streamed traces, in
+    # ascending beta and with no zero count
+    fields = [binary_field(r, m) for moduli in (field.DEFAULT_MODULI, ALT_MODULI)
+              for r, m in moduli.items()]
+    cells = 0
+    for fp in fields:
+        for n in (1, 2, 3):
+            if og.enumerable(fp, n):
+                for r in range(n + 1):
+                    hist = og.cell_trace_histogram(fp, n, r)
+                    keys = og.bruhat_cell(fp, n, r).elements
+                    assert hist == Counter(matgf.key_traces(fp, 2 * n, keys)), (fp, n, r)
+                    assert list(hist) == sorted(hist) and all(hist.values()), (fp, n, r)
+                    cells += 1
+    # n = 1 up to q = 256, n = 2 up to q = 4, O+(6,2), then n = 1 under ALT_MODULI
+    assert cells == 8 * 2 + 2 * 3 + 4 + 6 * 2
+
+
+def test_cached_cells_are_packed_and_read_only():
+    empty = sys.getsizeof(array("Q"))
+    for r in range(4):
+        cell = og.bruhat_cell(GF2, 3, r)
+        keys = cell.elements
+        assert keys.readonly and keys.format == "Q" and keys.itemsize == 8
+        # O+(6,2)'s cells: 8 bytes per key, with no spare capacity behind the view
+        assert sys.getsizeof(keys.obj) - empty == 8 * len(keys) == keys.nbytes
+        with pytest.raises(TypeError, match="read-only"):
+            keys[0] = 0
+        assert og.bruhat_cell(GF2, 3, r).elements[0] == keys[0]
+        with pytest.raises(ValueError):  # a cell is not hashable, so never a cache key
+            hash(cell)
 
 
 def test_trace_histogram_example():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from array import array
 
 import pytest
 
@@ -295,20 +296,22 @@ def test_raised_while_building_a_table_is_one_row(monkeypatch):
 
 
 def test_a_cell_overlapping_a_lower_one_fails_disjointness(monkeypatch):
-    # cell 1 of O+(2,2) given one key of cell 0 on top of its own
+    # cell r given one key of cell r - 1 on top of its own, packed as the
+    # cells are: the row fails at r alone, with one key counted
     cell = orthogroup.bruhat_cell
+    for n, stubbed in [(1, 1), (2, 1), (2, 2), (3, 3)]:
+        def overlapping(fp, n, r, stubbed=stubbed):
+            out = cell(fp, n, r)
+            if (fp.q, r) == (2, stubbed):
+                keys = array("Q", [*out.elements, cell(fp, n, r - 1).elements[0]])
+                out = out._replace(elements=memoryview(keys).toreadonly())
+            return out
 
-    def overlapping(fp, n, r):
-        out = cell(fp, n, r)
-        if (fp.q, n, r) == (2, 1, 1):
-            out = out._replace(elements=out.elements + cell(fp, n, 0).elements[:1])
-        return out
-
-    monkeypatch.setattr(orthogroup, "bruhat_cell", overlapping)
-    rows = {c["name"]: c for c in verify.run_checks(1, 1, 1)["checks"]
-            if c["params"].get("cell") == 1}
-    assert rows["group.cell_disjoint_from_lower"]["actual"] == "1"
-    assert not rows["group.cell_disjoint_from_lower"]["pass"]
+        monkeypatch.setattr(orthogroup, "bruhat_cell", overlapping)
+        rows = [c for c in verify.run_checks(1, n, 0)["checks"]
+                if c["name"] == "group.cell_disjoint_from_lower" and c["params"]["n"] == n]
+        assert [(c["params"]["cell"], c["actual"], c["pass"]) for c in rows] == [
+            (r, "1" if r == stubbed else "0", r != stubbed) for r in range(n + 1)], (n, stubbed)
 
 
 def test_every_row_family_reports_a_raise_over_one_field(monkeypatch):
