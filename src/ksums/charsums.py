@@ -20,20 +20,22 @@ K_GL(t)(psi; a) has three routes: the recursion and the closed form,
 which depend on a only through K(lambda;a), and brute force. Bulk readers
 (verify's GL rows, orthogroup.cell_sums) read one table per (field, t) and
 route (kloosterman_gl_table), which runs a formula route once per distinct
-value of the m = 1 table and brute force once per a; kloosterman_gl runs
-each route once, for one value. w -> w/c gives
+value of the m = 1 table and brute force once, over one histogram, for
+every a; kloosterman_gl runs each route once, for one value. w -> w/c gives
 K_GL(t)(lambda(c .); a) = K_GL(t)(lambda; c^2 a), so a scale c is the
 reindex a -> c^2 a, as for the values tables.
 
-The brute-force GL route reads a cached histogram of (Tr w, Tr w^-1) over
-GL(t,q), at most q^2 entries, counted once per (q, t); each a then
-costs one pass over it. A unit u sends w to u w and the pair to
-(u Tr w, u^-1 Tr w^-1), and scalars act freely on GL(t,q), so the histogram
-reads the traces of the packed key pairs that matgf.gl_matrices streams with
-scalar_classes, one matrix of each class and |GL(t,q)|/(q-1) in all, and
-spreads each count over the q-1 scaled pairs. The closed form's inner sum
-over weakly decreasing tuples j_1 >= ... >= j_(l-1) is taken level by level
-through suffix sums, O(t^2) terms per l instead of one per tuple.
+The brute-force GL route counts a histogram of (Tr w, Tr w^-1) over
+GL(t,q), at most q^2 entries, once per run, and each a of the run costs
+one pass over it; the table is cached, so that is once per (field, t). A
+unit u sends w to u w and the pair to (u Tr w, u^-1 Tr w^-1), and scalars
+act freely on GL(t,q), so the histogram reads, by matgf.key_traces, the
+traces of the packed key pairs that matgf.gl_matrices streams with
+scalar_classes, one matrix of each class and |GL(t,q)|/(q-1) in all, a
+chunk of them at a time, and spreads each count over the q-1 scaled pairs.
+The closed form's inner sum over weakly decreasing tuples
+j_1 >= ... >= j_(l-1) is taken level by level through suffix sums, O(t^2)
+terms per l instead of one per tuple.
 
 The oracle moments of a request come from one pass (power_moments) over
 the values table, every h up to h_max at once; moment is entry h of one.
@@ -51,8 +53,7 @@ errors.TRANSFORM_BIT_BUDGET before they start.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product, tee
-from operator import itemgetter
+from itertools import islice, product
 
 from ksums import combinat, field, matgf
 from ksums.errors import TRANSFORM_BIT_BUDGET, BudgetError, ConsistencyError, charge
@@ -63,6 +64,7 @@ ENUM_BUDGET = 1 << ENUM_BITS  # max tuples of one direct sum
 GL_BRUTE_BUDGET = 10 ** 6  # max |GL(t,q)| for brute force, and max F(t+1) for the closed form
 
 GL_METHODS = ("recursion", "closed_form", "brute_force")
+_PAIRS = 256  # key pairs of the GL search per chunk in _gl_trace_histogram
 
 
 def kloosterman(fp: FieldParams, a: int, m: int = 1, c: int = 1) -> int:
@@ -249,18 +251,20 @@ def _kloosterman_gl_closed_form(fp, t, k1):
     return value
 
 
-@lru_cache(maxsize=None)
 def _gl_trace_histogram(fp, t):
-    """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries; every a and c reads it.
+    """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries, read by one brute-force run.
 
     One matrix per scalar class is enumerated; u w for the q-1 units u
-    carries (Tr w, Tr w^-1) to (u Tr w, u^-1 Tr w^-1). The traces are read
-    from the packed keys as the search yields them, in lockstep, so no list
-    of the |GL(t,q)|/(q-1) keys is ever held. Cached (verify (6,3,10): 136 hits).
+    carries (Tr w, Tr w^-1) to (u Tr w, u^-1 Tr w^-1). The search is read
+    _PAIRS key pairs at a time, each chunk's traces by two
+    matgf.key_traces calls, so no list of the |GL(t,q)|/(q-1) keys is ever
+    held. Not cached: a brute-force run reads it for every a it needs.
     """
-    mats, invs = tee(matgf.gl_matrices(fp, t, scalar_classes=True))
-    classes = Counter(zip(matgf.key_traces(fp, t, map(itemgetter(0), mats)),
-                          matgf.key_traces(fp, t, map(itemgetter(1), invs))))
+    search = matgf.gl_matrices(fp, t, scalar_classes=True)
+    classes = Counter()
+    while pairs := list(islice(search, _PAIRS)):
+        keys, invs = zip(*pairs)
+        classes.update(zip(matgf.key_traces(fp, t, keys), matgf.key_traces(fp, t, invs)))
     mt, invt = field.mul_table(fp), field.inv_table(fp)
     hist = Counter()
     for (tr, trinv), count in classes.items():
@@ -269,12 +273,14 @@ def _gl_trace_histogram(fp, t):
     return tuple(hist.items())
 
 
-def _kloosterman_gl_brute(fp, t, a):
+def _kloosterman_gl_brute(fp, t, ats):
+    """K_GL(t)(lambda; a) for each a in ats, all over one _gl_trace_histogram."""
     if t == 0:
-        return 1
+        return [1] * len(ats)
     mt, lam = field.mul_table(fp), field.char_table(fp)
-    row = mt[a]
-    return sum(count * lam[tr ^ row[trinv]] for (tr, trinv), count in _gl_trace_histogram(fp, t))
+    hist = _gl_trace_histogram(fp, t)
+    return [sum(count * lam[tr ^ row[trinv]] for (tr, trinv), count in hist)
+            for row in map(mt.__getitem__, ats)]
 
 
 def _gl_bits(t, q):
@@ -313,12 +319,18 @@ def _admit_gl(fp, t, method):
                           f"closed_form; routes that fit: {', '.join(fits)}")
 
 
-def _gl_value(fp, t, method, a):
-    """K_GL(t)(lambda; a) by one admitted route."""
+def _gl_values(fp, t, method, ats):
+    """K_GL(t)(lambda; a) for each a in ats by one admitted route.
+
+    The recursion and the closed form run once per distinct K(lambda; a),
+    brute force once over one histogram for every a.
+    """
     if method == "brute_force":
-        return _kloosterman_gl_brute(fp, t, a)
+        return _kloosterman_gl_brute(fp, t, ats)
     route = _kloosterman_gl_recursion if method == "recursion" else _kloosterman_gl_closed_form
-    return route(fp, t, kloosterman_values(fp, 1)[a])
+    k1 = kloosterman_values(fp, 1)
+    by_value = {v: route(fp, t, v) for v in dict.fromkeys(k1[a] for a in ats)}
+    return [by_value[k1[a]] for a in ats]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must not hit t = 1's table
@@ -327,22 +339,18 @@ def kloosterman_gl_table(fp: FieldParams, t: int, method: str, /) -> tuple:
 
     The recursion and the closed form depend on a only through K(lambda;a),
     so each runs once per distinct value of the m = 1 table; brute force
-    runs once per a over _gl_trace_histogram. Admitted like one run of
-    kloosterman_gl, then charged once before it is built: r t^3 bits per
-    distinct value. K_GL(t)(lambda(c .); a) is entry c^2 a. Cached, so the
-    GL rows of verify and every c of orthogroup.cell_sums read one table per
-    (field, t) (verify (6,3,10): 40 hits, 91 misses).
+    counts one _gl_trace_histogram and reads it for every a. Admitted like
+    one run of kloosterman_gl, then charged once before it is built: r t^3
+    bits per distinct value. K_GL(t)(lambda(c .); a) is entry c^2 a.
+    Cached, so the GL rows of verify and every c of orthogroup.cell_sums
+    read one table per (field, t) (verify (6,3,10): 40 hits, 91 misses).
     """
     _admit_gl(fp, t, method)
     k1 = kloosterman_values(fp, 1)
     runs = len(set(k1[1:]))
     charge(_gl_bits(t, fp.q) * runs, "K_GL({0}) table over GF({1}), {2} runs of {0} "
            "steps over values of about r t^2 bits", "lower t", t, fp.q, runs)
-    if method == "brute_force":
-        return (None,) + tuple(_gl_value(fp, t, method, a) for a in field.units(fp))
-    one_a = dict(zip(k1[1:], field.units(fp)))  # an a for each distinct value
-    by_value = {v: _gl_value(fp, t, method, a) for v, a in one_a.items()}
-    return (None,) + tuple(map(by_value.__getitem__, k1[1:]))
+    return (None,) + tuple(_gl_values(fp, t, method, field.units(fp)))
 
 
 def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int = 1) -> int:
@@ -364,7 +372,7 @@ def kloosterman_gl(fp: FieldParams, t: int, a: int, method: str = "all", c: int 
     at = exp[(2 * log[c] + log[a]) % (fp.q - 1)]
     _admit_gl(fp, t, "recursion" if method == "all" else method)  # the recursion always fits
     routes = gl_routes(t, fp.q) if method == "all" else (method,)
-    got = {name: _gl_value(fp, t, name, at) for name in routes}
+    got = {name: _gl_values(fp, t, name, [at])[0] for name in routes}
     if len(set(got.values())) != 1:
         raise ConsistencyError("kloosterman_gl methods disagree",
                                t=t, a=a, q=fp.q, **got)

@@ -6,10 +6,10 @@ n-lane int and lex order of the rows is int order of the key. The
 canonical serialization (keys_hex) is the row-major concatenation of
 fixed-width lowercase hex entries, read straight from the key, and sorting
 by the key agrees with sorting by the hex string.
-key_traces reads Tr of each key from its diagonal lanes, one key at a
-time from a stream: the route of the GL pass in ksums.charsums. A
-materialized Bruhat cell's histogram is counted bit-sliced over its buffer
-by ksums.orthogroup instead, and the tests check it against this route.
+key_traces is the package's one trace reader: Tr of every key from its
+diagonal lanes, bit-sliced over 1,024 keys at a time read as one int of
+64-bit words. It reads a Bruhat cell's buffer for ksums.orthogroup's trace
+histogram and the key pairs of the GL search for ksums.charsums'.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
@@ -20,11 +20,14 @@ the same search yields one matrix of each class {u m : u != 0},
 |GL(n,q)|/(q-1) of them.
 """
 
-from itertools import repeat, tee
-from operator import and_, rshift, xor
+import sys
+from functools import reduce
+from operator import xor
 
 from ksums import field
 from ksums.field import FieldParams
+
+_CHUNK = 1024  # keys per int in key_traces; see there
 
 
 def keys_hex(fp: FieldParams, n: int, keys):
@@ -47,23 +50,33 @@ def keys_hex(fp: FieldParams, n: int, keys):
     return ("".join([table[(key >> s) & mask] for s in shifts])[pad:] for key in keys)
 
 
-def key_traces(fp: FieldParams, n: int, keys):
-    """Tr of each packed n x n key, lazily and in order; keys may be a stream.
+def key_traces(fp: FieldParams, n: int, keys) -> bytes:
+    """Tr of each packed n x n key, in order, one byte per key.
 
-    Tr m is the xor of the n diagonal lanes, one pass over the keys per
-    lane. Over GF(2) it is the parity of the diagonal bits instead, one
-    int.bit_count per key and a single pass; that form is kept because it
-    is the faster one there (about 5x on the O+(6,2) keys), and it also
-    serves n = 0, whose empty diagonal has parity 0 in any field.
+    keys is a sequence of keys below 2^64: a 'Q' memoryview such as
+    BruhatCell.elements, or a list or tuple of ints, whose slices are packed
+    through array('Q') (a key out of range raises OverflowError there). It
+    is read _CHUNK keys at a time as one int of native 64-bit words, so
+    each operation below acts on every key of the chunk at once. The xor of
+    the n diagonal lanes, each shifted to bit 0 of its word, leaves Tr in
+    the low fp.r bits of every word (the bits above are debris, and
+    fp.r <= 8); the low byte of each word is gathered, and one
+    bytes.translate masks every byte to fp.r bits. Chunks keep the shifted
+    copies small: made of a whole O+(6,2) cell at once, they raised the
+    peak RSS of a request that builds that one cell by about 1 MB.
     """
     shifts = [fp.r * (n * n - 1 - i * (n + 1)) for i in range(n)]
-    if fp.r == 1 or n == 0:
-        diag = sum(1 << s for s in shifts)
-        return map(and_, map(int.bit_count, map(and_, keys, repeat(diag))), repeat(1))
-    out = repeat(0)
-    for s, stream in zip(shifts, tee(keys, n)):
-        out = map(xor, out, map(and_, map(rshift, stream, repeat(s)), repeat(fp.q - 1)))
-    return out
+    low = 0 if sys.byteorder == "little" else 7  # offset of a native word's bits 0..7
+    out = []
+    for start in range(0, len(keys), _CHUNK):
+        part = keys[start:start + _CHUNK]
+        if not isinstance(part, memoryview):
+            from array import array  # an extension module, imported only to pack keys
+            part = array("Q", part)
+        words = int.from_bytes(part, sys.byteorder)
+        traces = reduce(xor, [words >> s for s in shifts], 0)
+        out.append(traces.to_bytes(8 * len(part), sys.byteorder)[low::8])
+    return b"".join(out).translate(bytes(range(fp.q)) * (256 >> fp.r))  # b -> b mod q
 
 
 def _lane_scales(fp: FieldParams, n: int):

@@ -45,11 +45,8 @@ swaps lanes i and n+i, entries for K s_r and rows for s_r K, by one delta
 swap per key (_swap_lanes).
 A_r needs no conjugation either: the lanes of w that s_r w s_r moves onto
 its lower-left block are one mask, swapped once (a_r_subgroup).
-cell_trace_histogram counts Tr w over a cell bit-sliced, as outside_oplus
-decides membership: a slice of the buffer read as one int, the xor of its
-diagonal lanes shifted down leaves Tr w in the low bits of every word, one
-byte per key is gathered, and the keys are split plane by plane into
-classes of equal trace, each counted by popcount. A cell's character sums at every
+cell_trace_histogram counts Tr w over a cell in the one byte per key that
+matgf.key_traces reads off its buffer. A cell's character sums at every
 scale c are one cached tuple, cell_sums, by formula or from that histogram.
 
 The order bookkeeping, group_counts, is the closed forms only, in O(n)
@@ -73,7 +70,6 @@ offer them as choices without importing coset_codes; coset_codes imports it
 from here.
 """
 
-import sys
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, cycle, repeat
 from operator import and_, mul, or_, rshift, xor
@@ -380,49 +376,18 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     return tuple(k for k in enumerate_parabolic(fp, n) if not k & m_r)
 
 
-_LOW_BYTE = 0 if sys.byteorder == "little" else 7  # offset of a native word's bits 0..7
-_SLICE = 1024  # keys per int in cell_trace_histogram; see there
-
-
 @lru_cache(maxsize=None, typed=True)
 def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
     """Counts of Tr(w) over the materialized cell, as {beta: count}, beta ascending.
 
-    Bit-sliced over the cell's buffer, read _SLICE keys at a time as one int
-    of 64-bit words: the xor of the 2n diagonal lanes, each shifted to bit 0
-    of its word, holds Tr w in the low fp.r bits of w's word (the bits above
-    are debris, and fp.r <= 8). Slices keep those shifted copies small: made
-    of a whole O+(6,2) cell at once, they raised the peak RSS of a request
-    that builds that one cell by about 1 MB. The low byte of each word is
-    gathered, so the keys are the bytes of one int and trace plane j is bit
-    j of every byte. The keys are then split plane by plane, top plane
-    first, into the classes that agree on the planes read so far: one AND
-    and one xor per nonempty class, at most 2^(fp.r+1) in all, and a
-    popcount per trace. Cached because brute-mode cell_sums and brute-force
-    trace multiplicities each read it (verify (6,3,10): 12 hits, 22 misses);
-    hence read-only.
+    The traces are matgf.key_traces of the cell's buffer, one byte per key,
+    and each beta is counted by one bytes.count. Cached because brute-mode
+    cell_sums and brute-force trace multiplicities each read it (verify
+    (6,3,10): 12 hits, 22 misses); hence read-only.
     """
-    keys = bruhat_cell(fp, n, r).elements
-    nn = 2 * n
-    shifts = [fp.r * (nn * nn - 1 - i * (nn + 1)) for i in range(nn)]
-    low = bytearray()
-    for start in range(0, len(keys), _SLICE):
-        part = keys[start:start + _SLICE]
-        words = int.from_bytes(part, sys.byteorder)
-        traces = reduce(xor, [words >> s for s in shifts])
-        low += traces.to_bytes(part.nbytes, sys.byteorder)[_LOW_BYTE::8]
-    traces = int.from_bytes(low, "little")
-    classes = {0: int.from_bytes(b"\1" * len(keys), "little")}  # beta's top bits: its keys
-    for j in range(fp.r - 1, -1, -1):
-        plane, split = traces >> j, {}  # the classes hold bit 0 of a byte only
-        for beta, members in classes.items():
-            ones = members & plane
-            if ones != members:
-                split[beta << 1] = members ^ ones
-            if ones:
-                split[beta << 1 | 1] = ones
-        classes = split
-    return MappingProxyType({beta: members.bit_count() for beta, members in classes.items()})
+    traces = matgf.key_traces(fp, 2 * n, bruhat_cell(fp, n, r).elements)
+    return MappingProxyType({beta: count for beta in range(fp.q)
+                             if (count := traces.count(beta))})
 
 
 def _parabolic(n, q, gl_n):  # |P+| = q^C(n,2) |GL(n,q)|

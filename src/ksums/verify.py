@@ -30,7 +30,6 @@ which pless_check would refuse as bad input.
 import math
 from contextlib import contextmanager
 from itertools import chain
-from typing import NamedTuple
 
 from ksums import charsums, combinat, coset_codes, field, moments, orthogroup
 from ksums.coset_codes import parse_family
@@ -40,21 +39,14 @@ from ksums.errors import ConsistencyError
 ALT_MODULI = {3: 0b1101, 4: 0b11001, 5: 0b101001, 6: 0b1011011, 7: 0b10001001, 8: 0b101001101}
 
 
-class Check(NamedTuple):
-    name: str
-    params: dict
-    expected: str
-    actual: str
-    passed: bool
-
-
 class Report:
     def __init__(self):
-        self.checks = []
+        self.checks = []  # the report's rows, as as_dict lists them
 
     def add(self, name, params, expected, actual):
         expected, actual = str(expected), str(actual)
-        self.checks.append(Check(name, params, expected, actual, expected == actual))
+        self.checks.append({"name": name, "params": params, "expected": expected,
+                            "actual": actual, "pass": expected == actual})
 
     @contextmanager
     def guard(self, name, params):
@@ -69,17 +61,13 @@ class Report:
             self.add(name, params, "[]", f"raised: {exc}")
 
     def summary(self):
-        passed = sum(1 for c in self.checks if c.passed)
+        passed = sum(c["pass"] for c in self.checks)
         return {"total": len(self.checks), "passed": passed,
                 "failed": len(self.checks) - passed}
 
     def as_dict(self):
-        rows = sorted(self.checks, key=lambda c: (c.name, sorted(c.params.items())))
-        return {
-            "checks": [{"name": c.name, "params": c.params, "expected": c.expected,
-                        "actual": c.actual, "pass": c.passed} for c in rows],
-            "summary": self.summary(),
-        }
+        self.checks.sort(key=lambda c: (c["name"], sorted(c["params"].items())))
+        return {"checks": self.checks, "summary": self.summary()}
 
 
 def _field_checks(rep, fps):

@@ -199,7 +199,7 @@ def test_kloosterman_gl_scaled_character():
 
 def test_kloosterman_gl_tables_match_single_sums():
     # a formula route's table runs once per distinct K value and brute force
-    # once per a; entry c^2 a is the sum at lambda(c .)
+    # over one histogram; entry c^2 a is the sum at lambda(c .)
     for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2), (GF8, 4)]:
         mt = field.mul_table(fp)
         for method in charsums.gl_routes(t, fp.q):
@@ -266,17 +266,36 @@ def test_gl_histogram_over_scalar_classes_matches_full_enumeration():
 
 
 def test_gl_histogram_streams_the_search():
-    # the traces are read as the search yields its keys: no list of the
-    # 20,160 keys of GL(4,2) is held, which alone would take 8 bytes a key
-    charsums._gl_trace_histogram(GF2, 4)  # the field tables, built outside the trace
+    # the traces are read a chunk of key pairs at a time as the search yields
+    # them: no list of the 20,160 keys of GL(4,2) is held, which alone would
+    # take 8 bytes a key
+    first = charsums._gl_trace_histogram(GF2, 4)  # the field tables, built outside the trace
     tracemalloc.start()
     try:
-        hist = charsums._gl_trace_histogram.__wrapped__(GF2, 4)
+        hist = charsums._gl_trace_histogram(GF2, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hist == charsums._gl_trace_histogram(GF2, 4)
+    assert hist == first
     assert peak < 8 * combinat.gl_order(4, 2)
+
+
+@pytest.mark.parametrize("fp,t", [(GF2, 4), (GF16, 2)])
+def test_gl_histogram_is_built_once_per_request(monkeypatch, fp, t):
+    # a brute-force table reads one histogram for every a, and so does one
+    # sum by every route
+    calls = []
+    histogram = charsums._gl_trace_histogram
+    monkeypatch.setattr(charsums, "_gl_trace_histogram",
+                        lambda *args: calls.append(args) or histogram(*args))
+    monkeypatch.setattr(charsums, "kloosterman_gl_table",
+                        charsums.kloosterman_gl_table.__wrapped__)  # uncached
+    table = charsums.kloosterman_gl_table(fp, t, "brute_force")
+    assert calls == [(fp, t)]
+    assert table == charsums.kloosterman_gl_table(fp, t, "recursion")
+    calls.clear()
+    charsums.kloosterman_gl(fp, t, 1, "all")
+    assert calls == [(fp, t)]
 
 
 def test_gl_closed_form_matches_recursion_at_the_cap():

@@ -309,6 +309,19 @@ def test_group_enum_elements_bytes_pinned(capsys, r, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("--r 1 --t 4 --a 1", "de60be94d05ba219c8a4ead070a60e376d103681fdd7a46550a7421237c88d76"),
+    ("--r 4 --t 2 --a 3", "55dc7d2064e12afa0eec59bc3fa4ba6f898295ae850c30a58664589a4d5c8b0b"),
+    ("--r 2 --t 3 --a 1", "a19baee51e47b5f8f98ab9d397ab4cd47970d3320e4a0ab66d9554fa85b19e39"),
+], ids=["1-4", "4-2", "2-3"])
+def test_ksum_gl_bytes_pinned(capsys, argv, digest):
+    # every route that fits, brute force over the trace histogram of GL(4,2),
+    # GL(2,16) and GL(3,4), the largest brute-force shapes the benchmark asks for
+    code, out, err = run(capsys, "ksum", "gl", *argv.split(), "--method", "all")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 ENUMERABLE_UP_TO_N3 = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)] + [(r, 1) for r in range(3, 9)]
 
 
@@ -685,6 +698,29 @@ def test_exact_requests_load_no_fractions(argv):
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+ARRAY_PROBE = """
+import contextlib, io, sys
+import ksums.cli as cli
+for argv in (["field", "table", "--r", "3"], ["ksum", "--r", "3", "--a", "5", "--m", "2"],
+             ["moments", "oracle", "--r", "3", "--m", "2", "--h-max", "2"],
+             ["moments", "recursive", "--family", "dc1-", "--n", "3", "--r", "2", "--h-max", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("array" in sys.modules)
+"""
+
+
+def test_requests_that_trace_no_keys_load_no_array():
+    # matgf.key_traces and orthogroup.bruhat_cell import the array extension
+    # module when they first pack keys, so a request that reads no packed
+    # key trace never loads it (-S keeps site's .pth imports out)
+    src = os.path.dirname(os.path.dirname(ksums.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", ARRAY_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # sha256 of `--help` at COLUMNS=80 for every parser cli.COMMANDS builds: the

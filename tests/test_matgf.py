@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import product
 
 import pytest
@@ -112,16 +113,24 @@ def test_gl_matrices_count_gl42():
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_key_traces_match_mat_trace(r):
+    # every n whose keys fit a word, n = 0 included, fed as a list, a tuple
+    # and a 'Q' memoryview, at lengths on both sides of a 1,024-key chunk
     fp = binary_field(r)
     rng = random.Random(r)
-    for n in (1, 2, 3, 4):
-        keys = [0, (1 << (r * n * n)) - 1] + [rng.getrandbits(r * n * n) for _ in range(50)]
-        expected = [oracles.mat_trace(oracles.unpack_mat(fp, n, k)) for k in keys]
-        assert list(matgf.key_traces(fp, n, keys)) == expected, n
-        assert list(matgf.key_traces(fp, n, iter(keys))) == expected, n  # a stream is read once
-    # the empty matrix: one trace 0 per key, and a finite stream
-    expected = [oracles.mat_trace(oracles.unpack_mat(fp, 0, 0))] * 2
-    assert list(matgf.key_traces(fp, 0, [0, 0])) == expected == [0, 0]
+    for n in (n for n in range(9) if r * n * n <= 64):
+        top = (1 << (r * n * n)) - 1
+        keys = [0, top] + [rng.getrandbits(r * n * n) for _ in range(1023)]
+        expected = bytes(oracles.mat_trace(oracles.unpack_mat(fp, n, k)) for k in keys)
+        for length in (0, 1, 1023, 1024, 1025):
+            part = keys[:length]
+            for seq in (part, tuple(part), memoryview(array("Q", part))):
+                assert matgf.key_traces(fp, n, seq) == expected[:length], (n, length, type(seq))
+
+
+def test_key_traces_refuse_keys_outside_a_word():
+    for bad in (1 << 64, -1):
+        with pytest.raises(OverflowError):
+            matgf.key_traces(GF2, 8, [0, bad])
 
 
 def test_pack_round_trip_and_ordering():

@@ -460,8 +460,8 @@ def test_products_stay_in_group():
 
 def test_bit_sliced_histogram_counts_the_streamed_traces():
     # every cell of every enumerable (q, n), under both moduli of each degree
-    # that has a second one: the same counts as matgf's streamed traces, in
-    # ascending beta and with no zero count
+    # that has a second one: the same counts as the traces of the unpacked
+    # keys, in ascending beta and with no zero count
     fields = [binary_field(r, m) for moduli in (field.DEFAULT_MODULI, ALT_MODULI)
               for r, m in moduli.items()]
     cells = 0
@@ -471,7 +471,8 @@ def test_bit_sliced_histogram_counts_the_streamed_traces():
                 for r in range(n + 1):
                     hist = og.cell_trace_histogram(fp, n, r)
                     keys = og.bruhat_cell(fp, n, r).elements
-                    assert hist == Counter(matgf.key_traces(fp, 2 * n, keys)), (fp, n, r)
+                    assert hist == Counter(oracles.mat_trace(oracles.unpack_mat(fp, 2 * n, k))
+                                           for k in keys), (fp, n, r)
                     assert list(hist) == sorted(hist) and all(hist.values()), (fp, n, r)
                     cells += 1
     # n = 1 up to q = 256, n = 2 up to q = 4, O+(6,2), then n = 1 under ALT_MODULI

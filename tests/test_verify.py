@@ -131,13 +131,13 @@ def _rows_with_one_entry_off(monkeypatch, m, a, delta):
     monkeypatch.setattr(charsums, "kloosterman_values", off_at_r_3)
     rep = verify.Report()
     verify._charsum_checks(rep, [binary_field(r) for r in (1, 2, 3)])
-    return {(c.name, c.params["r"]): c for c in rep.checks if set(c.params) == {"r"}}
+    return {(c["name"], c["params"]["r"]): c for c in rep.checks if set(c["params"]) == {"r"}}
 
 
 def test_carlitz_catches_a_wrong_m_2_entry(monkeypatch):
     rows = _rows_with_one_entry_off(monkeypatch, 2, 1, 4)
-    assert [rows["charsums.carlitz", r].passed for r in (1, 2, 3)] == [True, True, False]
-    assert rows["charsums.carlitz", 3].actual == "[1]"
+    assert [rows["charsums.carlitz", r]["pass"] for r in (1, 2, 3)] == [True, True, False]
+    assert rows["charsums.carlitz", 3]["actual"] == "[1]"
 
 
 def test_identity_rows_catch_a_wrong_m_1_entry(monkeypatch):
@@ -145,26 +145,26 @@ def test_identity_rows_catch_a_wrong_m_1_entry(monkeypatch):
     # least element outside the Artin-Schreier image
     rows = _rows_with_one_entry_off(monkeypatch, 1, 1, 4)
     for name in ("charsums.theta_identities", "charsums.twisted_sum"):
-        assert [rows[name, r].passed for r in (1, 2, 3)] == [True, True, False]
-    assert rows["charsums.theta_identities", 3].actual == "[1, (1, 1)]"
-    assert rows["charsums.twisted_sum", 3].actual == str([(b, 1) for b in range(8)])
-    assert rows["charsums.power_invariance", 3].passed
+        assert [rows[name, r]["pass"] for r in (1, 2, 3)] == [True, True, False]
+    assert rows["charsums.theta_identities", 3]["actual"] == "[1, (1, 1)]"
+    assert rows["charsums.twisted_sum", 3]["actual"] == str([(b, 1) for b in range(8)])
+    assert rows["charsums.power_invariance", 3]["pass"]
 
 
 def test_power_invariance_catches_an_entry_off_its_orbit(monkeypatch):
     # 2 = x lies in the Frobenius orbit {2, 4, 6}: each (a, s) pairing 2 with
     # another point of it fails
     rows = _rows_with_one_entry_off(monkeypatch, 1, 2, 4)
-    assert rows["charsums.power_invariance", 3].actual == "[(2, 1), (2, 2), (4, 2), (6, 1)]"
-    assert rows["charsums.power_invariance", 2].passed
+    assert rows["charsums.power_invariance", 3]["actual"] == "[(2, 1), (2, 2), (4, 2), (6, 1)]"
+    assert rows["charsums.power_invariance", 2]["pass"]
 
 
 def test_value_range_catches_a_value_off_minus_1_mod_4(monkeypatch):
     # K(lambda;1) = -5 over GF(8) moved to -3: inside the Weil bound, but 1 (mod 4)
     rows = _rows_with_one_entry_off(monkeypatch, 1, 1, 2)
-    assert rows["charsums.weil_bound", 3].passed
-    assert [rows["charsums.value_range", r].passed for r in (2, 3)] == [True, False]
-    assert rows["charsums.value_range", 3].actual == "[-3, -1, 3]"
+    assert rows["charsums.weil_bound", 3]["pass"]
+    assert [rows["charsums.value_range", r]["pass"] for r in (2, 3)] == [True, False]
+    assert rows["charsums.value_range", 3]["actual"] == "[-3, -1, 3]"
 
 
 def test_a_raised_inconsistency_is_a_failing_row(monkeypatch, capsys):
@@ -197,9 +197,11 @@ def test_guard_records_only_consistency_errors():
     with rep.guard("moments.raised", {"n": 1}):
         rep.add("moments.before", {"n": 1}, 1, 1)
         raise ConsistencyError("off", h=2)
-    assert rep.checks == [verify.Check("moments.before", {"n": 1}, "1", "1", True),
-                          verify.Check("moments.raised", {"n": 1}, "[]",
-                                       "raised: off | h=2", False)]
+    assert rep.checks == [
+        {"name": "moments.before", "params": {"n": 1}, "expected": "1", "actual": "1",
+         "pass": True},
+        {"name": "moments.raised", "params": {"n": 1}, "expected": "[]",
+         "actual": "raised: off | h=2", "pass": False}]
     for exc in (BudgetError("over"), ValueError("bad")):
         with pytest.raises(type(exc)), rep.guard("codes.raised", {}):
             raise exc
@@ -347,7 +349,7 @@ def test_order_identity_rows_run_at_every_n():
 def _order_identity_failures(n):
     rep = verify.Report()
     verify._order_identity_rows(rep, n, 2 ** (2 * n + 3))
-    return {c.name: c.actual for c in rep.checks if not c.passed}
+    return {c["name"]: c["actual"] for c in rep.checks if not c["pass"]}
 
 
 def test_a_perturbed_group_order_fails_its_every_q_row(monkeypatch):
