@@ -140,7 +140,7 @@ def kloosterman_values(fp: FieldParams, m: int, /) -> tuple:
     (_cyclic_convolution). The levels are charged before the first one:
     _table_bits(m, r) bits against TRANSFORM_BIT_BUDGET, which admits m <= 218
     at r = 8. m is positional with no default, so a table is one cache key,
-    built once (verify (6,3,10): 734 hits, 16 misses; `moments oracle`: 0 hits).
+    built once (verify (6,3,10): 518 hits, 16 misses; `moments oracle`: 0 hits).
     """
     field.check_int("m", m, 1)
     charge(_table_bits(m, fp.r), "K_m values table at m = {}, q = {}: m big-int products "

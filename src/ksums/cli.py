@@ -7,8 +7,9 @@ written as lowercase hex in the package's fixed polynomial basis (see
 ksums.field.DEFAULT_MODULI). Exit codes: 0 success, 1 failed verification,
 internal inconsistency or a stdout pipe closed by its reader (nothing on
 stderr then), 2 usage/parameter/budget error. Everything is deterministic;
-there is no seed. `group enum` writes its JSON as it goes, cell by cell,
-with the bytes json.dump would write; every other command emits one payload.
+there is no seed. `group enum --elements` writes its JSON as it goes, cell
+by cell, with the bytes json.dump would write; every other request emits one
+payload.
 
 COMMANDS is the one list of commands, which build_parser reads. Parameter
 ranges such as h_max >= 0 are checked by the library, not by the parser.
@@ -158,24 +159,21 @@ def _cmd_group_enum(args):
     cells = [orthogroup.bruhat_cell(fp, n, r)
              for r in ([args.cell] if args.cell is not None else range(n + 1))]
     entries = [{"cell": cell.r, "order": str(len(cell.elements)), "trace_histogram": {
-        field.element_hex(fp, b): str(c)
-        for b, c in sorted(orthogroup.cell_trace_histogram(fp, n, cell.r).items())}}
+        field.element_hex(fp, b): str(c) for b, c in cell.trace_histogram.items()}}
         for cell in cells]
-    if args.format == "csv":  # CSV never lists the elements
-        _emit(args, None, lambda: [("cell", "order", "beta_hex", "count")] + [
-            (e["cell"], e["order"], b, c)
-            for e in entries for b, c in e["trace_histogram"].items()])
+    if not args.elements or args.format == "csv":  # CSV never lists the elements
+        _emit(args, {"r": fp.r, "n": n, "cells": entries},
+              lambda: [("cell", "order", "beta_hex", "count")] + [
+                  (e["cell"], e["order"], b, c)
+                  for e in entries for b, c in e["trace_histogram"].items()])
         return 0
     # the bytes of json.dump(payload, indent=2) and a newline, written cell by
-    # cell; with --elements json.dumps lays out the entry around an empty list,
-    # which the cell's sorted elements fill _HEX_CHUNK at a time
+    # cell: json.dumps lays out each entry around an empty list, which the
+    # cell's sorted elements fill _HEX_CHUNK at a time
     write, item = sys.stdout.write, '",\n        "'
     write(f'{{\n  "r": {fp.r},\n  "n": {n},\n  "cells": [')
     for i, (entry, cell) in enumerate(zip(entries, cells)):
         write(",\n    " if i else "\n    ")
-        if not args.elements:
-            write(json.dumps(entry, indent=2).replace("\n", "\n    "))
-            continue
         text = json.dumps(dict(entry, elements=[]), indent=2).replace("\n", "\n    ")
         head, _, tail = text.rpartition("[]")
         write(head + '[\n        "')

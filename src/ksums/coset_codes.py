@@ -14,7 +14,9 @@ The code of a family is the set of binary vectors orthogonal (over F_q) to
 the vector of element traces in canonical cell order; its dual is the q
 vectors (tr(a Tr g_1), ..., tr(a Tr g_N)). Everything about the code is a
 function of the trace multiplicity map beta -> #{w in cell : Tr w = beta},
-which has both a closed form and an enumeration route.
+whose closed form is trace_multiplicities; its enumeration side is the
+histogram a materialized cell carries (orthogroup.BruhatCell), which verify
+compares it with.
 
 The weight distribution is a character-sum transform (MacWilliams-Sloane,
 ch. 5). Reading each beta as a bit vector of length b, orthogonality of the
@@ -29,8 +31,9 @@ truncation at j <= h costs O(b 2^b + d h) for d distinct values of E. The
 MacWilliams route feeds the formula-mode dual weights, which come from the
 cell character sum instead of multiplicities, to the same kernel: the
 dual weight at a is read from entry a of orthogroup.cell_sums, one cached
-tuple per cell and mode, and their histogram is cached. pless_sums gives
-the Pless identity's right side for all h <= h_max in one pass.
+tuple per cell and mode, and each reader of their histogram counts it anew
+from that tuple. pless_sums gives the Pless identity's right side for all
+h <= h_max in one pass.
 
 The family labels, FAMILY_LABELS, are defined in ksums.orthogroup and
 imported here, so coset_codes.FAMILY_LABELS still names them.
@@ -40,7 +43,6 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import mul
-from types import MappingProxyType
 from typing import NamedTuple
 
 from ksums import charsums, field, orthogroup
@@ -104,7 +106,7 @@ class FamilyConstants(NamedTuple):
 @lru_cache(maxsize=None)
 def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
     """scale = cell_sum_coefficient * q^C(codim,2), size = |cell|, cofactor = size / scale;
-    cached, read by each dual weight, moment kind and code row of f (verify (6,3,10): 304 hits).
+    cached, read by each dual weight, moment kind and code row of f (verify (6,3,10): 318 hits).
 
     The cofactor's reduced denominator is a power of 2, so it is the quotient
     of the odd parts of size and scale, shifted by the difference of their
@@ -123,19 +125,15 @@ def family_constants(f: DoubleCosetFamily) -> FamilyConstants:
                            size=size)
 
 
-def trace_multiplicities(f: DoubleCosetFamily, mode: str = "formula") -> dict:
-    """Map beta -> #{w in the cell : Tr w = beta}, over all beta in F_q.
+def trace_multiplicities(f: DoubleCosetFamily) -> dict:
+    """Map beta -> #{w in the cell : Tr w = beta}, over all beta in F_q, by closed form.
 
-    Formula mode evaluates the closed form, affine in lambda(1/beta) =
-    (-1)^tr(1/beta) (codim 1) or K(lambda; 1/beta) (codim 2) at beta != 0;
-    brute_force mode histograms the materialized cell. Zero counts stay explicit.
+    The count is affine in lambda(1/beta) = (-1)^tr(1/beta) (codim 1) or
+    K(lambda; 1/beta) (codim 2) at beta != 0. Zero counts stay explicit. The
+    enumeration side, for verify and the tests, is the materialized cell's
+    BruhatCell.trace_histogram.
     """
     fp = f.fp
-    if mode == "brute_force":
-        hist = orthogroup.cell_trace_histogram(fp, f.n, f.cell_index)
-        return {beta: hist.get(beta, 0) for beta in field.elements(fp)}
-    if mode != "formula":
-        raise ValueError(f"unknown mode {mode!r}")
     consts = family_constants(f)
     q = fp.q
     invt = field.inv_table(fp)
@@ -264,19 +262,19 @@ def _charge_transform(cap: int, length: int):
            cap, length)
 
 
-@lru_cache(maxsize=None)
-def dual_weight_histogram(f: DoubleCosetFamily) -> MappingProxyType:
+def dual_weight_histogram(f: DoubleCosetFamily) -> dict:
     """Formula-mode dual weight -> number of a in F_q with it (weight 0 at a = 0).
 
-    Read from one orthogroup.cell_sums tuple. Cached, read-only: verify's
-    MacWilliams, dual-distribution and expansion rows each read it
-    (verify (6,3,10): 14 hits, 30 misses).
+    Counted anew at each call, q - 1 divmods over one cached
+    orthogroup.cell_sums tuple, so it needs no cache of its own. Its readers
+    are the MacWilliams route, the dual distribution and the expansion row
+    of ksums.moments.
     """
     size = family_constants(f).size
     sums = orthogroup.cell_sums(f.fp, f.n, f.cell_index, "formula")
     weights = Counter(_dual_weight(f, a, size, s) for a, s in enumerate(sums[1:], 1))
     weights[0] += 1
-    return MappingProxyType(dict(weights))
+    return dict(weights)
 
 
 def weight_distribution_macwilliams(f: DoubleCosetFamily) -> list:

@@ -15,9 +15,10 @@ GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
 singular matrices are never built, and each key arrives with the key of its
 inverse. A row scaled by a field element is one lookup in a table of scaled
-rows, so a reduction step is two lookups and two xors. With scalar_classes
-the same search yields one matrix of each class {u m : u != 0},
-|GL(n,q)|/(q-1) of them.
+rows, lane_scales, so a reduction step is two lookups and two xors;
+ksums.orthogroup's coset kernel scales the Levi factors' rows by the same
+table. With scalar_classes the same search yields one matrix of each class
+{u m : u != 0}, |GL(n,q)|/(q-1) of them.
 """
 
 import sys
@@ -79,8 +80,10 @@ def key_traces(fp: FieldParams, n: int, keys) -> bytes:
     return b"".join(out).translate(bytes(range(fp.q)) * (256 >> fp.r))  # b -> b mod q
 
 
-def _lane_scales(fp: FieldParams, n: int):
+def lane_scales(fp: FieldParams, n: int):
     """S[s][v]: the n-lane row v with every lane times s, q^(n+1) entries.
+
+    Read by gl_matrices and by the coset kernel of ksums.orthogroup.
 
     At n = 1 this is field.mul_table itself; each further lane appends
     mul_table's row s to every entry of the table so far.
@@ -109,7 +112,7 @@ def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
     i = j else 0) and a transform row t, e_i = sum_j t_i[j] row_j. A
     candidate v is reduced against that state: its own lane at p is the
     coefficient f of e, so res ^= S[f][e] and tr ^= S[f][t], with S the
-    _lane_scales table. A zero residual means v lies in the span of the
+    lane_scales table. A zero residual means v lies in the span of the
     earlier rows, so it is skipped and no singular matrix is ever built;
     otherwise the top lane of res pivots. Once all n rows are chosen every
     e_i is the unit vector at p_i, so the row of m^-1 indexed by p_i's
@@ -127,7 +130,7 @@ def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
         return
     r, mask = fp.r, fp.q - 1
     rowbits = r * n
-    scale = _lane_scales(fp, n)
+    scale = lane_scales(fp, n)
     invt = field.inv_table(fp)
     rows = range(1, fp.q ** n)
     if scalar_classes:  # the top nonzero lane of v is v >> p, p its shift

@@ -38,16 +38,18 @@ scaled and copied into row slots by one integer multiplication: one chain
 of C-level maps per coset. Then U is walked over its F_2-basis:
 y [[1, B], [0, 1]] is y plus an offset made of lanes of y, or of the same
 chain scaled by a monomial X^t, moved by masks and shifts, so each element
-of y U costs one C-level xor. A packed row
-times a field element is built by one lane loop, _scale_row.
+of y U costs one C-level xor. A Levi row is zero outside one n-lane half,
+so a row times a field element is one lookup in matgf.lane_scales, the
+table the GL search scales its rows with.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K, by one delta
 swap per key (_swap_lanes).
 A_r needs no conjugation either: the lanes of w that s_r w s_r moves onto
 its lower-left block are one mask, swapped once (a_r_subgroup).
-cell_trace_histogram counts Tr w over a cell in the one byte per key that
-matgf.key_traces reads off its buffer. A cell's character sums at every
-scale c are one cached tuple, cell_sums, by formula or from that histogram.
+A cell's record carries its trace histogram, Tr w counted in the one byte
+per key that matgf.key_traces reads off its buffer once, as the cell is
+built. A cell's character sums at every scale c are one cached tuple,
+cell_sums, by formula or from that histogram.
 
 The order bookkeeping, group_counts, is the closed forms only, in O(n)
 big-int products: one running product of |GL(t,q)| for t <= n and one row
@@ -87,6 +89,8 @@ FAMILY_LABELS = ("dc1+", "dc1-", "dc2+", "dc2-")  # coset_codes' families; see t
 class BruhatCell(NamedTuple):
     """The materialized P+ s_r P+; its order is len(cell.elements), not len(cell).
 
+    trace_histogram maps beta -> #{w in the cell : Tr w = beta}, beta
+    ascending and with no zero counts; read-only, like elements.
     elements is a read-only memoryview of one array('Q'), 8 bytes per key
     where a tuple of ints took about 40 (CPython 3.11): O+(6,2)'s 40,320
     keys fill 0.3 MB, not 1.6 MB. Every key fits a word, since an enumerable
@@ -101,6 +105,7 @@ class BruhatCell(NamedTuple):
     n: int
     r: int
     elements: memoryview  # packed keys, in no particular order
+    trace_histogram: MappingProxyType  # {beta: count}
 
 
 def _check_cell(n: int, r: int):
@@ -217,17 +222,6 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
 
 # -- packed-key kernels ------------------------------------------------------
 
-def _scale_row(scale, r: int, lanes: int, v: int) -> int:
-    """The packed row v of `lanes` r-bit lanes, each lane e replaced by scale[e].
-
-    With scale the mul_table row of s, this is v times s.
-    """
-    mask, acc = len(scale) - 1, 0
-    for sh in range(r * (lanes - 1), -1, -r):
-        acc = (acc << r) | scale[(v >> sh) & mask]
-    return acc
-
-
 @lru_cache(maxsize=None, typed=True)
 def _levi_keys(fp: FieldParams, n: int) -> tuple:
     """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), |GL(n,q)| of them.
@@ -264,7 +258,9 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
     order of _levi_keys, with each lane times s, and M has a 1 at the low
     bit of each row slot i with x_ik = s, so the product copies the packed
     row into those slots, rowbits apart, and no carries occur. Each S_(k,s)
-    is built when first read.
+    is built when first read. Row k of a Levi key is zero outside one n-lane
+    half, the left for k < n and the right for k >= n, so scaling it by s is
+    one lookup in row s of matgf.lane_scales(fp, n).
 
     Then y [[1, B], [0, 1]] = y + [0 | y_L B], y_L the left n columns of y,
     and U is walked over its F_2-basis e_t E_ij (i < j, t < fp.r, e_t = 1 << t
@@ -281,6 +277,7 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
     rowbits, mask = r * nn, fp.q - 1
     rowmask = (1 << rowbits) - 1
     mt = field.mul_table(fp)
+    scales = matgf.lane_scales(fp, n)
     levi = _levi_keys(fp, n)
     column = sum(mask << rowbits * i for i in range(nn))  # the last lane of every row
     lanes = [column << r * (nn - 1 - k) for k in range(n)]  # lane k < n of every row
@@ -292,8 +289,9 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
         rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in levi]
         if s == 1:
             return rows
-        scaled = {v: _scale_row(mt[s], r, nn, v) for v in set(rows)}
-        return list(map(scaled.__getitem__, rows))
+        scale = scales[s]
+        half = r * n if k < n else 0  # a row k < n is zero outside its left n lanes
+        return [scale[v >> half] << half for v in rows]
 
     def products(mults):  # the keys x l over the Levi keys, for x given by mults
         terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
@@ -350,15 +348,23 @@ def _swap_lanes(fp: FieldParams, n: int, r: int, keys, rows: bool) -> list:
 
 @lru_cache(maxsize=None, typed=True)
 def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
-    """Materialize the double coset P+ s_r P+ by deduplicating products; cached,
-    read again by its trace histogram and the group rows (verify (6,3,10): 34 hits)."""
+    """Materialize the double coset P+ s_r P+ by deduplicating products, with its
+    trace histogram; cached, read again by cell_sums, the group rows and the code
+    rows (verify (6,3,10): 34 hits).
+
+    The histogram is counted once the kernel's set is dropped: matgf.key_traces
+    reads the buffer, one byte per key, and each beta is one bytes.count.
+    """
     _check_cell(n, r)
     _check_enum_budget(fp, n)
     from array import array  # an extension module: only requests that build a cell import it
 
     left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
     keys = array("Q", list(_coset_products(fp, n, left)))  # from a list: no spare capacity
-    return BruhatCell(fp=fp, n=n, r=r, elements=memoryview(keys).toreadonly())
+    elements = memoryview(keys).toreadonly()
+    traces = matgf.key_traces(fp, 2 * n, elements)
+    hist = {beta: count for beta in range(fp.q) if (count := traces.count(beta))}
+    return BruhatCell(fp=fp, n=n, r=r, elements=elements, trace_histogram=MappingProxyType(hist))
 
 
 def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
@@ -374,20 +380,6 @@ def a_r_subgroup(fp: FieldParams, n: int, r: int) -> tuple:
     c_lanes = sum(((1 << w) - 1) << (2 * w * i + w) for i in range(n))
     m_r, = _swap_lanes(fp, n, r, _swap_lanes(fp, n, r, [c_lanes], rows=False), rows=True)
     return tuple(k for k in enumerate_parabolic(fp, n) if not k & m_r)
-
-
-@lru_cache(maxsize=None, typed=True)
-def cell_trace_histogram(fp: FieldParams, n: int, r: int) -> MappingProxyType:
-    """Counts of Tr(w) over the materialized cell, as {beta: count}, beta ascending.
-
-    The traces are matgf.key_traces of the cell's buffer, one byte per key,
-    and each beta is counted by one bytes.count. Cached because brute-mode
-    cell_sums and brute-force trace multiplicities each read it (verify
-    (6,3,10): 12 hits, 22 misses); hence read-only.
-    """
-    traces = matgf.key_traces(fp, 2 * n, bruhat_cell(fp, n, r).elements)
-    return MappingProxyType({beta: count for beta in range(fp.q)
-                             if (count := traces.count(beta))})
 
 
 def _parabolic(n, q, gl_n):  # |P+| = q^C(n,2) |GL(n,q)|
@@ -464,15 +456,16 @@ def cell_sums(fp: FieldParams, n: int, r: int, mode: str, /) -> tuple:
     Formula mode is cell_sum_coefficient, computed once, times entry c^2 of
     charsums.kloosterman_gl_table(fp, n-r, "recursion"), since
     K_GL(n-r)(lambda(c .); 1) = K_GL(n-r)(lambda; c^2). Brute mode sums
-    over the materialized cell's trace histogram. Cached: every c of verify's
-    cell rows and of the dual weights of a family reads one tuple (verify
-    (6,3,10): 24 hits, 62 misses; `code weights --r 8`: 254 hits).
+    over the cell's BruhatCell.trace_histogram. Cached: every c of verify's
+    cell rows and of a family's dual weights, and each read of its dual
+    weight histogram, reads one tuple (verify (6,3,10): 38 hits, 62 misses;
+    `code weights --r 8`: 254 hits).
     """
     _check_cell(n, r)
     mt = field.mul_table(fp)
     if mode == "brute":
         lam = field.char_table(fp)
-        hist = cell_trace_histogram(fp, n, r).items()
+        hist = bruhat_cell(fp, n, r).trace_histogram.items()
         return (None,) + tuple(sum(cnt * lam[row[beta]] for beta, cnt in hist)
                                for row in mt[1:])
     if mode != "formula":

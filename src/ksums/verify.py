@@ -281,7 +281,7 @@ def _code_checks(rep, fps, max_n, h_max):
             num, den = combinat.lowest_terms(sn * cn, sd * cd)  # shown as num/den if not an int
             rep.add("codes.size_matches_cell_formula", params, orthogroup.cell_order(
                 f.n, f.cell_index, q), num if den == 1 else f"{num}/{den}")
-            counts = coset_codes.trace_multiplicities(f, "formula")
+            counts = coset_codes.trace_multiplicities(f)
             rep.add("codes.multiplicities_total", params, consts.size, sum(counts.values()))
             weighted = 0
             for beta, cnt in counts.items():
@@ -289,10 +289,12 @@ def _code_checks(rep, fps, max_n, h_max):
                     weighted ^= beta
             rep.add("codes.multiplicities_weighted_sum", params, 0, weighted)
             if orthogroup.enumerable(fp, f.n):
+                cell = orthogroup.bruhat_cell(fp, f.n, f.cell_index)
+                hist = cell.trace_histogram
                 rep.add("codes.multiplicities_formula_vs_enumeration", params,
                         sorted(counts.items()),
-                        sorted(coset_codes.trace_multiplicities(f, "brute_force").items()))
-                size = len(orthogroup.bruhat_cell(fp, f.n, f.cell_index).elements)
+                        [(beta, hist.get(beta, 0)) for beta in field.elements(fp)])
+                size = len(cell.elements)
                 lam, mt = field.char_table(fp), field.mul_table(fp)
                 sums = list(zip(mt[1:], orthogroup.cell_sums(fp, f.n, f.cell_index, "formula")[1:]))
                 rep.add("codes.membership_count_identity", params, "[]",

@@ -200,15 +200,22 @@ def test_cell_matches_unskipped_product_set():
 def test_coset_products_kernel_matches_mat_mul():
     # an n=1 cell is one left coset sigma P+, so the kernel never scales a
     # lane there; random left factors reach every scalar. Over GF(4) at n = 2
-    # U's basis has X E_12, whose offsets come from the chain scaled by X
-    rng = random.Random(7)
-    for fp, n, count in [(GF4, 2, 30), (GF2, 3, 6), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
+    # U's basis has X E_12, whose offsets come from the chain scaled by X.
+    # Over GF(256) at n = 1 the lane table is mul_table itself; the left
+    # factors there hold every unit in column 0 and in column 1, so every
+    # scale of a row of either half is read
+    def check(fp, n, left):
         pplus = _pplus_matrices(fp, n)
-        left = [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
-                for _ in range(count)]
         expect = {oracles.pack_mat(fp, oracles.mat_mul(fp, x, p)) for x in left for p in pplus}
         left_keys = [oracles.pack_mat(fp, x) for x in left]
-        assert og._coset_products(fp, n, left_keys) == expect
+        assert og._coset_products(fp, n, left_keys) == expect, (fp, n)
+
+    rng = random.Random(7)
+    for fp, n, count in [(GF4, 2, 30), (GF2, 3, 6), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
+        check(fp, n, [tuple(tuple(rng.randrange(fp.q) for _ in range(2 * n)) for _ in range(2 * n))
+                      for _ in range(count)])
+    c0, c1 = (rng.sample(range(1, 256), 255) for _ in range(2))
+    check(binary_field(8), 1, [((c0[i], c1[i]), (c0[i - 1], c1[i - 1])) for i in range(0, 255, 2)])
 
 
 def test_levi_keys():
@@ -469,8 +476,8 @@ def test_bit_sliced_histogram_counts_the_streamed_traces():
         for n in (1, 2, 3):
             if og.enumerable(fp, n):
                 for r in range(n + 1):
-                    hist = og.cell_trace_histogram(fp, n, r)
-                    keys = og.bruhat_cell(fp, n, r).elements
+                    cell = og.bruhat_cell(fp, n, r)
+                    hist, keys = cell.trace_histogram, cell.elements
                     assert hist == Counter(oracles.mat_trace(oracles.unpack_mat(fp, 2 * n, k))
                                            for k in keys), (fp, n, r)
                     assert list(hist) == sorted(hist) and all(hist.values()), (fp, n, r)
@@ -495,6 +502,7 @@ def test_cached_cells_are_packed_and_read_only():
 
 
 def test_trace_histogram_example():
-    assert og.cell_trace_histogram(GF2, 2, 1) == {0: 24, 1: 12}
+    hist = og.bruhat_cell(GF2, 2, 1).trace_histogram
+    assert hist == {0: 24, 1: 12}
     # counted once per cell, however many c and cells read it
-    assert og.cell_trace_histogram(GF2, 2, 1) is og.cell_trace_histogram(GF2, 2, 1)
+    assert og.bruhat_cell(GF2, 2, 1).trace_histogram is hist

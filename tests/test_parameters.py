@@ -113,7 +113,7 @@ def test_messages_name_the_parameter():
 
 
 def test_cached_mappings_are_read_only():
-    hist = og.cell_trace_histogram(GF2, 2, 1)
+    hist = og.bruhat_cell(GF2, 2, 1).trace_histogram
     with pytest.raises(TypeError):
         hist[0] = 5
     with pytest.raises(TypeError):
