@@ -15,9 +15,8 @@ GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
 singular matrices are never built, and each key arrives with the key of its
 inverse. A row scaled by a field element is one lookup in a table of scaled
-rows, lane_scales, so a reduction step is two lookups and two xors;
-ksums.orthogroup's coset kernel scales the Levi factors' rows by the same
-table. With scalar_classes the same search yields one matrix of each class
+rows, lane_scales, so a reduction step is two lookups and two xors.
+With scalar_classes the same search yields one matrix of each class
 {u m : u != 0}, |GL(n,q)|/(q-1) of them.
 """
 
@@ -83,7 +82,7 @@ def key_traces(fp: FieldParams, n: int, keys) -> bytes:
 def lane_scales(fp: FieldParams, n: int):
     """S[s][v]: the n-lane row v with every lane times s, q^(n+1) entries.
 
-    Read by gl_matrices and by the coset kernel of ksums.orthogroup.
+    Read by gl_matrices.
 
     At n = 1 this is field.mul_table itself; each further lane appends
     mul_table's row s to every entry of the table so far.

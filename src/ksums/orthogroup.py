@@ -14,18 +14,22 @@ the disjoint union over r = 0..n of the double cosets (Bruhat cells)
 P+ s_r P+ for involutions s_r swapping the first r hyperbolic coordinate
 pairs.
 
-P+ and the cells come from one kernel on keys, _coset_products, which
-lists the cosets x P+ of left factors x. P+ = L U is the Levi factors
+P+ and the cells come from one kernel on keys, _coset_words, which
+expands the cosets x P+ of left factors x. P+ = L U is the Levi factors
 [[A, 0], [0, tA^-1]] times the group U of [[1, B], [0, 1]], B alternating,
 so a coset is (x L) U: the |GL(n,q)| products x l, then U by lane moves.
 P+ itself is the coset of the identity; a cell is the products p1 s_r p2,
 the cosets of the left factors p1 s_r, so its size stays an
 enumeration-side oracle for the closed-form order bookkeeping in
-group_counts (which is never consulted while enumerating). The set built
-so far is always a union of whole cosets, so a left factor already in it
-opens no new coset and is skipped. A cell is stored in the kernel's set
-order as one read-only buffer of unsigned 64-bit keys, 8 bytes per key
-(see BruhatCell): only --elements output sorts them.
+group_counts (which is never consulted while enumerating). No set
+deduplicates them: P+ is the stabilizer of the totally singular subspace
+<e_1..e_n>, so x' P+ = x0 P+ exactly when the lower-left block of
+x0^-1 x' is zero, and one bit-sliced scan over the planes of P+ picks
+one left factor of each coset (_coset_representatives), the same
+transposition into bit planes that outside_oplus reads (_entry_planes).
+A cell is stored coset by coset as one read-only buffer of unsigned
+64-bit keys, 8 bytes per key (see BruhatCell): only --elements output
+sorts them.
 
 Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
@@ -33,14 +37,14 @@ ksums.matgf.
 
 Every product is read from field.mul_table. The Levi factors are placed
 by moving lanes from the (A, A^-1) key pairs of matgf.gl_matrices
-(_levi_keys). The keys of x L are an xor of the Levi keys' packed rows,
-scaled and copied into row slots by one integer multiplication: one chain
-of C-level maps per coset. Then U is walked over its F_2-basis:
+(_levi_keys), one native 64-bit word each. A coset is expanded on ints
+that hold one key per word, so no key is an int of its own: the words of
+x L are an xor of the Levi keys' packed rows, scaled lane by lane and
+copied into row slots by one integer multiplication each, carry-free
+because a key has at most 52 bits. Then U is walked over its F_2-basis:
 y [[1, B], [0, 1]] is y plus an offset made of lanes of y, or of the same
-chain scaled by a monomial X^t, moved by masks and shifts, so each element
-of y U costs one C-level xor. A Levi row is zero outside one n-lane half,
-so a row times a field element is one lookup in matgf.lane_scales, the
-table the GL search scales its rows with.
+products scaled by a monomial X^t, moved by masks and shifts, so each
+basis element doubles the words by one xor and one shift.
 A product with the permutation matrix s_r is no product at all: on a key it
 swaps lanes i and n+i, entries for K s_r and rows for s_r K, by one delta
 swap per key (_swap_lanes).
@@ -72,9 +76,10 @@ offer them as choices without importing coset_codes; coset_codes imports it
 from here.
 """
 
-from functools import lru_cache, partial, reduce
-from itertools import chain, compress, cycle, repeat
-from operator import and_, mul, or_, rshift, xor
+import sys
+from functools import lru_cache, reduce
+from itertools import compress, repeat
+from operator import or_, xor
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -93,7 +98,8 @@ class BruhatCell(NamedTuple):
     ascending and with no zero counts; read-only, like elements.
     elements is a read-only memoryview of one array('Q'), 8 bytes per key
     where a tuple of ints took about 40 (CPython 3.11): O+(6,2)'s 40,320
-    keys fill 0.3 MB, not 1.6 MB. Every key fits a word, since an enumerable
+    keys fill 0.3 MB, not 1.6 MB. The keys come coset by coset, each coset
+    x P+ as |P+| consecutive words. Every key fits a word, since an enumerable
     (q, n) has 2 fp.r n^2 - 4 < 24 (PRODUCT_BUDGET's bit length), so a key
     has 4 fp.r n^2 <= 52 bits. Read-only because the cell is cached and
     shared; iterating or sorting it builds new ints. A memoryview of format
@@ -104,7 +110,7 @@ class BruhatCell(NamedTuple):
     fp: FieldParams
     n: int
     r: int
-    elements: memoryview  # packed keys, in no particular order
+    elements: memoryview  # packed keys, coset by coset
     trace_histogram: MappingProxyType  # {beta: count}
 
 
@@ -150,10 +156,7 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
         return []
     # the zero matrix is no member (G = 0, so G + tG != J), so it stands in
     # for a key that encodes no matrix and marks it as failing
-    text = "".join(format(0 if k >> keybits else k, f"0{keybits}b") for k in keys)
-    planes = [int(text[p::keybits], 2) for p in range(keybits)]
-    # entry (i, j) of M as its planes, u-th the coefficient of X^u
-    entry = [planes[e:e + r][::-1] for e in range(0, keybits, r)]
+    entry = _entry_planes(fp, nn, [0 if k >> keybits else k for k in keys])
     mt = field.mul_table(fp)
     # the planes that a coefficient of X^s lands in, s <= 2 fp.r - 2
     lands = [[t for t in range(r) if mt[1 << min(s, r - 1)][1 << max(s - r + 1, 0)] >> t & 1]
@@ -212,23 +215,95 @@ def _check_enum_budget(fp: FieldParams, n: int):
 def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
     """Packed keys of P+(2n,q) = L U, sorted ascending: the coset 1 P+ of the kernel.
 
-    Cached for every cell and A_r of (q, n) (verify (6,3,10): 44 hits).
+    Cached for every cell and A_r of (q, n) (verify (6,3,10): 75 hits).
     """
     _check_enum_budget(fp, n)  # checks n
     nn = 2 * n
     one = sum(1 << fp.r * (nn * nn - 1 - (nn + 1) * i) for i in range(nn))
-    return tuple(sorted(_coset_products(fp, n, [one])))
+    words, = _coset_words(fp, n, [one])
+    return tuple(sorted(memoryview(words).cast("Q")))
 
 
 # -- packed-key kernels ------------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)
-def _levi_keys(fp: FieldParams, n: int) -> tuple:
-    """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), |GL(n,q)| of them.
+def _entry_planes(fp: FieldParams, nn: int, keys) -> list:
+    """[e][u]: bit u (X^u) of entry e, row-major, of every nn x nn key, as one int.
 
-    One key per (A, A^-1) pair of matgf.gl_matrices, in its order, placed by
-    moving lanes. Cached because P+ and every cell of (q, n) expand their
-    cosets over it (verify (6,3,10): 22 hits, 9 misses).
+    Key i of N sits at bit N-1-i of each plane; keys must lie in
+    [0, q^(nn^2)). The keys are written as one binary string and each plane
+    is read off it by one slice.
+    """
+    r = fp.r
+    keybits = r * nn * nn
+    text = "".join(map(format, keys, repeat(f"0{keybits}b")))
+    planes = [int(text[p::keybits], 2) for p in range(keybits)]
+    return [planes[e:e + r][::-1] for e in range(0, keybits, r)]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _parabolic_planes(fp: FieldParams, n: int) -> tuple:
+    """_entry_planes of P+, in the order of enumerate_parabolic.
+
+    Cached because every cell of (q, n) scans it for its coset
+    representatives (verify (6,3,10): 13 hits, 9 misses).
+    """
+    return tuple(map(tuple, _entry_planes(fp, 2 * n, enumerate_parabolic(fp, n))))
+
+
+def _coset_representatives(fp: FieldParams, n: int, r: int) -> list:
+    """One left factor p s_r, p in P+, of each coset x P+ in P+ s_r P+.
+
+    x' P+ = x0 P+ exactly when x0^-1 x' is in P+, that is when its
+    lower-left block is zero, both being in O+. With J = [[0, 1], [1, 0]],
+    x0^-1 = J tx0 J, whose rows n.. are the first n rows of t(J x0), so
+    entry (j, k) of that block is the sum over i < 2n of
+    x0[i+n mod 2n][j] x'[i][k], tC0 A' + tA0 C' in blocks. One bit-sliced pass over the planes of P+
+    (_parabolic_planes), its columns i and n+i swapped for i < r, decides
+    it for every left factor x' at once: a constant c times an entry is,
+    plane by plane, an xor of the entry's planes u with bit t of c X^u set.
+    The scan takes the first left factor not yet covered as x0 and drops
+    its coset from the remaining keys; those planes u are listed for each
+    c that some x0 has, when first read.
+    """
+    fr, nn = fp.r, 2 * n
+    mask, mt = fp.q - 1, field.mul_table(fp)
+    pkeys, entry = enumerate_parabolic(fp, n), _parabolic_planes(fp, n)
+    swap = [(c + n) % nn if c % n < r else c for c in range(nn)]  # the columns of p s_r
+    cols = [[entry[i * nn + swap[k]] for i in range(nn)] for k in range(n)]
+    lands = {}  # lands[c][t]: the u with bit t of c X^u set
+
+    def landing(c):
+        return [[u for u in range(fr) if mt[c][1 << u] >> t & 1] for t in range(fr)]
+
+    reps, remaining = [], (1 << len(pkeys)) - 1
+    while remaining:
+        top = remaining.bit_length() - 1
+        x, = _swap_lanes(fp, n, r, [pkeys[len(pkeys) - 1 - top]], rows=False)
+        remaining ^= 1 << top  # dropped even if a wrong table kept it outside its own coset
+        outside = 0
+        for j in range(n):
+            # column j of J x0: entry i is x0[i+n mod 2n][j]
+            cs = [(x >> fr * (nn * nn - 1 - (i + n) % nn * nn - j)) & mask for i in range(nn)]
+            for col in cols:
+                z = [0] * fr
+                for c, e in zip(cs, col):
+                    if c:
+                        for t, us in enumerate(lands.get(c) or lands.setdefault(c, landing(c))):
+                            for u in us:
+                                z[t] ^= e[u]
+                outside |= reduce(or_, z)
+        remaining &= outside
+        reps.append(x)
+    return reps
+
+
+@lru_cache(maxsize=None, typed=True)
+def _levi_keys(fp: FieldParams, n: int) -> bytes:
+    """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), as native 64-bit words.
+
+    One word per (A, A^-1) pair of matgf.gl_matrices, in its order, placed
+    by moving lanes: |GL(n,q)| words. Cached because P+ and every cell of
+    (q, n) expand their cosets over it (verify (6,3,10): 22 hits, 9 misses).
     """
     r, w, lanes = fp.r, fp.r * n, n * n
     rowmask, lane = (1 << w) - 1, fp.q - 1
@@ -243,65 +318,64 @@ def _levi_keys(fp: FieldParams, n: int) -> tuple:
             for j in range(n):
                 col = (col << r) | ((ainv >> r * (lanes - 1 - j * n - i)) & lane)
             bottom = (bottom << 2 * w) | col
-        keys.append((top << 2 * w * n) | bottom)
-    return tuple(keys)
+        keys.append(((top << 2 * w * n) | bottom).to_bytes(8, sys.byteorder))
+    return b"".join(keys)
 
 
-def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
-    """Deduplicated keys of the cosets x P+, x in left_keys.
+def _coset_words(fp: FieldParams, n: int, left_keys):
+    """Yield the keys of each coset x P+, x in left_keys, as bytes of native 64-bit words.
 
-    The set built so far is a union of whole cosets x P+, so a left factor
-    already in it opens no new coset and is skipped. A new coset is
-    expanded as (x L) U. Row i of x l is the sum over k of x_ik times row k
-    of l, so the key of x l is the xor over the pairs (k, s) occurring in x
-    of S_(k,s)[l] * M: S_(k,s) lists packed row k of each Levi key, in the
-    order of _levi_keys, with each lane times s, and M has a 1 at the low
-    bit of each row slot i with x_ik = s, so the product copies the packed
-    row into those slots, rowbits apart, and no carries occur. Each S_(k,s)
-    is built when first read. Row k of a Levi key is zero outside one n-lane
-    half, the left for k < n and the right for k >= n, so scaling it by s is
-    one lookup in row s of matgf.lane_scales(fp, n).
+    A coset is expanded as (x L) U on ints that hold one key per 64-bit
+    word, so each operation below acts on every key at once and no key is
+    an int of its own. Row i of x l is the sum over k of x_ik times row k
+    of l, so the words of x L are the xor over the pairs (k, s) occurring
+    in x of S_(k,s) * M: S_(k,s) holds packed row k of each Levi key, in
+    the order of _levi_keys, with each lane times s, and M has a 1 at the
+    low bit of each row slot i with x_ik = s. The product copies each
+    word's row into those slots, rowbits apart; a key has at most 52 bits,
+    so no carry leaves its word. s times a lane is the xor, over its set
+    bits u, of s X^u, so S_(k,s) is fp.r masked shifts of S_(k,1), each
+    times the field element s X^u < q. Each S_(k,s) is built when first
+    read.
 
     Then y [[1, B], [0, 1]] = y + [0 | y_L B], y_L the left n columns of y,
     and U is walked over its F_2-basis e_t E_ij (i < j, t < fp.r, e_t = 1 << t
     the monomial X^t). y_L E_ij moves lane i of each row of y to lane n+j
     and lane j to lane n+i: two masks and two right shifts, with no field
-    product. So the offset of e_t E_ij is that move on e_t y_L =
-    ((e_t x) L)_L, which the same chain builds with each s replaced by
-    e_t s and only the pairs with k < n, the rows that reach the left
-    lanes. Each basis element doubles the list, one C-level xor per
-    element, and y U keeps y_L, so one offset list per basis element serves
-    every level. The last level streams into the set.
+    product, that keep every lane in its word. So the offset of e_t E_ij is
+    that move on e_t y_L = ((e_t x) L)_L, which the same products build with
+    each s replaced by e_t s and only the pairs with k < n, the rows that
+    reach the left lanes. y U keeps y_L, so one offset serves every level:
+    each basis element doubles the words by one xor with the offset
+    repeated, then a shift. The words of x P+ are |P+| = |GL(n,q)| 2^b,
+    b = fp.r C(n, 2).
     """
     r, nn = fp.r, 2 * n
     rowbits, mask = r * nn, fp.q - 1
-    rowmask = (1 << rowbits) - 1
     mt = field.mul_table(fp)
-    scales = matgf.lane_scales(fp, n)
     levi = _levi_keys(fp, n)
+    order = sys.byteorder
+    ones = int.from_bytes((1).to_bytes(8, order) * (len(levi) // 8), order)  # bit 0 of each word
+    table = int.from_bytes(levi, order)
+    rowmask = ((1 << rowbits) - 1) * ones
+    lsb = sum(1 << r * i for i in range(nn)) * ones  # bit 0 of each lane of a row
     column = sum(mask << rowbits * i for i in range(nn))  # the last lane of every row
-    lanes = [column << r * (nn - 1 - k) for k in range(n)]  # lane k < n of every row
+    lanes = [(column << r * (nn - 1 - k)) * ones for k in range(n)]  # lane k < n of every row
     moves = [(lanes[i], r * (n + j - i), lanes[j], r * (n + i - j))
              for i in range(n) for j in range(i + 1, n)]
-    lists = {}
+    rows = {}
 
     def scaled_rows(k, s):
-        rows = [(g >> rowbits * (nn - 1 - k)) & rowmask for g in levi]
+        row = (table >> rowbits * (nn - 1 - k)) & rowmask
         if s == 1:
-            return rows
-        scale = scales[s]
-        half = r * n if k < n else 0  # a row k < n is zero outside its left n lanes
-        return [scale[v >> half] << half for v in rows]
+            return row
+        return reduce(xor, [((row >> u) & lsb) * mt[s][1 << u] for u in range(r)])
 
-    def products(mults):  # the keys x l over the Levi keys, for x given by mults
-        terms = [map(mul, lists.get(ks) or lists.setdefault(ks, scaled_rows(*ks)), repeat(m))
-                 for ks, m in mults.items()]
-        return list(reduce(partial(map, xor), terms))
+    def products(mults):  # the words of x L, for x given by mults
+        return reduce(xor, [(rows.get(ks) or rows.setdefault(ks, scaled_rows(*ks))) * m
+                            for ks, m in mults.items()], 0)
 
-    seen = set()
     for x in left_keys:
-        if x in seen:  # x = x' p with x' already expanded, so x P+ = x' P+
-            continue
         mults = {}
         for i in range(nn):
             slot = 1 << rowbits * (nn - 1 - i)
@@ -309,20 +383,22 @@ def _coset_products(fp: FieldParams, n: int, left_keys) -> set:
                 s = (x >> r * (nn * nn - 1 - i * nn - k)) & mask
                 if s:
                     mults[k, s] = mults.get((k, s), 0) | slot
-        ys = products(mults)  # x L, in the order of levi
+        level = products(mults)  # x L, in the order of levi
         offsets = []
         for t in range(r if moves else 0):
             et = mt[1 << t]
-            zs = ys if t == 0 else products({(k, et[s]): m for (k, s), m in mults.items() if k < n})
-            offsets += [list(map(or_, map(rshift, map(and_, zs, repeat(mi)), repeat(si)),
-                                 map(rshift, map(and_, zs, repeat(mj)), repeat(sj))))
-                        for mi, si, mj, sj in moves]
-        level = ys
-        for b, off in enumerate(offsets, 1):
-            more = map(xor, level, cycle(off))
-            level = chain(level, more) if b == len(offsets) else list(chain(level, more))
-        seen.update(level)
-    return seen
+            zs = level if t == 0 else products(
+                {(k, et[s]): m for (k, s), m in mults.items() if k < n})
+            offsets += [((zs & mi) >> si) | ((zs & mj) >> sj) for mi, si, mj, sj in moves]
+        bits = 8 * len(levi)  # the level's
+        for off in offsets:
+            copies = 8 * len(levi)  # off's bits, repeated so far
+            while copies < bits:
+                off |= off << copies
+                copies *= 2
+            level |= (level ^ off) << bits
+            bits *= 2
+        yield level.to_bytes(bits // 8, order)
 
 
 def _swap_lanes(fp: FieldParams, n: int, r: int, keys, rows: bool) -> list:
@@ -348,19 +424,26 @@ def _swap_lanes(fp: FieldParams, n: int, r: int, keys, rows: bool) -> list:
 
 @lru_cache(maxsize=None, typed=True)
 def bruhat_cell(fp: FieldParams, n: int, r: int) -> BruhatCell:
-    """Materialize the double coset P+ s_r P+ by deduplicating products, with its
-    trace histogram; cached, read again by cell_sums, the group rows and the code
+    """Materialize the double coset P+ s_r P+ coset by coset, with its trace
+    histogram; cached, read again by cell_sums, the group rows and the code
     rows (verify (6,3,10): 34 hits).
 
-    The histogram is counted once the kernel's set is dropped: matgf.key_traces
-    reads the buffer, one byte per key, and each beta is one bytes.count.
+    _coset_representatives picks one left factor of each coset x P+, and
+    _coset_words writes each coset's keys into the cell's buffer, sized
+    once. The histogram is counted from the buffer: matgf.key_traces reads
+    it, one byte per key, and each beta is one bytes.count.
     """
     _check_cell(n, r)
     _check_enum_budget(fp, n)
     from array import array  # an extension module: only requests that build a cell import it
 
-    left = _swap_lanes(fp, n, r, enumerate_parabolic(fp, n), rows=False)
-    keys = array("Q", list(_coset_products(fp, n, left)))  # from a list: no spare capacity
+    reps = _coset_representatives(fp, n, r)
+    keys = array("Q", [0]) * (len(reps) * len(enumerate_parabolic(fp, n)))  # no spare capacity
+    with memoryview(keys) as view, view.cast("B") as out:
+        start = 0
+        for words in _coset_words(fp, n, reps):
+            out[start:start + len(words)] = words
+            start += len(words)
     elements = memoryview(keys).toreadonly()
     traces = matgf.key_traces(fp, 2 * n, elements)
     hist = {beta: count for beta in range(fp.q) if (count := traces.count(beta))}

@@ -18,13 +18,15 @@ over group_counts' charge is refused before any row is built. The
 enumerated rows read group_counts only where the cells are materialized. A
 fact the other rows imply gets no row: |P+|^2 = |A_r| |cell| is |P+| times
 the index row, and the cells' union has the group's order by the cell
-order, disjointness and sum rows. A ConsistencyError raised within one
-field's field or character-sum rows, one (q, n)'s group rows (the every-q
-rows' q included), or one family's code or moment rows, the building of a
-table they read included, becomes a failing row of its own (field.raised,
-charsums.raised, group.raised, codes.raised, moments.raised), not an
-abort; so does a code and dual weight distribution of different lengths,
-which pless_check would refuse as bad input.
+order, disjointness and sum rows, the disjointness row counting a key
+repeated within its cell as well as a key shared with a lower cell. A
+ConsistencyError raised within one field's field or character-sum rows,
+one (q, n)'s group rows (the every-q rows' q included), or one family's
+code or moment rows, the building of a table they read included, becomes
+a failing row of its own (field.raised, charsums.raised, group.raised,
+codes.raised, moments.raised), not an abort; so does a code and dual
+weight distribution of different lengths, which pless_check would refuse
+as bad input.
 """
 
 import math
@@ -220,10 +222,7 @@ def _group_rows(rep, fp, n):
         cell = orthogroup.bruhat_cell(fp, n, r)
         params = {"n": n, "q": q, "cell": r}
         rep.add("group.cell_order", params, counts["cell_orders"][r], len(cell.elements))
-        # the lower cells' keys looked up in a set of this cell alone, freed
-        # once counted: no set of the whole group is ever built
-        rep.add("group.cell_disjoint_from_lower", params, 0,
-                sum(map(set(cell.elements).__contains__, chain.from_iterable(lower))))
+        rep.add("group.cell_disjoint_from_lower", params, 0, _overlaps(cell.elements, lower))
         lower.append(cell.elements)
         rep.add("group.a_r_order", params,
                 counts["a_r_orders"][r], len(orthogroup.a_r_subgroup(fp, n, r)))
@@ -234,6 +233,14 @@ def _group_rows(rep, fp, n):
     for c in field.units(fp):
         rep.add("group.gauss_sum", {"n": n, "q": q, "c": c},
                 sum(sums[c] for sums in formula), sum(sums[c] for sums in brute))
+
+
+def _overlaps(keys, lower) -> int:
+    # the keys repeated within keys, then the lower cells' keys looked up in a
+    # set of keys alone, freed on return: no set of the whole group, nor of
+    # two cells at once, is ever built
+    own = set(keys)
+    return len(keys) - len(own) + sum(map(own.__contains__, chain.from_iterable(lower)))
 
 
 def _families(fps, max_n):

@@ -198,17 +198,22 @@ def test_cell_matches_unskipped_product_set():
 
 
 def test_coset_products_kernel_matches_mat_mul():
-    # an n=1 cell is one left coset sigma P+, so the kernel never scales a
-    # lane there; random left factors reach every scalar. Over GF(4) at n = 2
-    # U's basis has X E_12, whose offsets come from the chain scaled by X.
-    # Over GF(256) at n = 1 the lane table is mul_table itself; the left
-    # factors there hold every unit in column 0 and in column 1, so every
-    # scale of a row of either half is read
+    # each left factor's expansion against its products x p over P+, as
+    # multisets: |P+| keys, distinct where x is invertible. An n=1 cell is one
+    # left coset sigma P+, so the kernel never scales a lane there; random
+    # left factors, which need not lie in O+ or be invertible, reach every
+    # scalar. Over GF(4) at n = 2 U's basis has X E_12, whose offsets come
+    # from the products scaled by X. Over GF(256) at n = 1 the left factors
+    # hold every unit in column 0 and in column 1, so every scale of a row of
+    # either half is read
     def check(fp, n, left):
         pplus = _pplus_matrices(fp, n)
-        expect = {oracles.pack_mat(fp, oracles.mat_mul(fp, x, p)) for x in left for p in pplus}
         left_keys = [oracles.pack_mat(fp, x) for x in left]
-        assert og._coset_products(fp, n, left_keys) == expect, (fp, n)
+        for x, words in zip(left, og._coset_words(fp, n, left_keys), strict=True):
+            keys = memoryview(words).cast("Q")
+            assert len(keys) == len(pplus), (fp, n)
+            expect = Counter(oracles.pack_mat(fp, oracles.mat_mul(fp, x, p)) for p in pplus)
+            assert Counter(keys) == expect, (fp, n, x)
 
     rng = random.Random(7)
     for fp, n, count in [(GF4, 2, 30), (GF2, 3, 6), (binary_field(7, ALT_MODULI[7]), 1, 60)]:
@@ -216,6 +221,31 @@ def test_coset_products_kernel_matches_mat_mul():
                       for _ in range(count)])
     c0, c1 = (rng.sample(range(1, 256), 255) for _ in range(2))
     check(binary_field(8), 1, [((c0[i], c1[i]), (c0[i - 1], c1[i - 1])) for i in range(0, 255, 2)])
+    # members of O+ have |P+| distinct products
+    for fp, n in [(GF4, 2), (GF2, 3)]:
+        left = rng.sample(og.bruhat_cell(fp, n, 1).elements, 3)
+        for words in og._coset_words(fp, n, left):
+            assert len(set(memoryview(words).cast("Q"))) == og.parabolic_order(n, fp.q)
+
+
+def test_coset_representatives_cover_each_left_factor_once():
+    # every left factor p s_r lies in exactly one representative's coset
+    # x0 P+, decided by the tuple-matrix products x0 p over P+, and the
+    # representatives' cosets fill the cell: n = 1 over every degree and both
+    # moduli of GF(8), then (2,2), (4,2) and O+(6,2)
+    cases = [(binary_field(r), 1) for r in range(1, 9)]
+    cases += [(binary_field(3, ALT_MODULI[3]), 1), (GF2, 2), (GF4, 2), (GF2, 3)]
+    for fp, n in cases:
+        pplus = _pplus_matrices(fp, n)
+        for r in range(n + 1):
+            reps = og._coset_representatives(fp, n, r)
+            cosets = [{oracles.pack_mat(fp, oracles.mat_mul(fp, x0, p)) for p in pplus}
+                      for x0 in (oracles.unpack_mat(fp, 2 * n, k) for k in reps)]
+            sigma = oracles.sigma_plus(n, r)
+            for p in pplus:
+                left = oracles.pack_mat(fp, oracles.mat_mul(fp, p, sigma))
+                assert sum(left in coset for coset in cosets) == 1, (fp, n, r)
+            assert len(reps) * len(pplus) == len(og.bruhat_cell(fp, n, r).elements), (fp, n, r)
 
 
 def test_levi_keys():
@@ -230,8 +260,8 @@ def test_levi_keys():
         pairs = [(oracles.unpack_mat(fp, n, a), oracles.unpack_mat(fp, n, ainv))
                  for a, ainv in matgf.gl_matrices(fp, n)]
         assert all(oracles.mat_mul(fp, a, ainv) == oracles.mat_identity(n) for a, ainv in pairs)
-        keys = og._levi_keys(fp, n)
-        assert list(keys) == [levi(fp, n, a, ainv) for a, ainv in pairs]
+        keys = list(memoryview(og._levi_keys(fp, n)).cast("Q"))
+        assert keys == [levi(fp, n, a, ainv) for a, ainv in pairs]
         assert len(set(keys)) == combinat.gl_order(n, fp.q)
 
 
@@ -239,8 +269,9 @@ def test_coset_products_basis_offsets_at_t2():
     # (8,2) is over PRODUCT_BUDGET, so only here does U's basis reach
     # X^2 E_12; a walk that skipped t >= 2 would list 14,112 keys
     one = sum(1 << 3 * (16 - 1 - 5 * i) for i in range(4))
-    keys = og._coset_products(GF8, 2, [one])
-    assert len(keys) == og.parabolic_order(2, 8) == 28224
+    words, = og._coset_words(GF8, 2, [one])
+    keys = memoryview(words).cast("Q")
+    assert len(set(keys)) == len(keys) == og.parabolic_order(2, 8) == 28224
     assert og.outside_oplus(GF8, 2, keys) == []
     c_lanes = sum(((1 << 6) - 1) << (12 * i + 6) for i in range(2))  # lower-left block C
     assert all(k & c_lanes == 0 for k in keys)

@@ -52,11 +52,12 @@ def test_tier2_group_slice():
 
 
 @pytest.mark.parametrize("max_r,max_n,h_max,digest", [
+    (1, 3, 4, "c02bb8c5758e7ee3db74590a07c12a8d2b4bf8c07ed383bb40e1abc7692ca540"),
     (2, 2, 5, "8a323cc41702a9838d37b69be7f7f8a7a6fd801b9ba23777cd884f6e06e0feaf"),
     (3, 3, 10, "b62c952fa5c8fe4a9e6a44422548822351a2d0d4de07ef46f66a9498d878981c"),
     (6, 3, 10, "c9da5b23e98c798f95a6f4a041d536072102e3a3c4a7f06319186b676c0434f2"),
     (8, 2, 10, "1cb6e1b8529cc57c6f13fb418d48dd139b6187b424f942fb958caf87224d86d5"),
-], ids=["2-2-5", "3-3-10", "6-3-10", "8-2-10"])
+], ids=["1-3-4", "2-2-5", "3-3-10", "6-3-10", "8-2-10"])
 def test_report_bytes_pinned(capsys, max_r, max_n, h_max, digest):
     # a change that adds or alters report rows on purpose updates these digests;
     # the last to do so retired group.order_closed_form_vs_cells,
@@ -327,6 +328,25 @@ def test_a_cell_overlapping_a_lower_one_fails_disjointness(monkeypatch):
             return out
 
         monkeypatch.setattr(orthogroup, "bruhat_cell", overlapping)
+        rows = [c for c in verify.run_checks(1, n, 0)["checks"]
+                if c["name"] == "group.cell_disjoint_from_lower" and c["params"]["n"] == n]
+        assert [(c["params"]["cell"], c["actual"], c["pass"]) for c in rows] == [
+            (r, "1" if r == stubbed else "0", r != stubbed) for r in range(n + 1)], (n, stubbed)
+
+
+def test_a_key_repeated_within_a_cell_fails_disjointness(monkeypatch):
+    # cell r given one of its own keys again, packed as the cells are: the
+    # row fails at r alone, with one key counted
+    cell = orthogroup.bruhat_cell
+    for n, stubbed in [(1, 0), (1, 1), (2, 1), (3, 2)]:
+        def repeating(fp, n, r, stubbed=stubbed):
+            out = cell(fp, n, r)
+            if (fp.q, r) == (2, stubbed):
+                keys = array("Q", [*out.elements, out.elements[-1]])
+                out = out._replace(elements=memoryview(keys).toreadonly())
+            return out
+
+        monkeypatch.setattr(orthogroup, "bruhat_cell", repeating)
         rows = [c for c in verify.run_checks(1, n, 0)["checks"]
                 if c["name"] == "group.cell_disjoint_from_lower" and c["params"]["n"] == n]
         assert [(c["params"]["cell"], c["actual"], c["pass"]) for c in rows] == [
