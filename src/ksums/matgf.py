@@ -1,4 +1,4 @@
-"""Square matrices over GF(2^r) as packed-int keys.
+"""Square matrices over GF(2^r) as packed-int keys, and their entries as bit planes.
 
 Entries are field ints (see ksums.field). A matrix is exchanged as one key:
 row-major and big-endian, fp.r bits per entry, so a row of n entries is an
@@ -9,15 +9,20 @@ by the key agrees with sorting by the hex string.
 key_traces is the package's one trace reader: Tr of every key from its
 diagonal lanes, bit-sliced over 1,024 keys at a time read as one int of
 64-bit words. It reads a Bruhat cell's buffer for ksums.orthogroup's trace
-histogram and the key pairs of the GL search for ksums.charsums'.
+histogram.
+
+plane_dot is the package's one bit-sliced product. A field element held
+for N matrices at once is fp.r bit planes, plane u an N-bit int of the
+coefficients of X^u; a product is an AND/XOR polynomial product of the
+planes and one linear reduction read from mul_table. It decides O+
+membership in ksums.orthogroup and the determinants and inverse traces of
+ksums.charsums' brute-force GL sums.
 
 GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
 keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
 singular matrices are never built, and each key arrives with the key of its
 inverse. A row scaled by a field element is one lookup in a table of scaled
 rows, lane_scales, so a reduction step is two lookups and two xors.
-With scalar_classes the same search yields one matrix of each class
-{u m : u != 0}, |GL(n,q)|/(q-1) of them.
 """
 
 import sys
@@ -79,6 +84,40 @@ def key_traces(fp: FieldParams, n: int, keys) -> bytes:
     return b"".join(out).translate(bytes(range(fp.q)) * (256 >> fp.r))  # b -> b mod q
 
 
+def plane_dot(fp: FieldParams):
+    """Return dot(pairs): the fp.r bit planes of the sum of a b over (a, b) in pairs.
+
+    Each a and b is a field element as fp.r planes, ints whose bit i belongs
+    to matrix i of a batch, so each operation acts on the whole batch. The
+    products are summed unreduced, as the coefficients of a polynomial in X
+    of degree at most 2 fp.r - 2, by XOR-ing a_u & b_v into the coefficient
+    of X^(u+v); one linear reduction then maps X^s to its field element,
+    read from mul_table as X^u X^v, so exp_log stays the only code that
+    reduces by the modulus.
+    """
+    r = fp.r
+    mt = field.mul_table(fp)
+    # the planes that a coefficient of X^s lands in, s <= 2 fp.r - 2
+    lands = [[t for t in range(r) if mt[1 << min(s, r - 1)][1 << max(s - r + 1, 0)] >> t & 1]
+             for s in range(2 * r - 1)]
+
+    def dot(pairs):
+        coeffs = [0] * (2 * r - 1)
+        for a, b in pairs:
+            for u, au in enumerate(a):
+                if au:
+                    for v, bv in enumerate(b, u):
+                        coeffs[v] ^= au & bv
+        reduced = [0] * r
+        for c, ts in zip(coeffs, lands):
+            if c:
+                for t in ts:
+                    reduced[t] ^= c
+        return reduced
+
+    return dot
+
+
 def lane_scales(fp: FieldParams, n: int):
     """S[s][v]: the n-lane row v with every lane times s, q^(n+1) entries.
 
@@ -100,7 +139,7 @@ def lane_scales(fp: FieldParams, n: int):
     return out
 
 
-def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
+def gl_matrices(fp: FieldParams, n: int):
     """Yield (key, inverse_key) over all of GL(n, q), keys strictly increasing.
 
     Keys are in the packed layout above. A depth-first search over rows, each
@@ -119,10 +158,6 @@ def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
     the inverse key and keeps no state. One generator frame walks the
     levels with an explicit stack. S has q^(n+1) entries, so callers bound
     n and q.
-
-    With scalar_classes, the first level tries only rows whose top nonzero
-    lane is 1. Scalars act freely on GL(n,q) and scale the first row's lead,
-    so exactly one m of each class {u m : u != 0} is yielded.
     """
     if n == 0:
         yield 0, 0
@@ -132,11 +167,7 @@ def gl_matrices(fp: FieldParams, n: int, scalar_classes: bool = False):
     scale = lane_scales(fp, n)
     invt = field.inv_table(fp)
     rows = range(1, fp.q ** n)
-    if scalar_classes:  # the top nonzero lane of v is v >> p, p its shift
-        first = [v for v in rows if v >> (v.bit_length() - 1) // r * r == 1]
-    else:
-        first = rows
-    stack = [(iter(first), [], 0)]  # per level: candidates left, state, key of the prefix
+    stack = [(iter(rows), [], 0)]  # per level: candidates left, state, key of the prefix
     while stack:
         cands, state, prefix = stack[-1]
         k = len(stack) - 1

@@ -139,14 +139,11 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
 
     All keys are decided in one bit-sliced pass. The keys are transposed
     into 4n^2 fp.r bit planes, bit N-1-i of each plane belonging to key i
-    of N, so each operation below acts on every key at once. G_jk is
-    accumulated as the coefficients of a polynomial in X of degree at most
-    2 fp.r - 2, XOR-ing a_u & b_v into the coefficient of X^(u+v) for each
-    product a b; one linear reduction then maps X^s to its field element,
-    read from mul_table as X^u X^v, so exp_log stays the only code that
-    reduces by the modulus. A key fails where a plane of G_jj, or of G_jk + G_kj + J_jk
-    for j < k, has its bit set. A key outside [0, q^(4n^2)) encodes no
-    2n x 2n matrix and is reported too; duplicates are kept.
+    of N, so each operation below acts on every key at once. Each G_jk, or
+    G_jk + G_kj for j < k, is one sum of products by matgf.plane_dot. A key
+    fails where a plane of G_jj, or of G_jk + G_kj + J_jk for j < k, has its
+    bit set. A key outside [0, q^(4n^2)) encodes no 2n x 2n matrix and is
+    reported too; duplicates are kept.
     """
     field.check_int("n", n, 1)
     r, nn = fp.r, 2 * n
@@ -157,34 +154,19 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
     # the zero matrix is no member (G = 0, so G + tG != J), so it stands in
     # for a key that encodes no matrix and marks it as failing
     entry = _entry_planes(fp, nn, [0 if k >> keybits else k for k in keys])
-    mt = field.mul_table(fp)
-    # the planes that a coefficient of X^s lands in, s <= 2 fp.r - 2
-    lands = [[t for t in range(r) if mt[1 << min(s, r - 1)][1 << max(s - r + 1, 0)] >> t & 1]
-             for s in range(2 * r - 1)]
+    dot = matgf.plane_dot(fp)
     ones = (1 << len(keys)) - 1
 
-    def gram(j, k, coeffs):  # XOR the coefficients of G_jk into coeffs
-        for i in range(n):
-            b = entry[(n + i) * nn + k]
-            for u, au in enumerate(entry[i * nn + j]):
-                if au:
-                    for v, bv in enumerate(b, u):
-                        coeffs[v] ^= au & bv
+    def gram(j, k):  # the products of G_jk = sum over i of T_ij D_ik
+        return [(entry[i * nn + j], entry[(n + i) * nn + k]) for i in range(n)]
 
     bad = 0
     for j in range(nn):
         for k in range(j, nn):
-            coeffs = [0] * (2 * r - 1)
-            gram(j, k, coeffs)
-            if k != j:
-                gram(k, j, coeffs)
-                if k == j + n:
-                    coeffs[0] ^= ones
-            reduced = [0] * r
-            for c, ts in zip(coeffs, lands):
-                for t in ts:
-                    reduced[t] ^= c
-            bad |= reduce(or_, reduced)
+            g = dot(gram(j, k) + gram(k, j) if k != j else gram(j, k))
+            if k == j + n:
+                g[0] ^= ones
+            bad |= reduce(or_, g)
     return list(compress(keys, map("1".__eq__, format(bad, f"0{len(keys)}b"))))
 
 

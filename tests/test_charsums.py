@@ -255,20 +255,63 @@ def test_gl_brute_histogram_matches_recursion():
                         == charsums.kloosterman_gl(fp, t, a, "recursion", c)), (fp.q, t, a, c)
 
 
-def test_gl_histogram_over_scalar_classes_matches_full_enumeration():
-    # spreading the class counts over (u Tr w, u^-1 Tr w^-1) gives the counts
-    # over every matrix of GL(t,q), traced as tuple matrices
-    for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2)]:
+def test_gl_histogram_matches_full_enumeration():
+    # the bit-sliced pass counts the pairs of every matrix of GL(t,q) that the
+    # row search yields, traced as tuple matrices; the second moduli put the
+    # plane product's reduction outside the default basis
+    alt = [binary_field(r, verify.ALT_MODULI[r]) for r in (3, 4)]
+    for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2), (alt[0], 2), (alt[1], 2)]:
         full = Counter((oracles.mat_trace(oracles.unpack_mat(fp, t, m)),
                         oracles.mat_trace(oracles.unpack_mat(fp, t, minv)))
                        for m, minv in matgf.gl_matrices(fp, t))
-        assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, t)
+        assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, fp.modulus, t)
+
+
+def test_gl_histogram_counts_gl_at_every_brute_force_shape():
+    # every shape that gl_routes admits brute force at, t >= 1: the invertible
+    # matrices of each slice sum to |GL(t,q)|
+    shapes = [(binary_field(r), 1) for r in range(1, 9)]
+    shapes += [(binary_field(r), 2) for r in range(1, 5)]
+    shapes += [(GF2, 3), (GF4, 3), (GF2, 4)]
+    assert {(fp.q, t) for fp, t in shapes} == {
+        (1 << r, t) for r in range(1, 9) for t in range(1, 6)
+        if "brute_force" in charsums.gl_routes(t, 1 << r)}
+    for fp, t in shapes:
+        hist = charsums._gl_trace_histogram(fp, t)
+        assert sum(count for _, count in hist) == combinat.gl_order(t, fp.q), (fp.q, t)
+        assert len(hist) <= fp.q ** 2
+
+
+def test_gl_brute_force_matches_recursion_at_every_scale():
+    # GL(3,4) and GL(4,2), each summed straight over its histogram at the
+    # scaled character lambda(c .), against the recursion's table at c^2 a
+    for fp, t in [(GF4, 3), (GF2, 4)]:
+        mt, lam = field.mul_table(fp), field.char_table(fp)
+        hist = charsums._gl_trace_histogram(fp, t)
+        table = charsums.kloosterman_gl_table(fp, t, "recursion")
+        assert charsums.kloosterman_gl_table(fp, t, "brute_force") == table
+        for c in field.units(fp):
+            for a in field.units(fp):
+                direct = sum(count * lam[mt[c][tr ^ mt[a][trinv]]] for (tr, trinv), count in hist)
+                assert direct == table[mt[c][mt[c][a]]], (fp.q, t, a, c)
+
+
+def test_gl_brute_force_at_t0_builds_no_histogram(monkeypatch):
+    # K_GL(0) = 1 by convention, with no matrix to count
+    def refuse(*args):
+        raise AssertionError("no histogram at t = 0")
+    monkeypatch.setattr(charsums, "_gl_trace_histogram", refuse)
+    monkeypatch.setattr(charsums, "kloosterman_gl_table",
+                        charsums.kloosterman_gl_table.__wrapped__)  # uncached
+    for fp in (GF2, GF16):
+        assert charsums.kloosterman_gl_table(fp, 0, "brute_force") == (None,) + (1,) * (fp.q - 1)
+        assert charsums.kloosterman_gl(fp, 0, 1, "brute_force") == 1
 
 
 def test_gl_histogram_streams_the_search():
-    # the traces are read a chunk of key pairs at a time as the search yields
-    # them: no list of the 20,160 keys of GL(4,2) is held, which alone would
-    # take 8 bytes a key
+    # the matrices are counted a slice at a time: no plane of all 65,536
+    # 4 x 4 matrices over GF(2), nor any list of the 20,160 keys of GL(4,2),
+    # is held, which alone would take 8 bytes a key
     first = charsums._gl_trace_histogram(GF2, 4)  # the field tables, built outside the trace
     tracemalloc.start()
     try:

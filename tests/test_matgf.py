@@ -89,24 +89,6 @@ def test_inverse_round_trip_full_gl():
         assert len(pairs) == combinat.gl_order(n, fp.q), (fp.q, n)
 
 
-def test_scalar_classes_cover_gl_once():
-    # one matrix per class {u m : u != 0}: its first row leads with 1, and the
-    # q-1 multiples of the representatives are all of GL(2,q), each once
-    for fp in (GF4, GF8, binary_field(4)):
-        mt = field.mul_table(fp)
-        reps = [(oracles.unpack_mat(fp, 2, key), oracles.unpack_mat(fp, 2, inv))
-                for key, inv in matgf.gl_matrices(fp, 2, scalar_classes=True)]
-        assert len(reps) == combinat.gl_order(2, fp.q) // (fp.q - 1)
-        assert all(next(filter(None, m[0])) == 1 for m, _ in reps)
-        for m, minv in reps:
-            assert oracles.mat_mul(fp, m, minv) == oracles.mat_identity(2)
-        multiples = [oracles.pack_mat(fp, [[mt[u][x] for x in row] for row in m])
-                     for m, _ in reps for u in field.units(fp)]
-        full = [key for key, _ in matgf.gl_matrices(fp, 2)]
-        assert len(multiples) == len(set(multiples)) == len(full)
-        assert set(multiples) == set(full)
-
-
 def test_gl_matrices_count_gl42():
     assert sum(1 for _ in matgf.gl_matrices(GF2, 4)) == combinat.gl_order(4, 2)
 
