@@ -28,11 +28,11 @@ reindex a -> c^2 a, as for the values tables.
 The brute-force GL route counts a histogram of (Tr w, Tr w^-1) over
 GL(t,q), at most q^2 entries, once per run, and each a of the run costs
 one pass over it; the table is cached, so that is once per (field, t). The
-histogram is one bit-sliced pass over all q^(t^2) t x t matrices, a slice
-at a time, products by matgf.plane_dot: each matrix's determinant and the
-trace of its adjugate come from its own entries by Laplace expansion, so
-invertibility and Tr w^-1 = Tr adj w / det w (Cramer's rule) are decided
-with no row search and no K value read.
+histogram is matgf's one pass over all q^(t^2) t x t matrices, a slice at
+a time, products by matgf.plane_dot: each matrix's determinant and the
+trace of its adjugate come from its own entries by Laplace expansion
+(matgf.minors), so invertibility and Tr w^-1 = Tr adj w / det w (Cramer's
+rule) are decided with no K value read.
 The closed form's inner sum over weakly decreasing tuples
 j_1 >= ... >= j_(l-1) is taken level by level through suffix sums, O(t^2)
 terms per l instead of one per tuple.
@@ -68,8 +68,7 @@ GL_METHODS = ("recursion", "closed_form", "brute_force")
 # log2 of the matrices per slice in _gl_trace_histogram. The GL(4,2)
 # histogram took 1.8 ms with a tracemalloc peak of 33 KB at 2^12, 1.0 ms and
 # 57 KB at 2^13, 0.5 ms and 107 KB at 2^14, and 0.2 ms and 396 KB as one
-# slice of all 2^16 matrices (best of 7 warm runs, 2-CPU Xeon, CPython
-# 3.11.7); the row search it replaced peaked near 60 KB
+# slice of all 2^16 matrices (best of 7 warm runs, 2-CPU Xeon, CPython 3.11.7)
 _SLICE_BITS = 13
 
 
@@ -257,22 +256,6 @@ def _kloosterman_gl_closed_form(fp, t, k1):
     return value
 
 
-def _minor(entry, dot, t, rows, cols, memo):
-    """Planes of the determinant of the submatrix on rows (a tuple) and the columns in bitmask cols.
-
-    Laplace expansion along the first row, with no signs in characteristic 2,
-    each minor taken once through memo, keyed by (rows, cols).
-    """
-    row = rows[0] * t
-    if len(rows) == 1:
-        return entry[row + cols.bit_length() - 1]
-    key = rows, cols
-    if key not in memo:
-        memo[key] = dot([(entry[row + c], _minor(entry, dot, t, rows[1:], cols ^ 1 << c, memo))
-                         for c in range(t) if cols >> c & 1])
-    return memo[key]
-
-
 def _split(mask, planes):
     """(v, the bits of mask where the planes read v) for each v met, planes given top bit first."""
     leaves = [(0, mask)]
@@ -291,46 +274,28 @@ def _split(mask, planes):
 def _gl_trace_histogram(fp, t):
     """Counts of (Tr w, Tr w^-1) over GL(t,q), at most q^2 entries, read by one brute-force run.
 
-    One bit-sliced pass over every t x t matrix, 2^_SLICE_BITS matrices at a
-    time: matrix i has bit u of entry e equal to bit e r + u of its index i,
-    so in a slice the planes of the low _SLICE_BITS index bits are periodic
-    bit patterns and the planes above are constants. det w and c = Tr adj w,
-    the sum of the principal (t-1)-minors, come from one memo of minors
-    (_minor); w is invertible where det w != 0, and there Tr w^-1 =
-    c det^(q-2) by Cramer's rule. The mask of the invertible matrices is
-    split by the planes of Tr w, then each part by those of Tr w^-1
-    (_split), so at most about 3q masks are held at once, and each leaf is
-    counted by int.bit_count. Not cached: a brute-force run reads it for
-    every a it needs.
+    One bit-sliced pass over every t x t matrix, 2^_SLICE_BITS matrices at
+    a time (matgf.matrix_planes). det w and c = Tr adj w, the sum of the
+    principal (t-1)-minors, come from one memo of minors (matgf.minors); w
+    is invertible where det w != 0, and there Tr w^-1 = c det^(q-2) by
+    Cramer's rule (matgf.plane_quotients). The mask of the invertible
+    matrices is split by the planes of Tr w, then each part by those of
+    Tr w^-1 (_split), so at most about 3q masks are held at once, and each
+    leaf is counted by int.bit_count. Not cached: a brute-force run reads
+    it for every a it needs.
     """
-    r, cells = fp.r, t * t
-    bits = r * cells
-    width = min(bits, _SLICE_BITS)
-    ones = (1 << (1 << width)) - 1
-    # periodic[b] has bit i set where bit b of i is set; from the top one
-    # down, each halves the runs of the one above: m_b = m_(b+1) ^ m_(b+1) >> 2^b
-    periodic = [ones ^ ones >> (1 << width - 1)]
-    for b in range(width - 2, -1, -1):
-        periodic.append(periodic[-1] ^ periodic[-1] >> (1 << b))
-    periodic.reverse()
+    r = fp.r
+    width = min(r * t * t, _SLICE_BITS)
+    one = [(1 << (1 << width)) - 1] + [0] * (r - 1)
     dot = matgf.plane_dot(fp)
-    all_cols = (1 << t) - 1
+    rows, cols = tuple(range(t)), (1 << t) - 1
     hist = Counter()
-    for high in range(1 << bits - width):
-        index = periodic + [-(high >> b & 1) & ones for b in range(bits - width)]
-        entry = [index[e * r:e * r + r] for e in range(cells)]
-        memo = {}
-        det = _minor(entry, dot, t, tuple(range(t)), all_cols, memo)
-        adj = [ones] + [0] * (r - 1)  # at t = 1 the one principal minor is empty
-        if t > 1:
-            principal = [_minor(entry, dot, t, tuple(j for j in range(t) if j != i),
-                                all_cols ^ 1 << i, memo) for i in range(t)]
-            adj = [reduce(xor, planes) for planes in zip(*principal)]
-        square, inverse = det, None
-        for _ in range(r - 1):  # det^(q-2) is the product of det^(2^k), 1 <= k < r
-            square = dot([(square, square)])
-            inverse = square if inverse is None else dot([(inverse, square)])
-        trinv = adj if inverse is None else dot([(adj, inverse)])
+    for entry in matgf.matrix_planes(fp, t, width):
+        minor = matgf.minors(dot, t, entry, one)
+        det = minor(rows, cols)
+        principal = [minor(rows[:i] + rows[i + 1:], cols ^ 1 << i) for i in rows]
+        adj = [reduce(xor, planes) for planes in zip(*principal)]
+        trinv, = matgf.plane_quotients(dot, [adj], det)
         trace = [reduce(xor, planes) for planes in zip(*entry[::t + 1])]
         for tr, mask in _split(reduce(or_, det), trace[::-1]):
             for trinv_value, leaf in _split(mask, trinv[::-1]):

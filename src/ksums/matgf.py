@@ -13,20 +13,26 @@ histogram.
 
 plane_dot is the package's one bit-sliced product. A field element held
 for N matrices at once is fp.r bit planes, plane u an N-bit int of the
-coefficients of X^u; a product is an AND/XOR polynomial product of the
-planes and one linear reduction read from mul_table. It decides O+
-membership in ksums.orthogroup and the determinants and inverse traces of
-ksums.charsums' brute-force GL sums.
+coefficients of X^u, matrix i of N at bit N-1-i; a product is an AND/XOR
+polynomial product of the planes and one linear reduction read from
+mul_table. It decides O+ membership in ksums.orthogroup and makes every
+product of the GL pass below. key_planes and plane_keys transpose keys
+into planes and back.
 
-GL(n,q) is enumerated by gl_matrices, a depth-first search over rows that
-keeps one Gauss-Jordan state per prefix of rows, all of it on packed rows:
-singular matrices are never built, and each key arrives with the key of its
-inverse. A row scaled by a field element is one lookup in a table of scaled
-rows, lane_scales, so a reduction step is two lookups and two xors.
+GL(n,q) has one enumeration, a pass over the planes of every n x n
+matrix. matrix_planes yields them a slice of consecutive keys at a time:
+below the slice's width the planes of a key's bits are periodic patterns,
+built once, and above it constants, so nothing is transposed. minors
+expands determinants and cofactors over them, memoized, and
+plane_quotients divides by a determinant where it is a unit: w is
+invertible where det w != 0, and w^-1 is its cofactors over det w
+(Cramer's rule). ksums.charsums' brute-force GL sums read the principal
+minors, and ksums.orthogroup's Levi keys every cofactor.
 """
 
 import sys
-from functools import reduce
+from functools import partial, reduce
+from itertools import repeat
 from operator import xor
 
 from ksums import field
@@ -118,89 +124,92 @@ def plane_dot(fp: FieldParams):
     return dot
 
 
-def lane_scales(fp: FieldParams, n: int):
-    """S[s][v]: the n-lane row v with every lane times s, q^(n+1) entries.
+def key_planes(fp: FieldParams, n: int, keys) -> list:
+    """[e][u]: bit u (X^u) of entry e, row-major, of every n x n key, as one int.
 
-    Read by gl_matrices.
-
-    At n = 1 this is field.mul_table itself; each further lane appends
-    mul_table's row s to every entry of the table so far.
+    Key i of N sits at bit N-1-i of each plane; keys must lie in
+    [0, q^(n^2)). The keys are written as one binary string and each plane
+    is read off it by one slice; an empty list of keys gives zero planes.
     """
-    mt = field.mul_table(fp)
-    if n == 1:
-        return mt
     r = fp.r
-    out = []
-    for row in mt:
-        lanes = row
-        for _ in range(n - 1):
-            lanes = [(hi << r) | lo for hi in lanes for lo in row]
-        out.append(lanes)
-    return out
+    keybits = r * n * n
+    text = "".join(map(format, keys, repeat(f"0{keybits}b")))
+    planes = [int(text[p::keybits] or "0", 2) for p in range(keybits)]
+    return [planes[e:e + r][::-1] for e in range(0, keybits, r)]
 
 
-def gl_matrices(fp: FieldParams, n: int):
-    """Yield (key, inverse_key) over all of GL(n, q), keys strictly increasing.
+def plane_keys(fp: FieldParams, n: int, entry, count: int) -> list:
+    """The count n x n keys whose entry planes are entry, in order: key_planes run backwards.
 
-    Keys are in the packed layout above. A depth-first search over rows, each
-    level trying the rows 1 .. q^n - 1 in increasing order, so keys arrive
-    in row-major lex order. The rows chosen so far carry one Gauss-Jordan
-    state, shared by every matrix that starts with them: per chosen row the
-    pivot lane's shift p, a reduced echelon row e (lane p_j of e_i is 1 if
-    i = j else 0) and a transform row t, e_i = sum_j t_i[j] row_j. A
-    candidate v is reduced against that state: its own lane at p is the
-    coefficient f of e, so res ^= S[f][e] and tr ^= S[f][t], with S the
-    lane_scales table. A zero residual means v lies in the span of the
-    earlier rows, so it is skipped and no singular matrix is ever built;
-    otherwise the top lane of res pivots. Once all n rows are chosen every
-    e_i is the unit vector at p_i, so the row of m^-1 indexed by p_i's
-    column is t_i: the last level places its transform rows straight into
-    the inverse key and keeps no state. One generator frame walks the
-    levels with an explicit stack. S has q^(n+1) entries, so callers bound
-    n and q.
+    Each plane is written as count binary digits into every keybits-th
+    byte of one buffer by one slice, and key i is read off its own keybits
+    digits. n >= 1.
     """
-    if n == 0:
-        yield 0, 0
-        return
-    r, mask = fp.r, fp.q - 1
-    rowbits = r * n
-    scale = lane_scales(fp, n)
-    invt = field.inv_table(fp)
-    rows = range(1, fp.q ** n)
-    stack = [(iter(rows), [], 0)]  # per level: candidates left, state, key of the prefix
-    while stack:
-        cands, state, prefix = stack[-1]
-        k = len(stack) - 1
-        unit = 1 << r * (n - 1 - k)  # row k itself, as a transform row
-        for v in cands:
-            res, tr = v, unit
-            for p, e, t in state:
-                # the other e_j vanish at p, so v's own lane is the coefficient
-                f = (v >> p) & mask
-                if f:
-                    sf = scale[f]
-                    res ^= sf[e]
-                    tr ^= sf[t]
-            if not res:
-                continue
-            p = (res.bit_length() - 1) // r * r  # the top nonzero lane pivots
-            norm = scale[invt[res >> p]]
-            tr = norm[tr]
-            key = (prefix << rowbits) | v
-            if k == n - 1:
-                # t_j is the inverse's row for the column at lane shift p_j, n p_j bits up
-                inv = tr << n * p
-                for pj, e, t in state:
-                    inv |= (t ^ scale[(e >> p) & mask][tr]) << n * pj
-                yield key, inv
-                continue
-            res = norm[res]
-            new = []
-            for pj, e, t in state:
-                sg = scale[(e >> p) & mask]
-                new.append((pj, e ^ sg[res], t ^ sg[tr]))
-            new.append((p, res, tr))
-            stack.append((iter(rows), new, key))
-            break
-        else:
-            stack.pop()
+    if not count:  # format writes one digit even at width 0
+        return []
+    keybits = fp.r * n * n
+    text = bytearray(count * keybits)
+    for p, plane in enumerate(plane for planes in entry for plane in planes[::-1]):
+        text[p::keybits] = format(plane, f"0{count}b").encode()
+    return [int(text[i:i + keybits], 2) for i in range(0, len(text), keybits)]
+
+
+def matrix_planes(fp: FieldParams, n: int, width: int):
+    """Yield the entry planes [e][u] of every n x n matrix, 2^width matrices a slice.
+
+    The matrices are the keys 0 .. q^(n^2) - 1 in ascending order, each
+    slice 2^width consecutive keys, 0 <= width <= fp.r n^2, laid out as
+    key_planes lays them out: key i of a slice at bit 2^width - 1 - i.
+    Bit u of entry e is bit b = fp.r (n^2 - 1 - e) + u of the key. For
+    b < width, the plane of bit b sets the low 2^b bits of every run of
+    2^(b+1), a periodic pattern built once for every slice: from all ones
+    down, each plane is the one above xor itself shifted up by 2^b. Above
+    width, bit b is constant across a slice.
+    """
+    r, cells = fp.r, n * n
+    ones = (1 << (1 << width)) - 1
+    periodic, plane = [], ones
+    for b in range(width - 1, -1, -1):
+        plane = (plane ^ plane << (1 << b)) & ones
+        periodic.insert(0, plane)
+    for high in range(1 << r * cells - width):
+        bits = periodic + [-(high >> b & 1) & ones for b in range(r * cells - width)]
+        yield [bits[r * (cells - 1 - e):r * (cells - e)] for e in range(cells)]
+
+
+def minors(dot, n: int, entry, one):
+    """Return minor(rows, cols), the planes of the determinant of the submatrix of the
+    n x n entry planes on rows (a tuple) and the columns in bitmask cols.
+
+    dot is plane_dot's product and one the planes of 1, the empty minor.
+    Laplace expansion along the first row, with no signs in characteristic
+    2, each minor of two or more rows taken once through a memo keyed by
+    (rows, cols). minor is a partial of a module function, not a closure
+    that calls itself, so a memo is freed with its minor and not left to
+    the cycle collector.
+    """
+    return partial(_minor, dot, n, entry, {((), 0): one})
+
+
+def _minor(dot, n, entry, memo, rows, cols):
+    if len(rows) == 1:
+        return entry[rows[0] * n + cols.bit_length() - 1]
+    if (rows, cols) not in memo:
+        row, rest = rows[0] * n, rows[1:]
+        memo[rows, cols] = dot([(entry[row + c], _minor(dot, n, entry, memo, rest, cols ^ 1 << c))
+                                for c in range(n) if cols >> c & 1])
+    return memo[rows, cols]
+
+
+def plane_quotients(dot, ys, x) -> list:
+    """The planes of y x^(q-2), that is y / x wherever x != 0, for each y in ys.
+
+    x^(q-2) is the product of x^(2^k), 1 <= k < r, r = len(x): r - 1
+    squarings and r - 2 products by dot. At q = 2 it is 1, and ys come
+    back as they are.
+    """
+    square, inverse = x, None
+    for _ in range(len(x) - 1):
+        square = dot([(square, square)])
+        inverse = square if inverse is None else dot([(inverse, square)])
+    return ys if inverse is None else [dot([(y, inverse)]) for y in ys]

@@ -26,7 +26,7 @@ deduplicates them: P+ is the stabilizer of the totally singular subspace
 <e_1..e_n>, so x' P+ = x0 P+ exactly when the lower-left block of
 x0^-1 x' is zero, and one bit-sliced scan over the planes of P+ picks
 one left factor of each coset (_coset_representatives), the same
-transposition into bit planes that outside_oplus reads (_entry_planes).
+transposition into bit planes that outside_oplus reads (matgf.key_planes).
 A cell is stored coset by coset as one read-only buffer of unsigned
 64-bit keys, 8 bytes per key (see BruhatCell): only --elements output
 sorts them.
@@ -35,13 +35,15 @@ Elements are exchanged as packed row-major integer keys (fp.r bits per
 entry, big-endian), whose sort order equals the canonical hex ordering of
 ksums.matgf.
 
-Every product is read from field.mul_table. The Levi factors are placed
-by moving lanes from the (A, A^-1) key pairs of matgf.gl_matrices
-(_levi_keys), one native 64-bit word each. A coset is expanded on ints
-that hold one key per word, so no key is an int of its own: the words of
-x L are an xor of the Levi keys' packed rows, scaled lane by lane and
-copied into row slots by one integer multiplication each, carry-free
-because a key has at most 52 bits. Then U is walked over its F_2-basis:
+Every product is read from field.mul_table. The Levi factors come from
+matgf's one pass over GL(n,q) (_levi_keys): the planes of every n x n
+matrix A, det A and its cofactors give tA^-1, both blocks are placed in
+the planes of the 2n x 2n layout, and one transposition reads the keys,
+one native 64-bit word each. A coset is expanded on ints that hold one
+key per word, so no key is an int of its own: the words of x L are an
+xor of the Levi keys' packed rows, scaled lane by lane and copied into
+row slots by one integer multiplication each, carry-free because a key
+has at most 52 bits. Then U is walked over its F_2-basis:
 y [[1, B], [0, 1]] is y plus an offset made of lanes of y, or of the same
 products scaled by a monomial X^t, moved by masks and shifts, so each
 basis element doubles the words by one xor and one shift.
@@ -78,7 +80,7 @@ from here.
 
 import sys
 from functools import lru_cache, reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import or_, xor
 from types import MappingProxyType
 from typing import NamedTuple
@@ -149,11 +151,9 @@ def outside_oplus(fp: FieldParams, n: int, keys) -> list:
     r, nn = fp.r, 2 * n
     keybits = r * nn * nn
     keys = list(keys)
-    if not keys:
-        return []
     # the zero matrix is no member (G = 0, so G + tG != J), so it stands in
     # for a key that encodes no matrix and marks it as failing
-    entry = _entry_planes(fp, nn, [0 if k >> keybits else k for k in keys])
+    entry = matgf.key_planes(fp, nn, [0 if k >> keybits else k for k in keys])
     dot = matgf.plane_dot(fp)
     ones = (1 << len(keys)) - 1
 
@@ -208,28 +208,14 @@ def enumerate_parabolic(fp: FieldParams, n: int) -> tuple:
 
 # -- packed-key kernels ------------------------------------------------------
 
-def _entry_planes(fp: FieldParams, nn: int, keys) -> list:
-    """[e][u]: bit u (X^u) of entry e, row-major, of every nn x nn key, as one int.
-
-    Key i of N sits at bit N-1-i of each plane; keys must lie in
-    [0, q^(nn^2)). The keys are written as one binary string and each plane
-    is read off it by one slice.
-    """
-    r = fp.r
-    keybits = r * nn * nn
-    text = "".join(map(format, keys, repeat(f"0{keybits}b")))
-    planes = [int(text[p::keybits], 2) for p in range(keybits)]
-    return [planes[e:e + r][::-1] for e in range(0, keybits, r)]
-
-
 @lru_cache(maxsize=None, typed=True)
 def _parabolic_planes(fp: FieldParams, n: int) -> tuple:
-    """_entry_planes of P+, in the order of enumerate_parabolic.
+    """matgf.key_planes of P+, in the order of enumerate_parabolic.
 
     Cached because every cell of (q, n) scans it for its coset
     representatives (verify (6,3,10): 13 hits, 9 misses).
     """
-    return tuple(map(tuple, _entry_planes(fp, 2 * n, enumerate_parabolic(fp, n))))
+    return tuple(map(tuple, matgf.key_planes(fp, 2 * n, enumerate_parabolic(fp, n))))
 
 
 def _coset_representatives(fp: FieldParams, n: int, r: int) -> list:
@@ -283,25 +269,33 @@ def _coset_representatives(fp: FieldParams, n: int, r: int) -> list:
 def _levi_keys(fp: FieldParams, n: int) -> bytes:
     """Keys of the Levi factors [[A, 0], [0, tA^-1]], A in GL(n,q), as native 64-bit words.
 
-    One word per (A, A^-1) pair of matgf.gl_matrices, in its order, placed
-    by moving lanes: |GL(n,q)| words. Cached because P+ and every cell of
-    (q, n) expand their cosets over it (verify (6,3,10): 22 hits, 9 misses).
+    One pass over every n x n matrix A as one slice of bit planes
+    (matgf.matrix_planes): det A and each cofactor C_ij, the minor off row
+    i and column j (matgf.minors), give (tA^-1)_ij = C_ij det^(q-2)
+    (matgf.plane_quotients). The planes of A and tA^-1 fill the blocks of
+    the 2n x 2n layout, one transposition reads the keys off them
+    (matgf.plane_keys), and the keys where det A != 0 are kept: |GL(n,q)|
+    words, ascending. Cached because P+ and every cell of (q, n) expand
+    their cosets over it (verify (6,3,10): 22 hits, 9 misses).
     """
-    r, w, lanes = fp.r, fp.r * n, n * n
-    rowmask, lane = (1 << w) - 1, fp.q - 1
-    keys = []
-    for a, ainv in matgf.gl_matrices(fp, n):
-        top = bottom = 0
-        for i in range(n):
-            # row i is row i of A, then n zero lanes; row n+i is n zero
-            # lanes, then column i of A^-1, whose entry j sits at lane j n + i
-            top = (top << 2 * w) | ((a >> w * (n - 1 - i)) & rowmask) << w
-            col = 0
-            for j in range(n):
-                col = (col << r) | ((ainv >> r * (lanes - 1 - j * n - i)) & lane)
-            bottom = (bottom << 2 * w) | col
-        keys.append(((top << 2 * w * n) | bottom).to_bytes(8, sys.byteorder))
-    return b"".join(keys)
+    r, bits = fp.r, fp.r * n * n
+    count = 1 << bits
+    dot = matgf.plane_dot(fp)
+    entry, = matgf.matrix_planes(fp, n, bits)
+    minor = matgf.minors(dot, n, entry, [(1 << count) - 1] + [0] * (r - 1))
+    rows, cols = tuple(range(n)), (1 << n) - 1
+    det = minor(rows, cols)
+    cofactors = [minor(rows[:i] + rows[i + 1:], cols ^ 1 << j) for i in rows for j in rows]
+    inverse_t = matgf.plane_quotients(dot, cofactors, det)
+    pad = [[0] * r] * n  # n zero entries
+    blocks = []
+    for i in range(0, n * n, n):
+        blocks += entry[i:i + n] + pad
+    for i in range(0, n * n, n):
+        blocks += pad + inverse_t[i:i + n]
+    keys = matgf.plane_keys(fp, 2 * n, blocks, count)
+    units = map("1".__eq__, format(reduce(or_, det), f"0{count}b"))
+    return b"".join(key.to_bytes(8, sys.byteorder) for key in compress(keys, units))
 
 
 def _coset_words(fp: FieldParams, n: int, left_keys):

@@ -6,8 +6,14 @@ ksums have something independent to be compared with:
 
 - tuple matrices over GF(2^r) (immutable tuples of row tuples) and their
   packing to and from the library's packed keys (row-major, big-endian,
-  fp.r bits per entry), against which matgf's GL search, key_traces and
-  keys_hex and orthogroup's Levi keys, lane swaps and coset kernel are read;
+  fp.r bits per entry), against which matgf's key_traces and keys_hex and
+  orthogroup's lane swaps and coset kernel are read;
+- GL(n,q) two ways, neither through bit planes: the invertible keys by a
+  product scan that builds the span of each prefix of rows, and the inverse
+  of one matrix by Gauss-Jordan elimination, its pivots inverted by a search
+  of their mul_table rows rather than by inv_table. Against them are read
+  matgf's one pass over GL(n,q), orthogroup's Levi keys and charsums' GL
+  trace histogram;
 - the hyperbolic form theta+ and the isometry test built on it, the
   definition-level oracle of orthogroup.outside_oplus's bit-sliced Gram
   pass, and the involutions s_r as tuple matrices;
@@ -79,6 +85,49 @@ def unpack_mat(fp: FieldParams, n: int, key: int) -> Mat:
     for shift in range(r * (n * n - 1), -1, -r):
         flat.append((key >> shift) & mask)
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+def mat_inv(fp: FieldParams, m: Mat):
+    """m^-1 by Gauss-Jordan elimination on [m | 1], or None if m is singular.
+
+    Each pivot x is scaled by its inverse, found as the 1 in its mul_table
+    row, not read from inv_table.
+    """
+    mt = field.mul_table(fp)
+    n = len(m)
+    rows = [list(row) + list(unit) for row, unit in zip(m, mat_identity(n))]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = mt[mt[rows[col][col]].index(1)]
+        rows[col] = [scale[e] for e in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = mt[rows[i][col]]
+                rows[i] = [x ^ f[y] for x, y in zip(rows[i], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def invertible_keys(fp: FieldParams, n: int) -> list:
+    """pack_mat keys of the invertible n x n matrices, ascending, scanning itertools.product.
+
+    A matrix is singular iff some row lies in the span of the rows above it;
+    the span of each prefix of rows is built once, by closure.
+    """
+    mt = field.mul_table(fp)
+    spans = {(): frozenset([(0,) * n])}
+
+    def span(rows):
+        if rows not in spans:
+            v = rows[-1]
+            spans[rows] = frozenset(tuple(x ^ mt[c][y] for x, y in zip(s, v))
+                                    for s in span(rows[:-1]) for c in range(fp.q))
+        return spans[rows]
+
+    return [pack_mat(fp, m) for m in product(product(range(fp.q), repeat=n), repeat=n)
+            if all(m[i] not in span(m[:i]) for i in range(n))]
 
 
 def theta_plus(fp: FieldParams, v) -> int:

@@ -256,14 +256,15 @@ def test_gl_brute_histogram_matches_recursion():
 
 
 def test_gl_histogram_matches_full_enumeration():
-    # the bit-sliced pass counts the pairs of every matrix of GL(t,q) that the
-    # row search yields, traced as tuple matrices; the second moduli put the
-    # plane product's reduction outside the default basis
+    # the bit-sliced pass counts the pairs of every invertible matrix of the
+    # product scan and its Gauss-Jordan inverse, traced as tuple matrices;
+    # the second moduli put the plane product's reduction outside the
+    # default basis
     alt = [binary_field(r, verify.ALT_MODULI[r]) for r in (3, 4)]
     for fp, t in [(GF2, 3), (GF4, 2), (GF8, 2), (GF16, 2), (alt[0], 2), (alt[1], 2)]:
-        full = Counter((oracles.mat_trace(oracles.unpack_mat(fp, t, m)),
-                        oracles.mat_trace(oracles.unpack_mat(fp, t, minv)))
-                       for m, minv in matgf.gl_matrices(fp, t))
+        mats = (oracles.unpack_mat(fp, t, key) for key in oracles.invertible_keys(fp, t))
+        full = Counter((oracles.mat_trace(m), oracles.mat_trace(oracles.mat_inv(fp, m)))
+                       for m in mats)
         assert dict(charsums._gl_trace_histogram(fp, t)) == full, (fp.q, fp.modulus, t)
 
 

@@ -301,7 +301,8 @@ def test_group_enum_elements_listed_ascending(capsys):
     (2, 2, "ebd67f46252ba3ab0e95d66b9ac96252b3f988f44916675ac5eba9926a62cc08"),
     (1, 3, "2b1b11ce1cef8989bccd748db8311c257793eecbfb526fba929d2f4cd4917275"),
     (8, 1, "3f90b1e941a63f96caf9ef827542374f0f10255d7debe0a0abc90e27566a7414"),
-], ids=["2-2", "1-3", "8-1"])
+    (1, 2, "fbb6657d8b45e4048d5c6e9a26454b9ee70a5391c88985782a8a518eae0e90b0"),
+], ids=["2-2", "1-3", "8-1", "1-2"])
 def test_group_enum_elements_bytes_pinned(capsys, r, n, digest):
     # the exact element lists, which the coset kernel builds and --elements sorts
     code, out, _ = run(capsys, "group", "enum", "--r", str(r), "--n", str(n), "--elements")

@@ -1,11 +1,13 @@
 import random
 from array import array
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ksums import combinat, field, matgf
+from ksums import combinat, matgf
 from ksums.field import binary_field
 from ksums.verify import ALT_MODULI
 
@@ -39,24 +41,35 @@ def test_mul_identity_neutral():
     assert oracles.mat_mul(GF4, i3, m) == m
 
 
-def _invertible_keys(fp, n):
-    """pack_mat keys of the invertible n x n matrices, scanning itertools.product.
+def _read_key(fp, entry, count, i):
+    """The key of matrix i of count from its entry planes, read bit by bit."""
+    key = 0
+    for planes in entry:
+        key = key << fp.r | sum((plane >> count - 1 - i & 1) << u for u, plane in enumerate(planes))
+    return key
 
-    A matrix is singular iff some row lies in the span of the rows above it;
-    the span of each prefix of rows is built once, by closure.
+
+def _gl_pass(fp, n):
+    """(det w, the planes of w^-1) over every n x n matrix w as one slice, in key order.
+
+    The helpers as orthogroup._levi_keys composes them: det w and its
+    cofactors by minors, over det w by plane_quotients; entry (i, j) of
+    w^-1 is the cofactor off row j and column i over det w.
     """
-    mt = field.mul_table(fp)
-    spans = {(): frozenset([(0,) * n])}
+    width = fp.r * n * n
+    dot = matgf.plane_dot(fp)
+    entry, = matgf.matrix_planes(fp, n, width)
+    minor = matgf.minors(dot, n, entry, [(1 << (1 << width)) - 1] + [0] * (fp.r - 1))
+    rows, cols = tuple(range(n)), (1 << n) - 1
+    det = minor(rows, cols)
+    cofactors = [minor(rows[:j] + rows[j + 1:], cols ^ 1 << i) for i in rows for j in rows]
+    return det, matgf.plane_quotients(dot, cofactors, det)
 
-    def span(rows):
-        if rows not in spans:
-            v = rows[-1]
-            spans[rows] = frozenset(tuple(x ^ mt[c][y] for x, y in zip(s, v))
-                                    for s in span(rows[:-1]) for c in range(fp.q))
-        return spans[rows]
 
-    return [oracles.pack_mat(fp, m) for m in product(product(range(fp.q), repeat=n), repeat=n)
-            if all(m[i] not in span(m[:i]) for i in range(n))]
+def _units(det, count):
+    """The keys where the planes det read nonzero, ascending."""
+    mask = reduce(or_, det)
+    return [i for i in range(count) if mask >> count - 1 - i & 1]
 
 
 GL_SHAPES = [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF2, 4), (GF4, 1), (GF4, 2), (GF8, 2),
@@ -65,32 +78,64 @@ GL_SHAPES = [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF2, 4), (GF4, 1), (GF4, 2
 
 @pytest.mark.parametrize("fp,n", GL_SHAPES)
 def test_gl_matrices_against_product_scan(fp, n):
-    # the keys are exactly those of the invertible matrices, in increasing
-    # order, and each inverse key unpacks to the inverse (a sample of about
-    # 2000 pairs at the largest shapes)
-    pairs = list(matgf.gl_matrices(fp, n))
-    assert [key for key, _ in pairs] == _invertible_keys(fp, n)
-    assert len(pairs) == combinat.gl_order(n, fp.q)
-    for key, inv in pairs[::max(1, len(pairs) // 2000)]:
-        m, minv = oracles.unpack_mat(fp, n, key), oracles.unpack_mat(fp, n, inv)
-        assert oracles.mat_mul(fp, m, minv) == oracles.mat_identity(n)
+    # one pass over every n x n matrix: det w is nonzero at exactly the
+    # invertible keys of the product scan, and there the cofactors over det w
+    # read w^-1 by Gauss-Jordan elimination (a sample of about 2000 matrices
+    # at the largest shapes); the 0 x 0 matrix has the empty minor, 1
+    det, inverse = _gl_pass(fp, n)
+    count = 1 << fp.r * n * n
+    keys = oracles.invertible_keys(fp, n)
+    assert _units(det, count) == keys
+    assert len(keys) == combinat.gl_order(n, fp.q)
+    for key in keys[::max(1, len(keys) // 2000)]:
+        m, minv = oracles.unpack_mat(fp, n, key), oracles.unpack_mat(
+            fp, n, _read_key(fp, inverse, count, key))
+        assert minv == oracles.mat_inv(fp, m), (fp.q, n, key)
 
 
 def test_inverse_round_trip_full_gl():
-    # inverses, strictly increasing keys and |GL(n,q)| pairs pin the same
-    # pairs in the same order as inverting every matrix would
+    # every inverse of the pass, times its matrix, is the identity, and
+    # inverting twice gives the matrix back, over all of GL(n,q)
     for fp, n in [(GF2, 0), (GF2, 1), (GF2, 2), (GF2, 3), (GF4, 1), (GF4, 2), (GF8, 2)]:
-        pairs = list(matgf.gl_matrices(fp, n))
-        for key, inv in pairs:
+        det, inverse = _gl_pass(fp, n)
+        count = 1 << fp.r * n * n
+        pairs = {key: _read_key(fp, inverse, count, key) for key in _units(det, count)}
+        for key, inv in pairs.items():
             m, minv = oracles.unpack_mat(fp, n, key), oracles.unpack_mat(fp, n, inv)
             assert oracles.mat_mul(fp, minv, m) == oracles.mat_identity(n), (fp.q, n)
-        keys = [key for key, _ in pairs]
-        assert all(a < b for a, b in zip(keys, keys[1:])), (fp.q, n)
+            assert pairs[inv] == key, (fp.q, n)
         assert len(pairs) == combinat.gl_order(n, fp.q), (fp.q, n)
 
 
 def test_gl_matrices_count_gl42():
-    assert sum(1 for _ in matgf.gl_matrices(GF2, 4)) == combinat.gl_order(4, 2)
+    det, _ = _gl_pass(GF2, 4)
+    assert reduce(or_, det).bit_count() == combinat.gl_order(4, 2)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_key_planes_round_trip(r):
+    # keys to planes to keys is the identity, and each key reads back bit by
+    # bit from the planes, at lengths 0, 1, 2 and 1,025
+    fp = binary_field(r)
+    rng = random.Random(r)
+    for n in (1, 2, 3):
+        keys = [(1 << r * n * n) - 1] + [rng.getrandbits(r * n * n) for _ in range(1024)]
+        for length in (0, 1, 2, 1025):
+            planes = matgf.key_planes(fp, n, keys[:length])
+            assert [_read_key(fp, planes, length, i) for i in range(length)] == keys[:length]
+            assert matgf.plane_keys(fp, n, planes, length) == keys[:length], (n, length)
+
+
+def test_matrix_planes_list_every_key_in_order():
+    # the slices of every n x n matrix, at every width, are the keys
+    # 0 .. q^(n^2) - 1 in ascending order
+    for fp, n in [(GF2, 1), (GF2, 2), (GF4, 2), (GF8, 1), (GF2, 3)]:
+        bits = fp.r * n * n
+        for width in range(bits + 1):
+            count = 1 << width
+            keys = [_read_key(fp, entry, count, i)
+                    for entry in matgf.matrix_planes(fp, n, width) for i in range(count)]
+            assert keys == list(range(1 << bits)), (fp.q, n, width)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

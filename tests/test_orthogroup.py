@@ -249,20 +249,44 @@ def test_coset_representatives_cover_each_left_factor_once():
 
 
 def test_levi_keys():
-    # the key of [[A, 0], [0, A^-T]] for each (A, A^-1) of gl_matrices, in its
-    # order, assembled from tuple matrices: the Levi subgroup, one key per A
+    # the key of [[A, 0], [0, A^-T]] for each A of the product scan, in its
+    # order, with A^-1 by Gauss-Jordan elimination, assembled from tuple
+    # matrices: the Levi subgroup, one key per A
     def levi(fp, n, a, ainv):
         zero = (0,) * n
         return oracles.pack_mat(fp, tuple(row + zero for row in a)
                               + tuple(zero + row for row in oracles.mat_transpose(ainv)))
 
     for fp, n in [(GF2, 3), (GF4, 2), (GF8, 1), (binary_field(7, ALT_MODULI[7]), 1)]:
-        pairs = [(oracles.unpack_mat(fp, n, a), oracles.unpack_mat(fp, n, ainv))
-                 for a, ainv in matgf.gl_matrices(fp, n)]
+        pairs = [(a, oracles.mat_inv(fp, a)) for a in (
+            oracles.unpack_mat(fp, n, key) for key in oracles.invertible_keys(fp, n))]
         assert all(oracles.mat_mul(fp, a, ainv) == oracles.mat_identity(n) for a, ainv in pairs)
         keys = list(memoryview(og._levi_keys(fp, n)).cast("Q"))
         assert keys == [levi(fp, n, a, ainv) for a, ainv in pairs]
         assert len(set(keys)) == combinat.gl_order(n, fp.q)
+
+
+def test_levi_keys_at_every_enumerable_shape():
+    # under both moduli of each degree: the top-left blocks are the product
+    # scan's invertible keys in ascending order, the off-diagonal blocks are
+    # zero, the bottom-right block D has A tD = 1, and there are |GL(n,q)|
+    shapes = 0
+    for moduli in (field.DEFAULT_MODULI, ALT_MODULI):
+        for fp in (binary_field(r, m) for r, m in moduli.items()):
+            for n in (n for n in (1, 2, 3) if og.enumerable(fp, n)):
+                shapes += 1
+                tops = []
+                for key in memoryview(og._levi_keys(fp, n)).cast("Q"):
+                    m = oracles.unpack_mat(fp, 2 * n, key)
+                    a, d = tuple(row[:n] for row in m[:n]), tuple(row[n:] for row in m[n:])
+                    assert not any(any(row[n:]) for row in m[:n]), (fp, n, key)
+                    assert not any(any(row[:n]) for row in m[n:]), (fp, n, key)
+                    one = oracles.mat_mul(fp, a, oracles.mat_transpose(d))
+                    assert one == oracles.mat_identity(n), (fp, n, key)
+                    tops.append(oracles.pack_mat(fp, a))
+                assert tops == oracles.invertible_keys(fp, n), (fp, n)
+                assert len(tops) == combinat.gl_order(n, fp.q), (fp, n)
+    assert shapes == 17
 
 
 def test_coset_products_basis_offsets_at_t2():
@@ -483,9 +507,8 @@ def test_products_stay_in_group():
     for a in mats[::7]:
         for b in mats[::11]:
             assert oracles.pack_mat(GF2, oracles.mat_mul(GF2, a, b)) in union
-    inverse = dict(matgf.gl_matrices(GF2, 4))
-    for key in union:
-        assert inverse[key] in union
+    for m in mats:
+        assert oracles.pack_mat(GF2, oracles.mat_inv(GF2, m)) in union
     for fp, n, s1, s2 in [(GF4, 2, 301, 443), (GF2, 3, 1201, 1999)]:
         union = _cell_union(fp, n)
         keys = sorted(union)
